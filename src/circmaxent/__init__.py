@@ -6,12 +6,8 @@ from .blockcirc import (
     Spectrum,
     circ_inverse,
     circ_logdet,
-    circ_matmul,
-    circ_transpose,
     circulant_average,
     dft_spectrum,
-    dft_spectrum_direct,
-    dump_dense,
     gaussian_entropy,
     leading_band,
     leading_inverse_band,

@@ -6,7 +6,7 @@ position (i, j) of the full matrix is ``first_row[(j - i) mod N]``.  The
 block DFT diagonalizes every such matrix, so inversion, log-determinant and
 the positive-definiteness test all reduce to work on N Hermitian m x m
 frequency blocks.  Dense mN x mN matrices are only materialized by
-``to_dense`` (oracles, baselines, debug dumps), never on the solver path.
+``to_dense`` (oracles and baselines), never on the solver path.
 
 Transform convention: the frequency blocks are
 
@@ -102,11 +102,6 @@ class Spectrum:
             raise BadInput(f"psi shape {psi.shape} != {(self.N, self.m, self.m)}")
         object.__setattr__(self, "psi", psi)
 
-    @property
-    def thetas(self) -> np.ndarray:
-        """Frequency angles -2*pi*l/N, l = 0..N-1."""
-        return -2.0 * np.pi * np.arange(self.N) / self.N
-
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
         dev = np.abs(self.psi - _hermitize(self.psi)).max()
         scale = max(1.0, float(np.abs(self.psi).max()))
@@ -123,10 +118,12 @@ class BandData:
 
     def __post_init__(self):
         blocks = np.asarray(self.blocks, dtype=float)
-        if self.n < 0:
-            raise BadInput("bandwidth must be nonnegative")
+        if self.m < 1 or self.n < 0:
+            raise BadInput(f"need m >= 1 and n >= 0, got m={self.m}, n={self.n}")
         if blocks.shape != (self.n + 1, self.m, self.m):
             raise BadInput(f"blocks shape {blocks.shape} != {(self.n + 1, self.m, self.m)}")
+        if not np.all(np.isfinite(blocks)):
+            raise BadInput("band blocks must be finite")
         scale = max(1.0, float(np.abs(blocks[0]).max()))
         if np.abs(blocks[0] - blocks[0].T).max() > 1e-12 * scale:
             raise BadInput("Sigma_0 must be symmetric")
@@ -159,19 +156,10 @@ class BandData:
 def dft_spectrum(c: BlockCirculant) -> Spectrum:
     """Frequency blocks of a block-circulant matrix.
 
-    Computed with a mixed-radix FFT over the block index (valid for any N);
-    ``dft_spectrum_direct`` is the O(N^2) reference kept for cross-checking.
+    Computed with a mixed-radix FFT over the block index (valid for any N).
     For symmetric input every block is Hermitian.
     """
     return Spectrum(c.m, c.N, np.fft.fft(c.first_row, axis=0))
-
-
-def dft_spectrum_direct(c: BlockCirculant) -> Spectrum:
-    """O(N^2) direct evaluation of the block DFT (reference path)."""
-    ell = np.arange(c.N)
-    w = np.exp(-2j * np.pi * np.outer(ell, ell) / c.N)
-    psi = np.einsum("lk,kab->lab", w, c.first_row)
-    return Spectrum(c.m, c.N, psi)
 
 
 def spectrum_to_circulant(s: Spectrum, rtol: float = 1e-9) -> BlockCirculant:
@@ -274,24 +262,6 @@ def leading_inverse_band(c: BlockCirculant, n: int) -> np.ndarray:
     return leading_band(circ_inverse(c), n)
 
 
-def circ_matmul(a: BlockCirculant, b: BlockCirculant) -> BlockCirculant:
-    """Product of two block-circulants via cyclic block convolution.
-
-    Exact in the first-row representation (no transform round-off); structure
-    is preserved by construction.
-    """
-    if a.N != b.N or a.m != b.m:
-        raise BadInput("operand shapes differ")
-    k = np.arange(a.N)
-    idx = (k[:, None] - k[None, :]) % a.N  # (k - j) mod N
-    return BlockCirculant(a.m, a.N, np.einsum("jab,kjbc->kac", a.first_row, b.first_row[idx]))
-
-
-def circ_transpose(c: BlockCirculant) -> BlockCirculant:
-    """Transpose, again block-circulant: row'_k = row_{(N-k) mod N}^T."""
-    return BlockCirculant(c.m, c.N, np.swapaxes(c.first_row[(-np.arange(c.N)) % c.N], -1, -2))
-
-
 def circulant_average(dense: np.ndarray, m: int) -> BlockCirculant:
     """Orthogonal projection of a dense symmetric matrix onto block-circulants.
 
@@ -306,8 +276,3 @@ def circulant_average(dense: np.ndarray, m: int) -> BlockCirculant:
     i = np.arange(N)
     j = (i[:, None] + i[None, :]) % N  # j[i, k] = (i + k) mod N
     return BlockCirculant(m, N, blocks[i[:, None], j].mean(axis=0))
-
-
-def dump_dense(c: BlockCirculant, target) -> None:
-    """Debug dump: dense matrix, one scalar row per line, space-separated."""
-    np.savetxt(target, c.to_dense())

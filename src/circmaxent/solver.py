@@ -7,13 +7,16 @@ definite.  The dual objective is
 
     Tr(Lambda T_n) - log det project_band_gram(Lambda, N),
 
-a strictly convex function on that open domain; at the minimizer the
-completion is the inverse of the projection, so its own inverse is banded
-block-circulant by construction and the band constraint holds at the level
-of the final gradient norm.  Each iteration costs O(m^3 N + m^2 N log N):
-the projection is a block sum, the log-determinant and the leading inverse
-band go through the frequency blocks, and no mN x mN dense matrix is ever
-formed.
+a convex function on that open domain.  It depends on Lambda only through
+the block-diagonal sums that the projection forms, so it is strictly convex
+in those sums but flat along directions of Lambda that leave them
+unchanged; the minimizing projection, and with it the completion, is
+unique.  At the minimizer the completion is the inverse of the projection,
+so its own inverse is banded block-circulant by construction and the band
+constraint holds at the level of the final gradient norm.  Each iteration
+costs O(m^3 N + m^2 N log N): the projection is a block sum, the
+log-determinant and the leading inverse band go through the frequency
+blocks, and no mN x mN dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .blockcirc import (
     circulant_average,
     gaussian_entropy,
     leading_band,
-    leading_inverse_band,
     project_band_gram,
 )
 from .errors import BadInput, BandTooWide, InfeasibleStart, NotPositiveDefinite
@@ -42,6 +44,10 @@ from .toeplitz import phi_inverse_coeffs, solve_yule_walker
 # Decreases below ~16 eps |f| cannot be read off the objective; the line
 # search then reuses the last validated step instead of testing.
 _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
+# Initial line-search step, reset every iteration.
+_STEP0 = 1.0
+# A dual iterate whose Frobenius norm passes this cap is reported "diverged".
+_LAMBDA_CAP = 1e10
 
 
 @dataclass(frozen=True)
@@ -82,15 +88,13 @@ class SolverConfig:
     ``eta`` is the gradient-norm stopping threshold (Frobenius norm, a cheap
     equivalent of the spectral norm up to dimension constants); when None it
     defaults to 1e-8 * max(1, ||T_n||_F) at solve time.  The line-search step
-    resets to ``step0`` every iteration.
+    resets to 1 every iteration.
     """
 
     alpha: float = 0.3
     beta: float = 0.5
     eta: Optional[float] = None
     max_iter: int = 1_000_000
-    step0: float = 1.0
-    lambda_cap: float = 1e10
     trace: Optional[IO[str]] = None
 
     def __post_init__(self):
@@ -98,8 +102,8 @@ class SolverConfig:
             raise BadInput(f"alpha={self.alpha} outside (0, 0.5)")
         if not 0.0 < self.beta < 1.0:
             raise BadInput(f"beta={self.beta} outside (0, 1)")
-        if self.step0 <= 0.0 or self.max_iter < 0:
-            raise BadInput("step0 must be positive and max_iter nonnegative")
+        if self.max_iter < 0:
+            raise BadInput(f"max_iter={self.max_iter} is negative")
 
 
 @dataclass
@@ -146,9 +150,14 @@ def dual_gradient(lam: DualVariable, band: BandData, N: int) -> np.ndarray:
     NotPositiveDefinite
         If the iterate is outside the dual domain.
     """
-    T = band.toeplitz()
-    proj = project_band_gram(lam.value, band.m, band.n, N)
-    return _sym(T - leading_inverse_band(proj, band.n))
+    return _gradient(lam.value, band.toeplitz(), band.m, band.n, N)[0]
+
+
+def _gradient(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int):
+    """The gradient at ``value`` and the inverse of the band projection it
+    was read from (the completion implied by ``value``)."""
+    sigma = circ_inverse(project_band_gram(value, m, n, N))
+    return _sym(T - leading_band(sigma, n)), sigma
 
 
 def _objective(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int) -> float:
@@ -168,19 +177,15 @@ def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
     under a block-Toeplitz ansatz so that the projection's band equals the
     Laurent coefficients of the extension's inverse spectral density, i.e.
     the limit the optimal projection approaches as N grows; block (i, i+d)
-    is (N / (n+1-d)) * M_d^T.
-
-    Raises
-    ------
-    InfeasibleStart
-        If the requested start falls outside the dual domain.
+    is (N / (n+1-d)) * M_d^T.  Membership in the dual domain is not checked
+    here (see ``DualVariable.is_feasible``); ``solve`` checks its start.
     """
     m, n = band.m, band.n
     if N < 2 * n + 2:
         raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
     if mode == "identity":
-        lam = DualVariable.identity(m, n)
-    elif mode == "toeplitz":
+        return DualVariable.identity(m, n)
+    if mode == "toeplitz":
         M = phi_inverse_coeffs(solve_yule_walker(band)).M
         size = (n + 1) * m
         value = np.zeros((size, size))
@@ -191,12 +196,8 @@ def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
                 # row carry the limiting inverse band (M_d^T at distance d)
                 x = (N / (n + 1 - d)) * M[d].T
                 value[i * m:(i + 1) * m, j * m:(j + 1) * m] = x if j >= i else x.T
-        lam = DualVariable(m, n, value)
-    else:
-        raise BadInput(f"unknown init mode {mode!r}")
-    if not lam.is_feasible(N):
-        raise InfeasibleStart(f"{mode} start lies outside the dual domain for N={N}")
-    return lam
+        return DualVariable(m, n, value)
+    raise BadInput(f"unknown init mode {mode!r}")
 
 
 def solve(
@@ -217,7 +218,8 @@ def solve(
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult).  If the Toeplitz warm start is infeasible the solver
-    falls back to the identity start and reports it.
+    falls back to the identity start and reports it; any other infeasible
+    start raises InfeasibleStart.
     """
     cfg = config if config is not None else SolverConfig()
     m, n = band.m, band.n
@@ -227,30 +229,23 @@ def solve(
     eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, float(np.linalg.norm(T)))
 
     if isinstance(init, DualVariable):
-        lam0, init_mode = init, "custom"
-        if not lam0.is_feasible(N):
-            raise InfeasibleStart("supplied start lies outside the dual domain")
+        value, init_mode = init.value, "custom"
     else:
-        try:
-            lam0, init_mode = init_lambda(band, N, init), init
-        except InfeasibleStart:
-            if init == "identity":
-                raise
-            lam0, init_mode = init_lambda(band, N, "identity"), f"identity (fallback from {init})"
-
-    def gradient(value: np.ndarray) -> np.ndarray:
-        proj = project_band_gram(value, m, n, N)
-        return _sym(T - leading_inverse_band(proj, n))
-
-    value = lam0.value.copy()
+        value, init_mode = init_lambda(band, N, init).value, init
     f = _objective(value, T, m, n, N)
-    g = gradient(value)
+    if not math.isfinite(f):
+        if init_mode != "toeplitz":
+            raise InfeasibleStart(f"{init_mode} start lies outside the dual domain for N={N}")
+        value = DualVariable.identity(m, n).value
+        init_mode = "identity (fallback from toeplitz)"
+        f = _objective(value, T, m, n, N)
+    g, sigma = _gradient(value, T, m, n, N)
     gnorm = float(np.linalg.norm(g))
     trace = [f]
     backtracks = 0
     iterations = 0
     status = None
-    t_acc = None  # last Armijo-validated step, reused when the test is unreadable
+    t_acc = None  # last Armijo-validated step
 
     if cfg.trace is not None:
         cfg.trace.write("iter,jbar,grad_norm,step\n")
@@ -262,50 +257,38 @@ def solve(
             break
         slope = -(gnorm ** 2)  # Tr(grad^T direction) for direction = -grad
         noise = _NOISE_EPS * max(1.0, abs(f))
-        stalled = False
-        if cfg.alpha * cfg.step0 * (-slope) >= noise or t_acc is None:
-            t = cfg.step0
+        # Armijo test when the predicted decrease is readable off f; below
+        # that resolution step at the last validated scale and test only
+        # that the point stays in the domain.
+        armijo = cfg.alpha * _STEP0 * (-slope) >= noise or t_acc is None
+        t = _STEP0 if armijo else t_acc
+        f_new = _objective(value - t * g, T, m, n, N)
+        while (f_new > f + cfg.alpha * t * slope) if armijo else not math.isfinite(f_new):
+            t *= cfg.beta
+            backtracks += 1
+            if t < 1e-18:
+                status = "stalled"
+                break
             f_new = _objective(value - t * g, T, m, n, N)
-            while f_new > f + cfg.alpha * t * slope:
-                t *= cfg.beta
-                backtracks += 1
-                if t < 1e-18:
-                    stalled = True
-                    break
-                f_new = _objective(value - t * g, T, m, n, N)
-            t_acc = t
-        else:
-            # Predicted decrease is below the objective's floating-point
-            # resolution; step at the last validated scale, guarding only
-            # against leaving the domain.
-            t = t_acc
-            f_new = _objective(value - t * g, T, m, n, N)
-            while not math.isfinite(f_new):
-                t *= cfg.beta
-                backtracks += 1
-                if t < 1e-18:
-                    stalled = True
-                    break
-                f_new = _objective(value - t * g, T, m, n, N)
-        if stalled:
-            status = "stalled"
+        if status is not None:
             break
+        if armijo:
+            t_acc = t
         value = _sym(value - t * g)
         f = f_new
-        g = gradient(value)
+        g, sigma = _gradient(value, T, m, n, N)
         gnorm = float(np.linalg.norm(g))
         iterations += 1
         trace.append(f)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
-        if float(np.linalg.norm(value)) > cfg.lambda_cap:
+        if float(np.linalg.norm(value)) > _LAMBDA_CAP:
             status = "diverged"
             break
     if status is None:
         status = "converged"
 
     lam_star = DualVariable(m, n, value)
-    sigma = circ_inverse(project_band_gram(value, m, n, N))
     return SolverResult(
         lambda_star=lam_star,
         sigma=sigma,

@@ -6,7 +6,7 @@ matrices, independent of the package's spectral code paths.
 
 import numpy as np
 
-from circmaxent import BandData, BlockCirculant, DualVariable
+from circmaxent import BadInput, BandData, BlockCirculant, DualVariable, Spectrum
 
 
 def sym(a):
@@ -35,6 +35,27 @@ def random_spd_circulant(m, N, rng, margin=0.5):
     if lift > 0:
         row[0] += lift * np.eye(m)
     return BlockCirculant(m, N, row)
+
+
+def dft_spectrum_direct(c):
+    """O(N^2) direct evaluation of the block DFT (reference for the FFT path)."""
+    ell = np.arange(c.N)
+    w = np.exp(-2j * np.pi * np.outer(ell, ell) / c.N)
+    psi = np.einsum("lk,kab->lab", w, c.first_row)
+    return Spectrum(c.m, c.N, psi)
+
+
+def circ_matmul(a, b):
+    """Product of two block-circulants via cyclic block convolution.
+
+    Exact in the first-row representation (no transform round-off); structure
+    is preserved by construction.
+    """
+    if a.N != b.N or a.m != b.m:
+        raise BadInput("operand shapes differ")
+    k = np.arange(a.N)
+    idx = (k[:, None] - k[None, :]) % a.N  # (k - j) mod N
+    return BlockCirculant(a.m, a.N, np.einsum("jab,kjbc->kac", a.first_row, b.first_row[idx]))
 
 
 def dense_embed_dual(lam, m, n, N):

@@ -92,6 +92,16 @@ class TestSolveCommand:
         assert lines[0] == "iter,jbar,grad_norm,step"
         assert len(lines) >= 2
 
+    def test_non_finite_band_exits_1(self, tmp_path, capsys):
+        matrix = write_problem(
+            tmp_path / "nan2.json", 2, 1, 8,
+            [[1.0, 0.0, 0.0, 1.0], [0.2, float("nan"), 0.0, 0.2]],
+        )
+        scalar = write_problem(tmp_path / "nan1.json", 1, 1, 8, [[1.0], [float("nan")]])
+        for path in (matrix, scalar):
+            assert main(["solve", path]) == 1
+            assert "finite" in capsys.readouterr().err
+
     def test_ips_method(self, n4_problem, tmp_path):
         out = tmp_path / "sol.json"
         assert main(["solve", n4_problem, "-o", str(out), "--method", "ips"]) == 0
@@ -198,11 +208,11 @@ class TestBenchCommand:
         for r in rows:
             assert float(r["band_residual"]) < 1e-5
 
+    def test_builds_no_dense_matrix(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("bench must not assemble dense matrices")
 
-class TestIpsCommand:
-    def test_runs_and_matches(self, n4_problem, tmp_path):
-        out = tmp_path / "sol.json"
-        assert main(["ips", n4_problem, "-o", str(out)]) == 0
-        row = np.array(json.loads(out.read_text())["first_block_row"], dtype=float).ravel()
-        x_star = (-1 + math.sqrt(1.72)) / 2
-        assert abs(row[2] - x_star) < 1e-6
+        monkeypatch.setattr(BlockCirculant, "to_dense", refuse)
+        assert main(["bench", "--m", "2", "--n", "1", "--N", "8", "12", "--seed", "3"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 4  # 2 sizes x 2 inits

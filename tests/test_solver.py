@@ -282,7 +282,25 @@ class TestSolve:
         with pytest.raises(BadInput):
             SolverConfig(beta=1.0)
         with pytest.raises(BadInput):
-            SolverConfig(step0=0.0)
+            SolverConfig(max_iter=-1)
+
+    def test_one_inversion_per_point(self, monkeypatch):
+        # a 0-iteration solve evaluates the objective at the start and reads
+        # the gradient and the completion off one inversion there
+        import circmaxent.blockcirc as blockcirc
+
+        band = random_feasible_band(3, 2, 12, np.random.default_rng(52))
+        calls = []
+        dft = blockcirc.dft_spectrum
+
+        def counted(c):
+            calls.append(c.N)
+            return dft(c)
+
+        monkeypatch.setattr(blockcirc, "dft_spectrum", counted)
+        res = solve(band, 1024)
+        assert res.converged and res.iterations == 0
+        assert len(calls) == 2
 
 
 class TestVerifySolution:
