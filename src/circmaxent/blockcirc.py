@@ -36,6 +36,28 @@ def _hermitize(psi: np.ndarray) -> np.ndarray:
     return 0.5 * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 
 
+def _band_row(band: np.ndarray, N: int) -> np.ndarray:
+    """First block row of the symmetric block-circulant with band blocks
+    ``band`` (n+1, m, m): row[d] = band[d], row[N-d] = band[d]^T, zeros
+    elsewhere.  Where the band meets its mirror (the central block of an
+    even N = 2n) the two are summed."""
+    n = band.shape[0] - 1
+    row = np.zeros((N,) + band.shape[1:])
+    row[: n + 1] = band
+    row[N - n:] += np.swapaxes(band[:0:-1], 1, 2)
+    return row
+
+
+def _block_toeplitz(row: np.ndarray) -> np.ndarray:
+    """Symmetric block-Toeplitz matrix with first block row ``row`` (k, m, m):
+    block (i, j) is row[j - i] on and above the diagonal, row[i - j]^T below."""
+    k, m = row.shape[0], row.shape[1]
+    i = np.arange(k)
+    d = i[None, :] - i[:, None]
+    blocks = np.where((d >= 0)[:, :, None, None], row[np.abs(d)], np.swapaxes(row, 1, 2)[np.abs(d)])
+    return blocks.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+
+
 def _cholesky_blocks(psi: np.ndarray, what: str) -> np.ndarray:
     """Batched Cholesky of Hermitian frequency blocks; the PD test."""
     if not np.all(np.isfinite(psi)):
@@ -80,13 +102,6 @@ class BlockCirculant:
         scale = max(1.0, float(np.abs(self.first_row).max()))
         return float(np.abs(self.first_row - mirror).max()) <= rtol * scale
 
-    def is_banded(self, b: int, tol: float = 0.0) -> bool:
-        """True when blocks at circular distance > b vanish."""
-        for k in range(b + 1, self.N - b):
-            if np.abs(self.first_row[k]).max() > tol:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -101,11 +116,6 @@ class Spectrum:
         if psi.shape != (self.N, self.m, self.m):
             raise BadInput(f"psi shape {psi.shape} != {(self.N, self.m, self.m)}")
         object.__setattr__(self, "psi", psi)
-
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
-        dev = np.abs(self.psi - _hermitize(self.psi)).max()
-        scale = max(1.0, float(np.abs(self.psi).max()))
-        return float(dev) <= rtol * scale
 
 
 @dataclass(frozen=True)
@@ -133,24 +143,13 @@ class BandData:
 
     def toeplitz(self) -> np.ndarray:
         """Dense symmetric block-Toeplitz matrix of the band (size (n+1)m)."""
-        m, n = self.m, self.n
-        out = np.zeros(((n + 1) * m, (n + 1) * m))
-        for i in range(n + 1):
-            for j in range(n + 1):
-                blk = self.blocks[i - j] if i >= j else self.blocks[j - i].T
-                out[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-        return out
+        return _block_toeplitz(np.swapaxes(self.blocks, 1, 2))
 
     def embed_circulant(self, N: int) -> BlockCirculant:
         """Banded block-circulant with this band and zeros elsewhere."""
         if N < 2 * self.n + 2:
             raise BandTooWide(f"N={N} < 2n+2={2 * self.n + 2}")
-        row = np.zeros((N, self.m, self.m))
-        row[0] = self.blocks[0]
-        for k in range(1, self.n + 1):
-            row[k] = self.blocks[k].T
-            row[N - k] = self.blocks[k]
-        return BlockCirculant(self.m, N, row)
+        return BlockCirculant(self.m, N, _band_row(np.swapaxes(self.blocks, 1, 2), N))
 
 
 def dft_spectrum(c: BlockCirculant) -> Spectrum:
@@ -220,7 +219,8 @@ def project_band_gram(lam: np.ndarray, m: int, n: int, N: int) -> BlockCirculant
     corner (zeros elsewhere) onto symmetric block-circulants is banded, with
     first-row block at distance d equal to the average over the N cyclic
     shifts, i.e. (1/N) * sum_i lam[i, i+d] for 0 <= d <= n and zero for
-    n < d < N - n.
+    n < d < N - n.  ``lam`` may also be given as that band itself, an
+    (n+1, m, m) stack of the first n+1 first-row blocks.
 
     Raises
     ------
@@ -231,30 +231,20 @@ def project_band_gram(lam: np.ndarray, m: int, n: int, N: int) -> BlockCirculant
         raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
     lam = np.asarray(lam, dtype=float)
     size = (n + 1) * m
-    if lam.shape != (size, size):
-        raise BadInput(f"dual matrix shape {lam.shape} != {(size, size)}")
-    row = np.zeros((N, m, m))
-    for d in range(n + 1):
-        acc = np.zeros((m, m))
-        for i in range(n + 1 - d):
-            acc += lam[i * m:(i + 1) * m, (i + d) * m:(i + d + 1) * m]
-        row[d] = acc / N
-        if d > 0:
-            row[N - d] = acc.T / N
-    return BlockCirculant(m, N, row)
+    if lam.shape == (size, size):
+        blocks = lam.reshape(n + 1, m, n + 1, m).swapaxes(1, 2)  # blocks[i, j] = block (i, j)
+        lam = np.stack([blocks.diagonal(d).sum(-1) for d in range(n + 1)]) / N
+    elif lam.shape != (n + 1, m, m):
+        raise BadInput(f"dual matrix shape {lam.shape} != {(size, size)} or band {(n + 1, m, m)}")
+    return BlockCirculant(m, N, _band_row(lam, N))
 
 
 def leading_band(c: BlockCirculant, n: int) -> np.ndarray:
     """Leading (n+1) x (n+1) block principal submatrix, assembled from the
-    first row: block (i, j) = first_row[(j - i) mod N]."""
+    first row: block (i, j) = first_row[j - i] for j >= i."""
     if n + 1 > c.N:
         raise BadInput(f"n+1={n + 1} exceeds N={c.N}")
-    m = c.m
-    out = np.empty(((n + 1) * m, (n + 1) * m))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = c.first_row[(j - i) % c.N]
-    return _sym(out)
+    return _sym(_block_toeplitz(c.first_row[: n + 1]))
 
 
 def leading_inverse_band(c: BlockCirculant, n: int) -> np.ndarray:

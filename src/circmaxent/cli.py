@@ -6,8 +6,8 @@ of the completion plus diagnostics.  Floats are serialized with Python's
 shortest round-trip representation, which reparses bit-exactly.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 detected
-infeasibility, 3 iteration budget exhausted.  Diagnostics never change exit
-codes.
+infeasibility, 3 iteration budget exhausted or no further progress.
+Diagnostics never change exit codes.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def cmd_solve(args) -> int:
         _emit(_solution_payload(result.sigma, diagnostics), args.output)
         if result.status == "diverged":
             return EXIT_INFEASIBLE
-        if result.status == "max_iter":
+        if result.status in ("max_iter", "stalled"):
             return EXIT_MAXITER
         return EXIT_OK
 

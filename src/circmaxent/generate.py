@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _sym, circ_inverse, dft_spectrum, _hermitize
+from .blockcirc import BandData, BlockCirculant, _band_row, _hermitize, _sym, circ_inverse, dft_spectrum
 from .errors import BadInput
 from .toeplitz import band_from_ar, spectral_radius
 
@@ -25,24 +25,18 @@ def random_feasible_band(m: int, n: int, N: int, rng, margin: float = 0.3) -> Ba
     """
     if N < 2 * n + 2:
         raise BadInput(f"N={N} < 2n+2={2 * n + 2}")
-    row = np.zeros((N, m, m))
-    row[0] = np.eye(m) + 0.3 * _sym(rng.standard_normal((m, m)))
+    band = np.zeros((n + 1, m, m))
+    band[0] = np.eye(m) + 0.3 * _sym(rng.standard_normal((m, m)))
     for d in range(1, n + 1):
-        blk = rng.standard_normal((m, m)) * 0.4 / (d + 1)
-        row[d] = blk
-        row[N - d] = blk.T
-    prec = BlockCirculant(m, N, row)
+        band[d] = rng.standard_normal((m, m)) * 0.4 / (d + 1)
+    prec = BlockCirculant(m, N, _band_row(band, N))
     eigs = np.linalg.eigvalsh(_hermitize(dft_spectrum(prec).psi))
     lift = margin - float(eigs.min())
     if lift > 0:
-        row[0] += lift * np.eye(m)
-        prec = BlockCirculant(m, N, row)
+        band[0] += lift * np.eye(m)
+        prec = BlockCirculant(m, N, _band_row(band, N))
     sigma = circ_inverse(prec)
-    blocks = np.zeros((n + 1, m, m))
-    blocks[0] = sigma.first_row[0]
-    for k in range(1, n + 1):
-        blocks[k] = sigma.first_row[k].T
-    return BandData(m, n, blocks)
+    return BandData(m, n, np.swapaxes(sigma.first_row[: n + 1], 1, 2))
 
 
 def random_stable_ar(m: int, n: int, rng, radius: float = 0.6, identity_innovation: bool = False):

@@ -1,22 +1,23 @@
 """Gradient descent on the reduced dual of the circulant completion problem.
 
 The maximum-entropy completion of a banded symmetric block-circulant
-covariance is recovered from a dual variable: one symmetric matrix of
+covariance is recovered from a dual variable: one symmetric matrix Lambda of
 (n+1) x (n+1) blocks whose circulant band projection must stay positive
 definite.  The dual objective is
 
     Tr(Lambda T_n) - log det project_band_gram(Lambda, N),
 
 a convex function on that open domain.  It depends on Lambda only through
-the block-diagonal sums that the projection forms, so it is strictly convex
-in those sums but flat along directions of Lambda that leave them
-unchanged; the minimizing projection, and with it the completion, is
-unique.  At the minimizer the completion is the inverse of the projection,
-so its own inverse is banded block-circulant by construction and the band
-constraint holds at the level of the final gradient norm.  Each iteration
-costs O(m^3 N + m^2 N log N): the projection is a block sum, the
-log-determinant and the leading inverse band go through the frequency
-blocks, and no mN x mN dense matrix is ever formed.
+its block-diagonal sums, which are N times the band K_0..K_n of the
+projection (the circulant precision), and it is strictly convex in K, so the
+minimizing band, and with it the completion, is unique.  ``solve`` iterates
+on K, an (n+1, m, m) array, taking exactly the gradient step in Lambda
+reduced to the band; Lambda appears only in the adapters (``DualVariable``,
+``init_lambda``, ``dual_objective``, ``dual_gradient``, ``lambda_star``).
+The completion is the inverse of the projection, so its own inverse is
+banded block-circulant by construction and the band constraint holds at the
+level of the final gradient norm.  Each iteration costs O(m^3 N + m^2 N log N)
+through the frequency blocks; no mN x mN dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .blockcirc import (
     BandData,
     BlockCirculant,
+    _block_toeplitz,
     _sym,
     circ_inverse,
     circ_logdet,
@@ -46,7 +48,7 @@ from .toeplitz import phi_inverse_coeffs, solve_yule_walker
 _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
 # Initial line-search step, reset every iteration.
 _STEP0 = 1.0
-# A dual iterate whose Frobenius norm passes this cap is reported "diverged".
+# A dual iterate whose Lambda's Frobenius norm passes this cap is "diverged".
 _LAMBDA_CAP = 1e10
 
 
@@ -64,10 +66,6 @@ class DualVariable:
         if value.shape != (size, size):
             raise BadInput(f"dual matrix shape {value.shape} != {(size, size)}")
         object.__setattr__(self, "value", _sym(value))
-
-    @classmethod
-    def identity(cls, m: int, n: int) -> "DualVariable":
-        return cls(m, n, np.eye((n + 1) * m))
 
     def project(self, N: int) -> BlockCirculant:
         return project_band_gram(self.value, self.m, self.n, N)
@@ -150,23 +148,44 @@ def dual_gradient(lam: DualVariable, band: BandData, N: int) -> np.ndarray:
     NotPositiveDefinite
         If the iterate is outside the dual domain.
     """
-    return _gradient(lam.value, band.toeplitz(), band.m, band.n, N)[0]
-
-
-def _gradient(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int):
-    """The gradient at ``value`` and the inverse of the band projection it
-    was read from (the completion implied by ``value``)."""
-    sigma = circ_inverse(project_band_gram(value, m, n, N))
-    return _sym(T - leading_band(sigma, n)), sigma
+    return _sym(band.toeplitz() - leading_band(circ_inverse(lam.project(N)), band.n))
 
 
 def _objective(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int) -> float:
+    """The dual objective at a full Lambda with T = T_n, or at a band K with
+    T = the weighted data band D (see ``solve``): sum(value * T) is
+    Tr(Lambda T_n) in either form."""
     proj = project_band_gram(value, m, n, N)
     try:
         logdet = circ_logdet(proj)
     except NotPositiveDefinite:
         return math.inf
     return float(np.sum(value * T)) - logdet
+
+
+def _gradient(K: np.ndarray, data: np.ndarray, m: int, n: int, N: int):
+    """Band gradient G_d = Sigma_d^T - sigma_d at band K (``data`` holds the
+    Sigma_d^T) and the completion sigma, the inverse of K's circulant, it
+    was read from.  G_d is block (i, i+d) of the gradient in Lambda."""
+    sigma = circ_inverse(project_band_gram(K, m, n, N))
+    G = data - sigma.first_row[: n + 1]
+    G[0] = _sym(G[0])
+    return G, sigma
+
+
+def _band_norm(B: np.ndarray) -> float:
+    """Frobenius norm of the symmetric block-Toeplitz matrix with first block
+    row B, where block d appears n+1-d times on each side of the diagonal."""
+    cw = 2.0 * np.arange(len(B), 0, -1)
+    cw[0] = len(B)
+    return math.sqrt(float(np.einsum("d,dij,dij->", cw, B, B)))
+
+
+def _lift(K: np.ndarray, N: int) -> DualVariable:
+    """The block-Toeplitz dual with band projection K: block (i, i+d) is
+    (N / (n+1-d)) * K_d."""
+    w = np.arange(len(K), 0, -1.0)[:, None, None]
+    return DualVariable(K.shape[1], len(K) - 1, _block_toeplitz((N / w) * K))
 
 
 def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
@@ -184,19 +203,9 @@ def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
     if N < 2 * n + 2:
         raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
     if mode == "identity":
-        return DualVariable.identity(m, n)
+        return DualVariable(m, n, np.eye((n + 1) * m))
     if mode == "toeplitz":
-        M = phi_inverse_coeffs(solve_yule_walker(band)).M
-        size = (n + 1) * m
-        value = np.zeros((size, size))
-        for i in range(n + 1):
-            for j in range(n + 1):
-                d = abs(j - i)
-                # super-diagonal block M_d^T makes the projection's first
-                # row carry the limiting inverse band (M_d^T at distance d)
-                x = (N / (n + 1 - d)) * M[d].T
-                value[i * m:(i + 1) * m, j * m:(j + 1) * m] = x if j >= i else x.T
-        return DualVariable(m, n, value)
+        return _lift(np.swapaxes(phi_inverse_coeffs(solve_yule_walker(band)).M, 1, 2), N)
     raise BadInput(f"unknown init mode {mode!r}")
 
 
@@ -210,11 +219,12 @@ def solve(
 
     Descends along the negative gradient with Armijo backtracking (the
     objective evaluates to +inf outside the domain, so the line search also
-    enforces feasibility), stops when the gradient's Frobenius norm drops to
-    ``eta``, and symmetrizes the iterate after every update.  Returns the
-    completion ``sigma`` = inverse of the final band projection: its inverse
-    is banded block-circulant by construction and its band matches the data
-    to a tolerance tied to ``eta``.
+    enforces feasibility) and stops when the gradient's Frobenius norm drops
+    to ``eta``.  The start is reduced to its band K, which is the iterate;
+    ``lambda_star`` is the block-Toeplitz Lambda of the final band.  Returns
+    the completion ``sigma`` = inverse of the final band projection: its
+    inverse is banded block-circulant by construction and its band matches
+    the data to a tolerance tied to ``eta``.
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult).  If the Toeplitz warm start is infeasible the solver
@@ -223,24 +233,30 @@ def solve(
     """
     cfg = config if config is not None else SolverConfig()
     m, n = band.m, band.n
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
-    T = band.toeplitz()
-    eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, float(np.linalg.norm(T)))
+    # The gradient step in Lambda moves the block sum N K_d by the w_d =
+    # n+1-d gradient blocks on its diagonal, and Tr(Lambda T_n) = sum(K * D)
+    # since block d of T_n sits once on the diagonal and twice off it.
+    w = np.arange(n + 1, 0, -1.0)[:, None, None]
+    data = np.swapaxes(band.blocks, 1, 2)
+    D = 2.0 * N * data
+    D[0] *= 0.5
+    eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, _band_norm(data))
 
     if isinstance(init, DualVariable):
-        value, init_mode = init.value, "custom"
+        lam, init_mode = init, "custom"
     else:
-        value, init_mode = init_lambda(band, N, init).value, init
-    f = _objective(value, T, m, n, N)
+        lam, init_mode = init_lambda(band, N, init), init
+    K = lam.project(N).first_row[: n + 1]
+    f = _objective(K, D, m, n, N)
     if not math.isfinite(f):
         if init_mode != "toeplitz":
             raise InfeasibleStart(f"{init_mode} start lies outside the dual domain for N={N}")
-        value = DualVariable.identity(m, n).value
+        K = np.zeros_like(K)
+        K[0] = (n + 1) / N * np.eye(m)  # the identity start's band
         init_mode = "identity (fallback from toeplitz)"
-        f = _objective(value, T, m, n, N)
-    g, sigma = _gradient(value, T, m, n, N)
-    gnorm = float(np.linalg.norm(g))
+        f = _objective(K, D, m, n, N)
+    G, sigma = _gradient(K, data, m, n, N)
+    gnorm = _band_norm(G)
     trace = [f]
     backtracks = 0
     iterations = 0
@@ -262,35 +278,35 @@ def solve(
         # that the point stays in the domain.
         armijo = cfg.alpha * _STEP0 * (-slope) >= noise or t_acc is None
         t = _STEP0 if armijo else t_acc
-        f_new = _objective(value - t * g, T, m, n, N)
+        step = (w / N) * G
+        f_new = _objective(K - t * step, D, m, n, N)
         while (f_new > f + cfg.alpha * t * slope) if armijo else not math.isfinite(f_new):
             t *= cfg.beta
             backtracks += 1
             if t < 1e-18:
                 status = "stalled"
                 break
-            f_new = _objective(value - t * g, T, m, n, N)
+            f_new = _objective(K - t * step, D, m, n, N)
         if status is not None:
             break
         if armijo:
             t_acc = t
-        value = _sym(value - t * g)
+        K = K - t * step
         f = f_new
-        g, sigma = _gradient(value, T, m, n, N)
-        gnorm = float(np.linalg.norm(g))
+        G, sigma = _gradient(K, data, m, n, N)
+        gnorm = _band_norm(G)
         iterations += 1
         trace.append(f)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
-        if float(np.linalg.norm(value)) > _LAMBDA_CAP:
+        if _band_norm((N / w) * K) > _LAMBDA_CAP:
             status = "diverged"
             break
     if status is None:
         status = "converged"
 
-    lam_star = DualVariable(m, n, value)
     return SolverResult(
-        lambda_star=lam_star,
+        lambda_star=_lift(K, N),
         sigma=sigma,
         iterations=iterations,
         final_grad_norm=gnorm,
@@ -317,8 +333,8 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
         sigma = solution
     else:
         sigma = circulant_average(np.asarray(solution, dtype=float), band.m)
-    T = band.toeplitz()
-    band_res = float(np.linalg.norm(leading_band(sigma, band.n) - T) / np.linalg.norm(T))
+    data = np.swapaxes(band.blocks, 1, 2)
+    band_res = _band_norm(sigma.first_row[: band.n + 1] - data) / _band_norm(data)
     kinv = circ_inverse(sigma)
     off = kinv.first_row[band.n + 1: sigma.N - band.n]
     ref = float(np.linalg.norm(kinv.first_row[0]))

@@ -2,9 +2,9 @@
 
 Fitting an order-n matrix autoregression to the given lags (a Yule-Walker
 solve) yields the unique entropy-maximizing Toeplitz extension: the extended
-lags are generated by the AR state-space model, and the inverse spectral
-density is a Laurent polynomial of degree n whose coefficients feed both the
-circulant approximant and the solver warm start.
+lags follow the AR recursion, and the inverse spectral density is a Laurent
+polynomial of degree n whose coefficients feed both the circulant approximant
+and the solver warm start.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _sym
+from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _sym
 from .errors import BadInput, BandTooWide, NotPositiveDefinite, Unstable
 
 
@@ -98,20 +98,16 @@ def solve_yule_walker(band: BandData) -> LevinsonSolution:
         If the block-Toeplitz matrix of the band fails factorization.
     """
     m, n = band.m, band.n
-    T = band.toeplitz()
+    # The AR equations contract the coefficient row against the lag pattern
+    # Sigma_{j-k} (block (k, j)), the blockwise transpose of the band's
+    # Toeplitz pattern; reversing the block order maps one onto the other,
+    # so either is positive definite exactly when the other is.
+    T = _block_toeplitz(band.blocks)
     _require_spd(T, "block-Toeplitz band matrix")
     coeffs = np.zeros((n + 1, m, m))
     coeffs[0] = np.eye(m)
     if n > 0:
-        # The AR equations contract the coefficient row against the lag
-        # pattern Sigma_{j-k} (block (k, j)), the blockwise transpose of the
-        # band's Toeplitz pattern; both agree for scalar data.
-        gram = np.zeros((n * m, n * m))
-        for i in range(n):
-            for j in range(n):
-                d = j - i
-                blk = band.blocks[d] if d >= 0 else band.blocks[-d].T
-                gram[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
+        gram = T[: n * m, : n * m]
         rhs = -np.hstack(list(band.blocks[1:]))  # -(Sigma_1 ... Sigma_n)
         x = np.linalg.solve(gram, rhs.T).T  # solves X @ gram = rhs
         coeffs[1:] = x.reshape(m, n, m).swapaxes(0, 1)
@@ -195,25 +191,27 @@ def ar_state_space(ls: LevinsonSolution) -> ArStateSpace:
     return ArStateSpace(A=a, B=b, C=c, D=half, Cbar=cbar, P=p)
 
 
-def extend_covariances(ls: LevinsonSolution, K: int) -> np.ndarray:
-    """Extended covariance lags Sigma_(n+1)..Sigma_K of the AR model.
+def extend_covariances(band: BandData, K: int) -> np.ndarray:
+    """Extended covariance lags Sigma_(n+1)..Sigma_K of the band's AR model.
 
-    Computed by iterated state propagation, Sigma_k = C A^(k-1) Cbar^T, never
-    by explicit matrix powers.  For k > n the lags obey the AR recursion
-    Sigma_k = -sum_j coeffs[j] Sigma_(k-j).
+    Fits the model (``solve_yule_walker``) and runs its recursion
+    Sigma_k = -sum_j coeffs[j] Sigma_(k-j) for k > n, starting from the
+    given lags; these are the state-space lags C A^(k-1) Cbar^T of
+    ``ar_state_space``.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the band's block-Toeplitz matrix is not positive definite.
     """
-    if K <= ls.n:
-        raise BadInput(f"K={K} must exceed the bandwidth n={ls.n}")
-    out = np.zeros((K - ls.n, ls.m, ls.m))
-    if ls.n == 0:
-        return out
-    ss = ar_state_space(ls)
-    x = ss.Cbar.T  # A^(k-1) Cbar^T at k = 1
-    for k in range(1, K + 1):
-        if k > ls.n:
-            out[k - ls.n - 1] = ss.C @ x
-        x = ss.A @ x
-    return out
+    n = band.n
+    if K <= n:
+        raise BadInput(f"K={K} must exceed the bandwidth n={n}")
+    coeffs = solve_yule_walker(band).coeffs
+    lags = np.concatenate([band.blocks, np.zeros((K - n, band.m, band.m))])
+    for k in range(n + 1, K + 1):
+        lags[k] = -sum(coeffs[j] @ lags[k - j] for j in range(1, n + 1))
+    return lags[n + 1:]
 
 
 def circulant_approx(band: BandData, N: int) -> BlockCirculant:
@@ -233,26 +231,10 @@ def circulant_approx(band: BandData, N: int) -> BlockCirculant:
     NotPositiveDefinite
         If the band's block-Toeplitz matrix is not positive definite.
     """
-    m, n = band.m, band.n
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
-    ls = solve_yule_walker(band)
-    even = N % 2 == 0
-    h = N // 2 if even else (N - 1) // 2
-    ext = extend_covariances(ls, h) if h > n else np.zeros((0, m, m))
-    row = np.zeros((N, m, m))
-    row[0] = band.blocks[0]
-    for k in range(1, n + 1):
-        row[k] = band.blocks[k].T
-        row[N - k] = band.blocks[k]
-    for k in range(n + 1, h + 1):
-        sig = ext[k - n - 1]
-        if even and k == h:
-            row[k] = sig.T + sig
-        else:
-            row[k] = sig.T
-            row[N - k] = sig
-    return BlockCirculant(m, N, row)
+    if N < 2 * band.n + 2:
+        raise BandTooWide(f"N={N} < 2n+2={2 * band.n + 2}")
+    lags = np.concatenate([band.blocks, extend_covariances(band, N // 2)])
+    return BlockCirculant(band.m, N, _band_row(np.swapaxes(lags, 1, 2), N))
 
 
 def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:

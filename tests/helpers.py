@@ -58,6 +58,21 @@ def circ_matmul(a, b):
     return BlockCirculant(a.m, a.N, np.einsum("jab,kjbc->kac", a.first_row, b.first_row[idx]))
 
 
+def is_banded(c, b, tol=0.0):
+    """True when blocks at circular distance > b vanish."""
+    for k in range(b + 1, c.N - b):
+        if np.abs(c.first_row[k]).max() > tol:
+            return False
+    return True
+
+
+def is_hermitian(s, rtol=1e-12):
+    """True when every frequency block is Hermitian to ``rtol``."""
+    dev = np.abs(s.psi - 0.5 * (s.psi + np.conj(np.swapaxes(s.psi, -1, -2)))).max()
+    scale = max(1.0, float(np.abs(s.psi).max()))
+    return float(dev) <= rtol * scale
+
+
 def dense_embed_dual(lam, m, n, N):
     """mN x mN matrix with lam in the leading corner, zeros elsewhere."""
     out = np.zeros((m * N, m * N))

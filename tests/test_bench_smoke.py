@@ -1,0 +1,34 @@
+"""The benchmark still runs against this source tree.
+
+``bench/spans.py`` finds what it traces by name (the layer modules' public
+functions and ``solver._objective``), so a rename in ``src/`` would silently
+zero its per-layer counters; these tests make it fail instead.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 600
+
+
+def run_bench(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+
+
+def test_bench_smoke_script():
+    proc = run_bench(os.path.join("bench", "smoke.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_run_counts_solver_work():
+    proc = run_bench(os.path.join("bench", "run.py"), "--workload", "short_period", "--seed", "0",
+                     "--seconds", "1", "--trace", "1", "--smoke")
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    evals = metrics["solver.evals"]["value"]
+    assert evals > 0
+    assert evals >= metrics["solver.iterations"]["value"]

@@ -102,6 +102,13 @@ class TestSolveCommand:
             assert main(["solve", path]) == 1
             assert "finite" in capsys.readouterr().err
 
+    def test_stalled_exits_3(self, tmp_path):
+        # badly scaled band: progress stops below floating-point resolution
+        path = write_problem(tmp_path / "scaled.json", 1, 1, 8, [[1e6], [3e5]])
+        out = tmp_path / "sol.json"
+        assert main(["solve", path, "-o", str(out)]) == 3
+        assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
+
     def test_ips_method(self, n4_problem, tmp_path):
         out = tmp_path / "sol.json"
         assert main(["solve", n4_problem, "-o", str(out), "--method", "ips"]) == 0

@@ -23,8 +23,8 @@ from circmaxent import (
     solve,
     verify_solution,
 )
-from circmaxent.solver import _objective
-from helpers import random_feasible_dual, scalar_band, sym, white_noise_band
+from circmaxent.solver import _gradient, _objective
+from helpers import is_banded, random_feasible_dual, scalar_band, sym, white_noise_band
 
 
 def max_det_x_oracle(sigma0, sigma1):
@@ -111,6 +111,15 @@ class TestDualGradient:
                             ) / (2 * h)
                             fd[i, j] = fd[j, i] = d / (2.0 if i != j else 1.0)
                     assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
+                    # the band form solve iterates on: K = the projection's
+                    # band, D = N c_d Sigma_d^T with c = (1, 2, ..., 2)
+                    K = lam.project(N).first_row[: n + 1]
+                    S = np.swapaxes(band.blocks, 1, 2)
+                    D = N * np.array([1.0] + [2.0] * n)[:, None, None] * S
+                    f = dual_objective(lam, band, N)
+                    assert abs(_objective(K, D, m, n, N) - f) <= 1e-12 * max(1.0, abs(f))
+                    G = _gradient(K, S, m, n, N)[0]
+                    assert np.abs(G.swapaxes(0, 1).reshape(m, -1) - g[:m]).max() <= 1e-12
                     checked += 1
         assert checked >= 18
 
@@ -257,9 +266,49 @@ class TestSolve:
         band = random_feasible_band(2, 1, 12, rng)
         res = solve(band, 12)
         proj = project_band_gram(res.lambda_star.value, 2, 1, 12)
-        assert proj.is_banded(band.n)  # structural: exact zeros off band
+        assert is_banded(proj, band.n)  # structural: exact zeros off band
         prod = res.sigma.to_dense() @ proj.to_dense()
         assert np.abs(prod - np.eye(24)).max() < 1e-8
+
+    def test_equal_block_sums_give_the_same_solve(self):
+        # the dual depends on Lambda only through its block-diagonal sums:
+        # the block-Toeplitz lift and the first-block-row embedding of the
+        # same sums are the same start
+        rng = np.random.default_rng(53)
+        m, n, N = 2, 2, 12
+        band = random_feasible_band(m, n, N, rng)
+        sums = N * random_feasible_dual(band, N, rng).project(N).first_row[: n + 1]
+        lift = np.zeros(((n + 1) * m, (n + 1) * m))
+        first_row = np.zeros_like(lift)
+        for d in range(n + 1):
+            first_row[:m, d * m:(d + 1) * m] = sums[d]
+            first_row[d * m:(d + 1) * m, :m] = sums[d].T
+            for i in range(n + 1 - d):
+                lift[i * m:(i + 1) * m, (i + d) * m:(i + d + 1) * m] = sums[d] / (n + 1 - d)
+                lift[(i + d) * m:(i + d + 1) * m, i * m:(i + 1) * m] = sums[d].T / (n + 1 - d)
+        res_l = solve(band, N, init=DualVariable(m, n, lift))
+        res_f = solve(band, N, init=DualVariable(m, n, first_row))
+        assert res_l.converged and res_l.iterations > 1
+        assert (res_l.status, res_l.iterations) == (res_f.status, res_f.iterations)
+        ref = res_l.sigma.first_row
+        assert np.linalg.norm(res_f.sigma.first_row - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_iterates_on_the_band(self, monkeypatch):
+        # the iteration reads neither the dense T_n nor the dense leading
+        # band of the completion
+        import circmaxent.blockcirc as blockcirc
+        import circmaxent.solver as solver
+
+        def refuse(*args):
+            raise AssertionError("solve must not assemble the leading band")
+
+        monkeypatch.setattr(BandData, "toeplitz", refuse)
+        monkeypatch.setattr(blockcirc, "leading_band", refuse)
+        monkeypatch.setattr(solver, "leading_band", refuse, raising=False)
+        band = random_feasible_band(2, 1, 10, np.random.default_rng(54))
+        for init in ("toeplitz", "identity"):
+            res = solve(band, 10, init=init)
+            assert res.converged and res.iterations > 1
 
     def test_trace_sink_csv(self):
         rng = np.random.default_rng(49)

@@ -164,37 +164,32 @@ class TestStateSpace:
 
 class TestExtendCovariances:
     def test_white_noise_zeros(self):
-        ls = solve_yule_walker(white_noise_band(2, 2))
-        ext = extend_covariances(ls, 8)
+        ext = extend_covariances(white_noise_band(2, 2), 8)
         assert np.abs(ext).max() == 0.0
 
     def test_scalar_ar1_closed_form(self):
-        ls = solve_yule_walker(scalar_band([1.0, 0.5]))
-        ext = extend_covariances(ls, 10)
+        ext = extend_covariances(scalar_band([1.0, 0.5]), 10)
         ks = np.arange(2, 11)
         assert np.abs(ext[:, 0, 0] - 0.5 ** ks).max() < 1e-13
 
     def test_ar_recursion(self):
+        # the recursion reproduces the state-space lags C A^(k-1) Cbar^T
         rng = np.random.default_rng(28)
         coeffs, innov = random_stable_ar(2, 2, rng, radius=0.6)
         band = band_from_ar(coeffs, innov)
-        ls = solve_yule_walker(band)
-        ext = extend_covariances(ls, 12)
-        lags = {k: band.blocks[k] for k in range(band.n + 1)}
-        for k in range(band.n + 1, 13):
-            lags[k] = ext[k - band.n - 1]
-        for k in range(band.n + 1, 13):
-            acc = np.zeros((2, 2))
-            for j in range(1, band.n + 1):
-                acc -= ls.coeffs[j] @ lags[k - j]
-            scale = max(1e-30, np.abs(lags[k]).max())
-            assert np.abs(acc - lags[k]).max() <= 1e-8 * max(1.0, scale)
+        ss = ar_state_space(solve_yule_walker(band))
+        ext = extend_covariances(band, 12)
+        x = ss.Cbar.T
+        for k in range(1, 13):
+            if k > band.n:
+                lag = ss.C @ x
+                assert np.abs(ext[k - band.n - 1] - lag).max() <= 1e-12 * max(1.0, np.abs(lag).max())
+            x = ss.A @ x
 
     def test_extension_keeps_toeplitz_pd(self):
         rng = np.random.default_rng(29)
         band = band_from_ar(*random_stable_ar(2, 2, rng, radius=0.6))
-        ls = solve_yule_walker(band)
-        ext = extend_covariances(ls, 12)
+        ext = extend_covariances(band, 12)
         blocks = np.concatenate([band.blocks, ext])
         for K in range(band.n + 1, 13):
             big = BandData(2, K, blocks[: K + 1]).toeplitz()
@@ -206,7 +201,7 @@ class TestExtendCovariances:
         band = band_from_ar(*random_stable_ar(2, 1, rng, radius=0.5))
         ls = solve_yule_walker(band)
         K = 200
-        ext = extend_covariances(ls, K)
+        ext = extend_covariances(band, K)
         lags = [band.blocks[k] for k in range(band.n + 1)] + list(ext)
         for theta in np.linspace(0.1, np.pi, 9):
             phi_lags = lags[0].astype(complex)
@@ -234,8 +229,7 @@ class TestCirculantApprox:
         rng = np.random.default_rng(31)
         band = band_from_ar(*random_stable_ar(2, 1, rng, radius=0.6))
         N = 8
-        ls = solve_yule_walker(band)
-        ext = extend_covariances(ls, N // 2)
+        ext = extend_covariances(band, N // 2)
         approx = circulant_approx(band, N)
         sig = ext[N // 2 - band.n - 1]
         assert np.abs(approx.first_row[N // 2] - (sig.T + sig)).max() < 1e-13
@@ -279,7 +273,7 @@ class TestZeroBandwidth:
         band = BandData(2, 0, blocks)
         ls = solve_yule_walker(band)
         assert np.abs(ls.innovation - blocks[0]).max() == 0.0
-        assert np.abs(extend_covariances(ls, 5)).max() == 0.0
+        assert np.abs(extend_covariances(band, 5)).max() == 0.0
         approx = circulant_approx(band, 6)
         expect = np.kron(np.eye(6), blocks[0])
         assert np.abs(approx.to_dense() - expect).max() == 0.0
