@@ -12,7 +12,6 @@ from .blockcirc import (
     leading_band,
     leading_inverse_band,
     project_band_gram,
-    spectrum_to_circulant,
 )
 from .errors import (
     AsymmetricRow,

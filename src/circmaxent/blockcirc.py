@@ -4,8 +4,11 @@ A symmetric block-circulant matrix with N block rows/columns of m x m real
 blocks is stored as its first block row only (N*m^2 scalars); the block in
 position (i, j) of the full matrix is ``first_row[(j - i) mod N]``.  The
 block DFT diagonalizes every such matrix, so inversion, log-determinant and
-the positive-definiteness test all reduce to work on N Hermitian m x m
-frequency blocks.  Dense mN x mN matrices are only materialized by
+the positive-definiteness test all reduce to work on Hermitian m x m
+frequency blocks.  A real symmetric matrix has Psi_{N-l} = conj(Psi_l), so
+only the floor(N/2)+1 blocks Psi_0..Psi_{N/2} are ever formed: from the
+first row with a real FFT, or, for a matrix banded to distance n, straight
+from its n+1 band blocks.  Dense mN x mN matrices are only materialized by
 ``to_dense`` (oracles and baselines), never on the solver path.
 
 Transform convention: the frequency blocks are
@@ -20,10 +23,11 @@ checking V Psi V* against the assembled matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadInput, BandTooWide, NonRealSpectrum, NotPositiveDefinite
+from .errors import BadInput, BandTooWide, NotPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -59,13 +63,68 @@ def _block_toeplitz(row: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_blocks(psi: np.ndarray, what: str) -> np.ndarray:
-    """Batched Cholesky of Hermitian frequency blocks; the PD test."""
-    if not np.all(np.isfinite(psi)):
+    """Batched Cholesky of Hermitian frequency blocks; the PD test.  Reads
+    the lower triangles only."""
+    if not np.isfinite(psi).all():
         raise NotPositiveDefinite(f"{what}: non-finite frequency blocks")
     try:
-        return np.linalg.cholesky(_hermitize(psi))
+        return np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{what}: a frequency block is not positive definite") from exc
+
+
+@lru_cache(maxsize=64)
+def _half_weights(N: int) -> np.ndarray:
+    """Multiplicity w_l of Psi_l, l = 0..floor(N/2), in the full spectrum:
+    1 for l = 0 and l = N/2 (even N), 2 for the conjugate pairs between."""
+    w = np.full(N // 2 + 1, 2.0)
+    w[0] = 1.0
+    if N % 2 == 0:
+        w[-1] = 1.0
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=64)
+def _phase_tables(n: int, N: int) -> tuple:
+    """Forward table exp(-2j pi l d / N), shape (h+1, n+1), and backward
+    table (w_l / N) exp(+2j pi l d / N), shape (n+1, h+1), for
+    l = 0..h = floor(N/2) and d = 0..n."""
+    # l d mod N in integers keeps every phase argument below 2 pi
+    ld = np.outer(np.arange(N // 2 + 1), np.arange(n + 1)) % N
+    fwd = np.exp(-2j * np.pi * ld / N)
+    back = np.ascontiguousarray((_half_weights(N)[:, None] / N * np.conj(fwd)).T)
+    fwd.setflags(write=False)
+    back.setflags(write=False)
+    return fwd, back
+
+
+def _half_logdet(chol: np.ndarray, N: int) -> float:
+    """log det of the full matrix from the Cholesky factors of Psi_0..Psi_h."""
+    diag = chol.diagonal(axis1=1, axis2=2).real
+    return float(2.0 * (_half_weights(N) @ np.log(diag).sum(axis=1)))
+
+
+def _band_spectrum(K: np.ndarray, N: int) -> np.ndarray:
+    """Frequency blocks Psi_0..Psi_h, h = floor(N/2), of the symmetric
+    block-circulant whose first row starts with the band K (n+1, m, m)
+    (K_0 symmetric) and is zero at distances n < d < N-n:
+    Psi_l = P_l + P_l^H - K_0 with P_l = sum_d exp(-2j pi l d / N) K_d.
+    The blocks are Hermitian to the last bit."""
+    n1, m = K.shape[0], K.shape[1]
+    P = (_phase_tables(n1 - 1, N)[0] @ K.reshape(n1, m * m)).reshape(-1, m, m)
+    psi = P + P.conj().swapaxes(1, 2)
+    psi -= K[0]
+    return psi
+
+
+def _band_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
+    """First n+1 first-row blocks of the real circulant whose frequency
+    blocks Psi_0..Psi_h are ``inv`` (h+1, m, m):
+    row_d = (1/N) sum_l w_l Re(exp(+2j pi l d / N) inv_l)."""
+    m = inv.shape[1]
+    back = _phase_tables(n, N)[1]
+    return (back @ inv.reshape(-1, m * m)).real.reshape(n + 1, m, m)
 
 
 @dataclass(frozen=True)
@@ -161,54 +220,54 @@ def dft_spectrum(c: BlockCirculant) -> Spectrum:
     return Spectrum(c.m, c.N, np.fft.fft(c.first_row, axis=0))
 
 
-def spectrum_to_circulant(s: Spectrum, rtol: float = 1e-9) -> BlockCirculant:
-    """Inverse transform; requires conjugate symmetry Psi_{N-l} = conj(Psi_l)."""
-    mirror = np.conj(s.psi[(-np.arange(s.N)) % s.N])
-    scale = max(1.0, float(np.abs(s.psi).max()))
-    if np.abs(s.psi - mirror).max() > rtol * scale:
-        raise NonRealSpectrum("spectrum violates conjugate symmetry; no real circulant matches")
-    row = np.fft.ifft(s.psi, axis=0)
-    return BlockCirculant(s.m, s.N, row.real)
-
-
 def circ_inverse(c: BlockCirculant) -> BlockCirculant:
     """Inverse of a symmetric positive definite block-circulant.
 
-    Inverts only the first floor(N/2)+1 = ceil((N+1)/2) frequency blocks and
-    completes the rest by conjugate symmetry.
+    Transforms the first row with a real FFT, inverts the floor(N/2)+1
+    frequency blocks Psi_0..Psi_{N/2} and transforms back with the real
+    inverse FFT, whose output is real by construction.
 
     Raises
     ------
     NotPositiveDefinite
         If any frequency block fails Cholesky factorization.
     """
-    s = dft_spectrum(c)
-    h = c.N // 2
-    head = _hermitize(s.psi[: h + 1])
+    head = _hermitize(np.fft.rfft(c.first_row, axis=0))
     _cholesky_blocks(head, "circ_inverse")
-    inv_head = np.linalg.inv(head)
-    psi_inv = np.empty_like(s.psi)
-    psi_inv[: h + 1] = inv_head
-    psi_inv[h + 1:] = np.conj(inv_head[1: c.N - h][::-1])
-    return spectrum_to_circulant(Spectrum(c.m, c.N, psi_inv))
+    return BlockCirculant(c.m, c.N, np.fft.irfft(np.linalg.inv(head), n=c.N, axis=0))
 
 
 def circ_logdet(c: BlockCirculant) -> float:
     """log det of a symmetric positive definite block-circulant.
 
-    Equals the sum over frequencies of log det Psi_l; computed from batched
-    Cholesky factors so the value is real by construction.
+    Equals the sum over frequencies of log det Psi_l; Psi_{N-l} is the
+    conjugate of Psi_l, so only Psi_0..Psi_{N/2} are factored, by batched
+    Cholesky, and weighted by their multiplicity.  Real by construction.
     """
-    s = dft_spectrum(c)
-    chol = _cholesky_blocks(s.psi, "circ_logdet")
-    diag = np.einsum("lii->li", chol).real
-    return float(2.0 * np.sum(np.log(diag)))
+    head = _hermitize(np.fft.rfft(c.first_row, axis=0))
+    return _half_logdet(_cholesky_blocks(head, "circ_logdet"), c.N)
 
 
 def gaussian_entropy(c: BlockCirculant) -> float:
     """Differential entropy of a zero-mean Gaussian with this covariance."""
     dim = c.m * c.N
     return 0.5 * circ_logdet(c) + 0.5 * dim * (1.0 + LOG_2PI)
+
+
+def _dual_band(lam: np.ndarray, m: int, n: int, N: int) -> np.ndarray:
+    """The band K_0..K_n (n+1, m, m) of ``project_band_gram(lam, m, n, N)``:
+    K_d = (1/N) sum_i lam[i, i+d] for a bordered dual matrix ``lam``, or
+    ``lam`` itself when it is given as that band."""
+    if N < 2 * n + 2:
+        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    lam = np.asarray(lam, dtype=float)
+    size = (n + 1) * m
+    if lam.shape == (size, size):
+        blocks = lam.reshape(n + 1, m, n + 1, m).swapaxes(1, 2)  # blocks[i, j] = block (i, j)
+        return np.stack([blocks.diagonal(d).sum(-1) for d in range(n + 1)]) / N
+    if lam.shape != (n + 1, m, m):
+        raise BadInput(f"dual matrix shape {lam.shape} != {(size, size)} or band {(n + 1, m, m)}")
+    return lam
 
 
 def project_band_gram(lam: np.ndarray, m: int, n: int, N: int) -> BlockCirculant:
@@ -227,16 +286,7 @@ def project_band_gram(lam: np.ndarray, m: int, n: int, N: int) -> BlockCirculant
     BandTooWide
         If N < 2n + 2, where the band and its mirror would overlap.
     """
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
-    lam = np.asarray(lam, dtype=float)
-    size = (n + 1) * m
-    if lam.shape == (size, size):
-        blocks = lam.reshape(n + 1, m, n + 1, m).swapaxes(1, 2)  # blocks[i, j] = block (i, j)
-        lam = np.stack([blocks.diagonal(d).sum(-1) for d in range(n + 1)]) / N
-    elif lam.shape != (n + 1, m, m):
-        raise BadInput(f"dual matrix shape {lam.shape} != {(size, size)} or band {(n + 1, m, m)}")
-    return BlockCirculant(m, N, _band_row(lam, N))
+    return BlockCirculant(m, N, _band_row(_dual_band(lam, m, n, N), N))
 
 
 def leading_band(c: BlockCirculant, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ matrices, independent of the package's spectral code paths.
 
 import numpy as np
 
-from circmaxent import BadInput, BandData, BlockCirculant, DualVariable, Spectrum
+from circmaxent import BadInput, BandData, BlockCirculant, DualVariable, NonRealSpectrum, Spectrum
 
 
 def sym(a):
@@ -43,6 +43,16 @@ def dft_spectrum_direct(c):
     w = np.exp(-2j * np.pi * np.outer(ell, ell) / c.N)
     psi = np.einsum("lk,kab->lab", w, c.first_row)
     return Spectrum(c.m, c.N, psi)
+
+
+def spectrum_to_circulant(s, rtol=1e-9):
+    """Inverse transform; requires conjugate symmetry Psi_{N-l} = conj(Psi_l)."""
+    mirror = np.conj(s.psi[(-np.arange(s.N)) % s.N])
+    scale = max(1.0, float(np.abs(s.psi).max()))
+    if np.abs(s.psi - mirror).max() > rtol * scale:
+        raise NonRealSpectrum("spectrum violates conjugate symmetry; no real circulant matches")
+    row = np.fft.ifft(s.psi, axis=0)
+    return BlockCirculant(s.m, s.N, row.real)
 
 
 def circ_matmul(a, b):

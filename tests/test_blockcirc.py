@@ -18,7 +18,6 @@ from circmaxent import (
     gaussian_entropy,
     leading_inverse_band,
     project_band_gram,
-    spectrum_to_circulant,
 )
 from helpers import (
     circ_matmul,
@@ -29,6 +28,7 @@ from helpers import (
     is_hermitian,
     random_spd_circulant,
     random_symmetric_circulant,
+    spectrum_to_circulant,
     sym,
 )
 
@@ -155,7 +155,7 @@ class TestInverse:
 
     def test_dense_oracle_up_to_64(self):
         rng = np.random.default_rng(8)
-        for m, N in [(1, 64), (2, 32), (3, 21), (4, 16)]:
+        for m, N in [(1, 64), (2, 32), (3, 21), (4, 16), (2, 7), (3, 9), (1, 15)]:
             c = random_spd_circulant(m, N, rng)
             expect = np.linalg.inv(c.to_dense())
             got = circ_inverse(c).to_dense()
@@ -173,7 +173,7 @@ class TestLogdetEntropy:
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(9)
-        for m, N in [(2, 6), (1, 16), (3, 10), (2, 32), (4, 16), (1, 64)]:
+        for m, N in [(2, 6), (1, 16), (3, 10), (2, 32), (4, 16), (1, 64), (2, 7), (3, 9), (1, 15)]:
             c = random_spd_circulant(m, N, rng)
             expect = np.linalg.slogdet(c.to_dense())[1]
             assert abs(circ_logdet(c) - expect) < 1e-8 * max(1.0, abs(expect))

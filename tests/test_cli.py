@@ -102,11 +102,21 @@ class TestSolveCommand:
             assert main(["solve", path]) == 1
             assert "finite" in capsys.readouterr().err
 
-    def test_stalled_exits_3(self, tmp_path):
-        # badly scaled band: progress stops below floating-point resolution
-        path = write_problem(tmp_path / "scaled.json", 1, 1, 8, [[1e6], [3e5]])
+    def test_stalled_exits_3(self, white_problem, tmp_path, monkeypatch):
+        # a solve whose progress stopped below floating-point resolution
+        # exits like an exhausted budget
+        import dataclasses
+
+        import circmaxent.cli as cli
+
+        real_solve = cli.solve
+
+        def stalled(*args, **kwargs):
+            return dataclasses.replace(real_solve(*args, **kwargs), status="stalled", converged=False)
+
+        monkeypatch.setattr(cli, "solve", stalled)
         out = tmp_path / "sol.json"
-        assert main(["solve", path, "-o", str(out)]) == 3
+        assert main(["solve", white_problem, "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
 
     def test_ips_method(self, n4_problem, tmp_path):

@@ -65,6 +65,14 @@ class TestDualObjective:
         band = white_noise_band(1, 1)
         lam = DualVariable(1, 1, -np.eye(2))
         assert dual_objective(lam, band, 6) == math.inf
+        # in band form: a negative frequency block, a non-finite band
+        m, n, N = 2, 1, 9
+        D = np.zeros((n + 1, m, m))
+        K = np.stack([np.eye(m), 0.6 * np.eye(m)])  # eigenvalues 1 + 1.2 cos
+        assert _objective(K, D, m, n, N) == math.inf
+        K[1, 0, 1] = np.nan
+        assert _objective(K, D, m, n, N) == math.inf
+        assert _objective(np.full((4, 4), np.inf), np.eye(4), m, n, N) == math.inf
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(40)
@@ -122,6 +130,35 @@ class TestDualGradient:
                     assert np.abs(G.swapaxes(0, 1).reshape(m, -1) - g[:m]).max() <= 1e-12
                     checked += 1
         assert checked >= 18
+
+
+class TestHalfSpectrumKernel:
+    # the objective, gradient and completion of a band, read off its
+    # floor(N/2)+1 frequency blocks, against the dense mN x mN matrix
+    CASES = [(2, 1, 9), (3, 2, 11), (1, 3, 15), (2, 2, 7),  # odd N
+             (2, 2, 12), (3, 1, 16), (1, 1, 10),  # even N
+             (2, 1, 4), (3, 2, 6), (1, 3, 8)]  # N = 2n + 2
+
+    def test_dense_reference(self):
+        rng = np.random.default_rng(55)
+        for m, n, N in self.CASES:
+            band = random_feasible_band(m, n, N, rng)
+            S = np.swapaxes(band.blocks, 1, 2)
+            D = N * np.array([1.0] + [2.0] * n)[:, None, None] * S
+            for lam in (random_feasible_dual(band, N, rng), init_lambda(band, N, "identity")):
+                K = lam.project(N).first_row[: n + 1]
+                dense = project_band_gram(K, m, n, N).to_dense()
+                f = np.sum(K * D) - np.linalg.slogdet(dense)[1]
+                row = np.linalg.inv(dense)[:m].reshape(m, N, m).swapaxes(0, 1)
+                tol = 1e-12 * max(1.0, abs(f))
+                assert abs(_objective(K, D, m, n, N) - f) <= tol
+                assert abs(_objective(lam.value, band.toeplitz(), m, n, N) - f) <= tol
+                G, inv = _gradient(K, S, m, n, N)
+                expect = S - row[: n + 1]
+                expect[0] = sym(expect[0])
+                assert np.linalg.norm(G - expect) <= 1e-12 * np.linalg.norm(row[: n + 1])
+                completion = np.fft.irfft(inv, n=N, axis=0)
+                assert np.linalg.norm(completion - row) <= 1e-12 * np.linalg.norm(row)
 
 
 class TestInitLambda:
@@ -334,22 +371,32 @@ class TestSolve:
             SolverConfig(max_iter=-1)
 
     def test_one_inversion_per_point(self, monkeypatch):
-        # a 0-iteration solve evaluates the objective at the start and reads
-        # the gradient and the completion off one inversion there
+        # a 0-iteration solve factors the start's floor(N/2)+1 frequency
+        # blocks once for the objective and inverts the same blocks once for
+        # the gradient and the completion; it takes no full-length block DFT
         import circmaxent.blockcirc as blockcirc
 
         band = random_feasible_band(3, 2, 12, np.random.default_rng(52))
         calls = []
-        dft = blockcirc.dft_spectrum
 
-        def counted(c):
-            calls.append(c.N)
-            return dft(c)
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve must not take a full-length block DFT")
 
-        monkeypatch.setattr(blockcirc, "dft_spectrum", counted)
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                if np.shape(a) == (513, 3, 3):
+                    calls.append(name)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(blockcirc, "dft_spectrum", refuse)
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
         res = solve(band, 1024)
         assert res.converged and res.iterations == 0
-        assert len(calls) == 2
+        assert sorted(calls) == ["cholesky", "inv"]
 
 
 class TestVerifySolution:
