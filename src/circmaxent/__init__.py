@@ -56,15 +56,12 @@ from .solver import (
     verify_solution,
 )
 from .toeplitz import (
-    ArStateSpace,
     LevinsonSolution,
     PhiInverseCoeffs,
-    ar_state_space,
     band_from_ar,
     circulant_approx,
     extend_covariances,
     phi_inverse_coeffs,
-    solve_lyapunov,
     solve_yule_walker,
 )
 

@@ -250,8 +250,15 @@ def circ_logdet(c: BlockCirculant) -> float:
 
 def gaussian_entropy(c: BlockCirculant) -> float:
     """Differential entropy of a zero-mean Gaussian with this covariance."""
-    dim = c.m * c.N
-    return 0.5 * circ_logdet(c) + 0.5 * dim * (1.0 + LOG_2PI)
+    return _factored_entropy(c, "gaussian_entropy")[1]
+
+
+def _factored_entropy(c: BlockCirculant, what: str) -> tuple:
+    """Frequency blocks Psi_0..Psi_{N/2} of ``c`` (one real FFT) and the
+    Gaussian entropy read off their Cholesky factors, which are the PD test."""
+    head = _hermitize(np.fft.rfft(c.first_row, axis=0))
+    logdet = _half_logdet(_cholesky_blocks(head, what), c.N)
+    return head, 0.5 * logdet + 0.5 * (c.m * c.N) * (1.0 + LOG_2PI)
 
 
 def _dual_band(lam: np.ndarray, m: int, n: int, N: int) -> np.ndarray:

@@ -14,15 +14,14 @@ import numpy as np
 
 from .blockcirc import BandData, BlockCirculant, _band_row, _hermitize, _sym, circ_inverse, dft_spectrum
 from .errors import BadInput
-from .toeplitz import band_from_ar, spectral_radius
+from .toeplitz import _companion, band_from_ar, spectral_radius
+
+# Smallest frequency-block eigenvalue the loaded precision is pushed to.
+_MARGIN = 0.3
 
 
-def random_feasible_band(m: int, n: int, N: int, rng, margin: float = 0.3) -> BandData:
-    """Band of the inverse of a random banded circulant precision.
-
-    ``margin`` is the smallest eigenvalue the loaded precision is pushed to;
-    larger values give better-conditioned instances.
-    """
+def random_feasible_band(m: int, n: int, N: int, rng) -> BandData:
+    """Band of the inverse of a random banded circulant precision."""
     if N < 2 * n + 2:
         raise BadInput(f"N={N} < 2n+2={2 * n + 2}")
     band = np.zeros((n + 1, m, m))
@@ -31,7 +30,7 @@ def random_feasible_band(m: int, n: int, N: int, rng, margin: float = 0.3) -> Ba
         band[d] = rng.standard_normal((m, m)) * 0.4 / (d + 1)
     prec = BlockCirculant(m, N, _band_row(band, N))
     eigs = np.linalg.eigvalsh(_hermitize(dft_spectrum(prec).psi))
-    lift = margin - float(eigs.min())
+    lift = _MARGIN - float(eigs.min())
     if lift > 0:
         band[0] += lift * np.eye(m)
         prec = BlockCirculant(m, N, _band_row(band, N))
@@ -39,7 +38,7 @@ def random_feasible_band(m: int, n: int, N: int, rng, margin: float = 0.3) -> Ba
     return BandData(m, n, np.swapaxes(sigma.first_row[: n + 1], 1, 2))
 
 
-def random_stable_ar(m: int, n: int, rng, radius: float = 0.6, identity_innovation: bool = False):
+def random_stable_ar(m: int, n: int, rng, radius: float = 0.6):
     """Random AR coefficients rescaled to the requested companion radius.
 
     Scaling coefficient k by s^k scales every root of the matrix polynomial
@@ -53,16 +52,13 @@ def random_stable_ar(m: int, n: int, rng, radius: float = 0.6, identity_innovati
     for k in range(1, n + 1):
         coeffs[k] = rng.standard_normal((m, m)) * 0.5 / k
     if n > 0:
-        rho = _companion_radius(coeffs)
+        rho = spectral_radius(_companion(coeffs))
         if rho > 0:
             s = radius / rho
             for k in range(1, n + 1):
                 coeffs[k] *= s ** k
-    if identity_innovation:
-        innovation = np.eye(m)
-    else:
-        g = rng.standard_normal((m, m))
-        innovation = g @ g.T + 0.5 * np.eye(m)
+    g = rng.standard_normal((m, m))
+    innovation = g @ g.T + 0.5 * np.eye(m)
     return coeffs, innovation
 
 
@@ -70,15 +66,3 @@ def random_ar_band(m: int, n: int, rng, radius: float = 0.6) -> BandData:
     """Covariance band of a random stable AR model (radius pinned)."""
     coeffs, innovation = random_stable_ar(m, n, rng, radius=radius)
     return band_from_ar(coeffs, innovation)
-
-
-def _companion_radius(coeffs: np.ndarray) -> float:
-    n = coeffs.shape[0] - 1
-    m = coeffs.shape[1]
-    d = n * m
-    a = np.zeros((d, d))
-    if n > 1:
-        a[: d - m, m:] = np.eye(d - m)
-    for k in range(n):
-        a[d - m:, k * m:(k + 1) * m] = -coeffs[n - k]
-    return spectral_radius(a)

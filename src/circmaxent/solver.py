@@ -41,20 +41,20 @@ from .blockcirc import (
     _block_toeplitz,
     _cholesky_blocks,
     _dual_band,
+    _factored_entropy,
     _half_logdet,
     _sym,
     circ_inverse,
     circ_logdet,
     circulant_average,
-    gaussian_entropy,
     leading_band,
     project_band_gram,
 )
 from .errors import BadInput, BandTooWide, InfeasibleStart, NotPositiveDefinite
 from .toeplitz import phi_inverse_coeffs, solve_yule_walker
 
-# Decreases below ~16 eps |f| cannot be read off the objective; the line
-# search then reuses the last validated step instead of testing.
+# Decreases below ~16 eps times the objective's terms cannot be read off it;
+# the line search then reuses the last validated step instead of testing.
 _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
 # Initial line-search step, reset every iteration.
 _STEP0 = 1.0
@@ -288,7 +288,9 @@ def solve(
             status = "max_iter"
             break
         slope = -(gnorm ** 2)  # Tr(grad^T direction) for direction = -grad
-        noise = _NOISE_EPS * max(1.0, abs(f))
+        # f is Tr(K D) - logdet, so its rounding error scales with the
+        # larger of the two terms, not with f itself.
+        noise = _NOISE_EPS * max(1.0, abs(f), abs(float(np.vdot(K, D))))
         # Armijo test when the predicted decrease is readable off f; below
         # that resolution step at the last validated scale and test only
         # that the point stays in the domain.
@@ -341,7 +343,8 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     (baseline iterates; projected onto circulants first).  Reports the
     relative band residual, the Dempster residual (largest off-band block of
     the freshly computed inverse, relative to its diagonal block), and the
-    Gaussian entropy of the completion.
+    Gaussian entropy of the completion, both from one factorization of its
+    frequency blocks, which raises NotPositiveDefinite if it is not PD.
     """
     if isinstance(solution, SolverResult):
         sigma = solution.sigma
@@ -351,12 +354,9 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
         sigma = circulant_average(np.asarray(solution, dtype=float), band.m)
     data = np.swapaxes(band.blocks, 1, 2)
     band_res = _band_norm(sigma.first_row[: band.n + 1] - data) / _band_norm(data)
-    kinv = circ_inverse(sigma)
-    off = kinv.first_row[band.n + 1: sigma.N - band.n]
-    ref = float(np.linalg.norm(kinv.first_row[0]))
+    head, entropy = _factored_entropy(sigma, "verify_solution")
+    kinv = np.fft.irfft(np.linalg.inv(head), n=sigma.N, axis=0)  # first row
+    off = kinv[band.n + 1: sigma.N - band.n]
+    ref = float(np.linalg.norm(kinv[0]))
     dempster = float(np.linalg.norm(off, axis=(1, 2)).max() / ref) if len(off) else 0.0
-    return SolutionReport(
-        band_residual=band_res,
-        dempster_residual=dempster,
-        entropy=gaussian_entropy(sigma),
-    )
+    return SolutionReport(band_residual=band_res, dempster_residual=dempster, entropy=entropy)

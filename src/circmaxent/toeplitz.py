@@ -24,21 +24,22 @@ def _require_spd(mat: np.ndarray, what: str) -> None:
         raise NotPositiveDefinite(f"{what} is not positive definite") from exc
 
 
-def _spd_inverse(mat: np.ndarray) -> np.ndarray:
-    _require_spd(mat, "matrix")
-    return _sym(np.linalg.inv(mat))
-
-
-def _sym_sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition (deterministic)."""
-    w, v = np.linalg.eigh(_sym(mat))
-    return _sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
-
-
 def spectral_radius(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def _companion(coeffs: np.ndarray) -> np.ndarray:
+    """Companion matrix (nm x nm) of the AR coefficients: identities on the
+    block superdiagonal and -[coeffs[n] .. coeffs[1]] in the last block row.
+    Its eigenvalues are the roots of the model; it is stable exactly when
+    its spectral radius is below 1."""
+    n, m = coeffs.shape[0] - 1, coeffs.shape[1]
+    a = np.eye(n * m, k=m)
+    if n:
+        a[-m:] = -np.hstack(coeffs[:0:-1])
+    return a
 
 
 @dataclass(frozen=True)
@@ -53,23 +54,6 @@ class LevinsonSolution:
     n: int
     coeffs: np.ndarray      # (n+1, m, m), coeffs[0] = I
     innovation: np.ndarray  # (m, m) symmetric positive definite
-
-
-@dataclass(frozen=True)
-class ArStateSpace:
-    """Companion-form realization of the minimum-phase spectral factor.
-
-    State dimension is n*m; satisfies P = A P A^T + B B^T and
-    Cbar^T = A P C^T + B D^T.  The extended covariance lags are
-    Sigma_k = C A^(k-1) Cbar^T for k >= 1.
-    """
-
-    A: np.ndarray     # (nm, nm) companion, spectral radius < 1
-    B: np.ndarray     # (nm, m)
-    C: np.ndarray     # (m, nm)
-    D: np.ndarray     # (m, m)
-    Cbar: np.ndarray  # (m, nm)
-    P: np.ndarray     # (nm, nm) symmetric PSD
 
 
 @dataclass(frozen=True)
@@ -122,7 +106,8 @@ def solve_yule_walker(band: BandData) -> LevinsonSolution:
 def phi_inverse_coeffs(ls: LevinsonSolution) -> PhiInverseCoeffs:
     """Laurent coefficients of the inverse spectral density:
     M_j = sum_k coeffs[k]^T innovation^{-1} coeffs[k+j]."""
-    lam_inv = _spd_inverse(ls.innovation)
+    _require_spd(ls.innovation, "innovation covariance")
+    lam_inv = _sym(np.linalg.inv(ls.innovation))
     M = np.zeros((ls.n + 1, ls.m, ls.m))
     for j in range(ls.n + 1):
         for k in range(ls.n + 1 - j):
@@ -131,73 +116,13 @@ def phi_inverse_coeffs(ls: LevinsonSolution) -> PhiInverseCoeffs:
     return PhiInverseCoeffs(ls.m, ls.n, M)
 
 
-def solve_lyapunov(a: np.ndarray, q: np.ndarray, max_doublings: int = 80) -> np.ndarray:
-    """Solve the discrete Lyapunov equation P = A P A^T + Q.
-
-    Direct Kronecker-vectorization solve for state dimension <= 30, squaring
-    (doubling) iteration above; exact at desk scale, scalable beyond.
-
-    Raises
-    ------
-    Unstable
-        If the spectral radius of A is >= 1.
-    """
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d) or q.shape != (d, d):
-        raise BadInput("A and Q must be square and of equal size")
-    if d == 0:
-        return np.zeros((0, 0))
-    rho = spectral_radius(a)
-    if rho >= 1.0:
-        raise Unstable(f"spectral radius {rho:.6g} >= 1")
-    if d <= 30:
-        lhs = np.eye(d * d) - np.kron(a, a)
-        p = np.linalg.solve(lhs, q.reshape(-1)).reshape(d, d)
-        return _sym(p)
-    s = _sym(q).copy()
-    mk = a.copy()
-    for _ in range(max_doublings):
-        term = mk @ s @ mk.T
-        s += term
-        if np.abs(term).max() <= 1e-16 * max(1.0, np.abs(s).max()):
-            break
-        mk = mk @ mk
-    else:
-        raise Unstable("doubling iteration did not converge")
-    return _sym(s)
-
-
-def ar_state_space(ls: LevinsonSolution) -> ArStateSpace:
-    """Companion realization of the AR spectral factor, with its state
-    covariance from the Lyapunov equation."""
-    m, n = ls.m, ls.n
-    d = n * m
-    a = np.zeros((d, d))
-    if n > 1:
-        a[: d - m, m:] = np.eye(d - m)
-    c = np.zeros((m, d))
-    for k in range(n):
-        c[:, k * m:(k + 1) * m] = -ls.coeffs[n - k]
-    if n > 0:
-        a[d - m:, :] = c
-    half = _sym_sqrt_psd(ls.innovation)
-    b = np.zeros((d, m))
-    if n > 0:
-        b[d - m:, :] = half
-    p = solve_lyapunov(a, b @ b.T)
-    cbar = (a @ p @ c.T + b @ half.T).T
-    return ArStateSpace(A=a, B=b, C=c, D=half, Cbar=cbar, P=p)
-
-
 def extend_covariances(band: BandData, K: int) -> np.ndarray:
     """Extended covariance lags Sigma_(n+1)..Sigma_K of the band's AR model.
 
     Fits the model (``solve_yule_walker``) and runs its recursion
     Sigma_k = -sum_j coeffs[j] Sigma_(k-j) for k > n, starting from the
-    given lags; these are the state-space lags C A^(k-1) Cbar^T of
-    ``ar_state_space``.
+    given lags: the AR equations of ``solve_yule_walker`` continued past
+    lag n, where the innovation term vanishes.
 
     Raises
     ------
@@ -240,8 +165,18 @@ def circulant_approx(band: BandData, N: int) -> BlockCirculant:
 def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
     """Covariance band of the stationary AR model with the given coefficients.
 
-    The inverse direction of ``solve_yule_walker``: useful for generating
-    feasible problem instances with a prescribed spectral-factor radius.
+    The inverse direction of ``solve_yule_walker``: the same equations
+    sum_j coeffs[j] Sigma_(k-j) = delta_k innovation, k = 0..n, with
+    Sigma_(-d) = Sigma_d^T, solved for the lags instead of the coefficients.
+    Useful for generating feasible problem instances with a prescribed
+    spectral-factor radius.
+
+    Raises
+    ------
+    Unstable
+        If the companion matrix has spectral radius >= 1.
+    NotPositiveDefinite
+        If the innovation covariance is not positive definite.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[0] - 1
@@ -250,12 +185,21 @@ def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
         raise BadInput("coeffs must be a stack of n+1 square blocks")
     if np.abs(coeffs[0] - np.eye(m)).max() > 1e-12:
         raise BadInput("coeffs[0] must be the identity")
-    ls = LevinsonSolution(m, n, coeffs, _sym(np.asarray(innovation, dtype=float)))
-    ss = ar_state_space(ls)
-    blocks = np.zeros((n + 1, m, m))
-    blocks[0] = _sym(ss.C @ ss.P @ ss.C.T + ss.D @ ss.D.T)
-    x = ss.Cbar.T
-    for k in range(1, n + 1):
-        blocks[k] = ss.C @ x
-        x = ss.A @ x
+    rho = spectral_radius(_companion(coeffs))
+    if rho >= 1.0:
+        raise Unstable(f"spectral radius {rho:.6g} >= 1")
+    # Row-major vec: vec(A X) = kron(A, I) vec(X), vec(X^T) = swap vec(X).
+    mm = m * m
+    swap = np.eye(mm).reshape(m, m, m, m).swapaxes(0, 1).reshape(mm, mm)
+    lhs = np.zeros((n + 1, mm, n + 1, mm))
+    for k in range(n + 1):
+        for j in range(n + 1):
+            a = np.kron(coeffs[j], np.eye(m))
+            lhs[k, :, abs(k - j)] += a if k >= j else a @ swap
+    innovation = np.asarray(innovation, dtype=float)
+    _require_spd(innovation, "innovation covariance")
+    rhs = np.zeros((n + 1, mm))
+    rhs[0] = _sym(innovation).ravel()
+    blocks = np.linalg.solve(lhs.reshape(-1, (n + 1) * mm), rhs.ravel()).reshape(n + 1, m, m)
+    blocks[0] = _sym(blocks[0])
     return BandData(m, n, blocks)

@@ -121,6 +121,16 @@ def random_feasible_dual(band, N, rng, spread=0.25):
         spread *= 0.5
 
 
+def spectral_lags(coeffs, Q, K, L=4096):
+    """Lags Sigma_0..Sigma_K of the AR model sum_j coeffs[j] y_(t-j) = e_t,
+    cov(e_t) = Q: the inverse DFT of the spectral density L(z)^-1 Q L(z)^-H,
+    L(z) = sum_j coeffs[j] z^j, on an L-point grid of the unit circle
+    (aliasing error of the order of the model's radius to the power L)."""
+    h = np.linalg.inv(np.fft.fft(np.asarray(coeffs, dtype=float), n=L, axis=0))
+    phi = h @ np.asarray(Q, dtype=float) @ np.conj(np.swapaxes(h, 1, 2))
+    return np.fft.ifft(phi, axis=0)[: K + 1].real
+
+
 def white_noise_band(m, n):
     blocks = np.zeros((n + 1, m, m))
     blocks[0] = np.eye(m)

@@ -53,6 +53,43 @@ def max_det_x_oracle(sigma0, sigma1):
     return 0.5 * (lo + hi)
 
 
+# Band (m = 5, n = 3) on which the line search trapped itself at N = 15 when
+# its noise floor scaled with |f| alone: near the optimum f ~ 6.1 is the
+# difference of a linear term ~ 75 and a log-determinant ~ 69, so a
+# predicted decrease that looked readable off f was rounding.
+# Generated by random_feasible_band(5, 3, 15, rng) as the tenth instance of
+# np.random.default_rng([309, 0]) (bench/workloads.py, short_period).
+TRAP_BAND = np.array(
+    [
+        0.5155461269945207, -0.17688869119958717, 0.04168387949771889, -0.19401465135023224,
+        -0.012989784648853, -0.17688869119958717, 0.48820503332623627, -0.09027799711477763,
+        0.17747438240233715, 0.021337193935115382, 0.04168387949771889, -0.09027799711477763,
+        0.42050522075674834, -0.006729544010658442, -0.04279821625812111, -0.19401465135023224,
+        0.17747438240233715, -0.006729544010658442, 0.5306838267273387, 0.0003926739998648676,
+        -0.012989784648853, 0.021337193935115382, -0.04279821625812111, 0.0003926739998648676,
+        0.48529847807580934, -0.17147503056953237, 0.18359674253125297, -0.10335342207683504,
+        0.1443208469484708, 0.06861163285133251, 0.1455006472652675, -0.14609220707543122,
+        0.05380137553702262, -0.09764177908610536, -0.027723389949937408, -0.059957758962669964,
+        0.0770567837521099, -0.046343633314027785, 0.050534144936962185, -0.0064405108665069695,
+        0.1676848276893863, -0.1416674918571447, 0.08221966034871514, -0.11113435908901692,
+        -0.09571583505199872, 0.03683124304399225, -0.025138268048031064, -0.005691079442621355,
+        -0.052203364215476424, 0.014680844756058466, 0.16388587411986463, -0.15096778941518912,
+        0.0651124262304242, -0.1341913703505397, 0.009665163438730561, -0.07852757536774616,
+        0.0689698905992853, -0.07638107881449202, 0.04347665120960687, -0.012749951321008642,
+        0.005989096022892326, -0.0009570031996454564, 0.01258262416271235, -0.015827582279875338,
+        -0.033462315733250717, -0.13745480554070466, 0.17209796051875614, -0.07346014962890482,
+        0.1010639601665162, 0.01826398092614872, -0.03887943057053511, 0.0003943021954547987,
+        0.0074760660430939685, 0.03239245473788121, 0.010629751245578635, -0.0920733065286457,
+        0.09448931819713001, -0.07426570922746493, 0.08345656224056251, 0.024724406519143316,
+        0.06234673166385348, -0.048771657079484915, 0.04476024401719599, -0.041171904438624556,
+        -0.0028627602454607973, 0.0036982348392361696, 0.00014470314707328477, -0.01079067671098608,
+        -0.012430097492795562, 0.005487070033826431, 0.10672546845073828, -0.08090284856872847,
+        0.04702420512816996, -0.07991917683087098, -0.045476472113106424, 0.022182897946977555,
+        -0.04460815726010036, 0.030027387038513376, -0.037166241945253434, -0.013136420225092907,
+    ]
+).reshape(4, 5, 5)
+
+
 class TestDualObjective:
     def test_white_noise_value(self):
         # T = I, lam = (N/(n+1)) I projects to the identity: value = N m
@@ -370,6 +407,10 @@ class TestSolve:
         with pytest.raises(BadInput):
             SolverConfig(max_iter=-1)
 
+    def test_rounding_trap_converges(self):
+        res = solve(BandData(5, 3, TRAP_BAND), 15, SolverConfig(max_iter=2500))
+        assert res.converged
+
     def test_one_inversion_per_point(self, monkeypatch):
         # a 0-iteration solve factors the start's floor(N/2)+1 frequency
         # blocks once for the objective and inverts the same blocks once for
@@ -427,14 +468,38 @@ class TestVerifySolution:
         assert dist <= 1e-5
 
 
+    def test_factors_the_completion_once(self, monkeypatch):
+        # one real FFT and one batched Cholesky serve the PD test, the
+        # Dempster residual's inverse and the entropy
+        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
+        res = solve(band, 64)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        report = verify_solution(res, band)
+        assert sorted(calls) == ["cholesky", "inv", "rfft"]
+        assert report.entropy == gaussian_entropy(res.sigma)
+
+
 class TestSolverPathStructure:
     def test_no_dense_materialization_in_solver_module(self):
         # the iteration must stay in first-row/frequency-block form; dense
         # assembly belongs to oracles, baselines and debug dumps only
         import ast
+        import pathlib
+
         import circmaxent.solver as mod
 
-        source = ast.parse(open(mod.__file__).read())
+        source = ast.parse(pathlib.Path(mod.__file__).read_text())
         dense_calls = [
             node
             for node in ast.walk(source)

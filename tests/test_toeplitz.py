@@ -1,4 +1,5 @@
-"""Band extension machinery: Yule-Walker, Lyapunov, extension, approximant."""
+"""Band extension machinery: Yule-Walker in both directions (band to AR
+model and AR model to band), extension, approximant."""
 
 import numpy as np
 import pytest
@@ -8,18 +9,15 @@ from circmaxent import (
     BandTooWide,
     NotPositiveDefinite,
     Unstable,
-    ar_state_space,
     band_from_ar,
     circ_inverse,
     circulant_approx,
     extend_covariances,
     phi_inverse_coeffs,
     random_stable_ar,
-    solve_lyapunov,
     solve_yule_walker,
 )
-from circmaxent.toeplitz import spectral_radius
-from helpers import scalar_band, sym, white_noise_band
+from helpers import scalar_band, spectral_lags, white_noise_band
 
 
 def lag(band, d):
@@ -111,57 +109,6 @@ class TestPhiInverseCoeffs:
         assert np.abs(pic.M[0] - pic.M[0].T).max() < 1e-12
 
 
-class TestLyapunov:
-    def test_zero_matrix(self):
-        q = sym(np.random.default_rng(0).standard_normal((3, 3)))
-        q = q @ q.T
-        p = solve_lyapunov(np.zeros((3, 3)), q)
-        assert np.abs(p - q).max() < 1e-14
-
-    def test_scalar_geometric(self):
-        p = solve_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
-        assert abs(p[0, 0] - 4.0 / 3.0) < 1e-12
-
-    def test_kron_oracle_small(self):
-        rng = np.random.default_rng(25)
-        for dim in (2, 4, 6):
-            a = rng.standard_normal((dim, dim))
-            a *= 0.8 / max(np.abs(np.linalg.eigvals(a)))
-            g = rng.standard_normal((dim, dim))
-            q = g @ g.T
-            p = solve_lyapunov(a, q)
-            expect = np.linalg.solve(np.eye(dim * dim) - np.kron(a, a), q.reshape(-1)).reshape(dim, dim)
-            assert np.abs(p - expect).max() < 1e-10 * max(1.0, np.abs(expect).max())
-            assert np.abs(p - a @ p @ a.T - q).max() <= 1e-10 * max(1.0, np.abs(p).max())
-
-    def test_doubling_branch_matches_kron(self):
-        rng = np.random.default_rng(26)
-        dim = 36  # above the direct-solve threshold
-        a = rng.standard_normal((dim, dim))
-        a *= 0.7 / max(np.abs(np.linalg.eigvals(a)))
-        g = rng.standard_normal((dim, dim))
-        q = g @ g.T
-        p = solve_lyapunov(a, q)
-        expect = np.linalg.solve(np.eye(dim * dim) - np.kron(a, a), q.reshape(-1)).reshape(dim, dim)
-        assert np.abs(p - expect).max() < 1e-9 * np.abs(expect).max()
-
-    def test_unstable_rejected(self):
-        with pytest.raises(Unstable):
-            solve_lyapunov(np.array([[1.01]]), np.array([[1.0]]))
-
-
-class TestStateSpace:
-    def test_invariants(self):
-        rng = np.random.default_rng(27)
-        coeffs, innov = random_stable_ar(2, 3, rng, radius=0.6)
-        ls = solve_yule_walker(band_from_ar(coeffs, innov))
-        ss = ar_state_space(ls)
-        assert spectral_radius(ss.A) < 1.0
-        scale = max(1.0, np.abs(ss.P).max())
-        assert np.abs(ss.P - ss.A @ ss.P @ ss.A.T - ss.B @ ss.B.T).max() <= 1e-9 * scale
-        assert np.abs(ss.Cbar.T - (ss.A @ ss.P @ ss.C.T + ss.B @ ss.D.T)).max() < 1e-12
-
-
 class TestExtendCovariances:
     def test_white_noise_zeros(self):
         ext = extend_covariances(white_noise_band(2, 2), 8)
@@ -173,18 +120,13 @@ class TestExtendCovariances:
         assert np.abs(ext[:, 0, 0] - 0.5 ** ks).max() < 1e-13
 
     def test_ar_recursion(self):
-        # the recursion reproduces the state-space lags C A^(k-1) Cbar^T
+        # band and recursion reproduce the lags of the model's spectral density
         rng = np.random.default_rng(28)
         coeffs, innov = random_stable_ar(2, 2, rng, radius=0.6)
         band = band_from_ar(coeffs, innov)
-        ss = ar_state_space(solve_yule_walker(band))
-        ext = extend_covariances(band, 12)
-        x = ss.Cbar.T
-        for k in range(1, 13):
-            if k > band.n:
-                lag = ss.C @ x
-                assert np.abs(ext[k - band.n - 1] - lag).max() <= 1e-12 * max(1.0, np.abs(lag).max())
-            x = ss.A @ x
+        lags = np.concatenate([band.blocks, extend_covariances(band, 12)])
+        expect = spectral_lags(coeffs, innov, 12)
+        assert np.linalg.norm(lags - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_extension_keeps_toeplitz_pd(self):
         rng = np.random.default_rng(29)
@@ -280,6 +222,24 @@ class TestZeroBandwidth:
 
 
 class TestBandFromAr:
+    def test_spectral_oracle_grid(self):
+        rng = np.random.default_rng(36)
+        for m in (1, 2, 3):
+            for n in range(4):
+                for radius in (0.3, 0.6, 0.9):
+                    coeffs, innov = random_stable_ar(m, n, rng, radius=radius)
+                    band = band_from_ar(coeffs, innov)
+                    expect = spectral_lags(coeffs, innov, n)
+                    assert np.linalg.norm(band.blocks - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_unstable_rejected(self):
+        with pytest.raises(Unstable):
+            band_from_ar([[[1.0]], [[-1.01]]], [[1.0]])
+
+    def test_indefinite_innovation_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            band_from_ar([[[1.0]], [[-0.5]]], [[-1.0]])
+
     def test_matches_long_simulation(self):
         # independent oracle: simulate the autoregression and estimate lags
         rng = np.random.default_rng(35)
