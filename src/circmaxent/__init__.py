@@ -3,33 +3,25 @@
 from .blockcirc import (
     BandData,
     BlockCirculant,
-    Spectrum,
     circ_inverse,
     circ_logdet,
     circulant_average,
-    dft_spectrum,
-    gaussian_entropy,
-    leading_band,
     leading_inverse_band,
     project_band_gram,
 )
 from .errors import (
-    AsymmetricRow,
     BadInput,
     BandTooWide,
     CircMaxentError,
     InfeasibleStart,
     NoConvergence,
-    NonRealSpectrum,
     NotPositiveDefinite,
     RequiresFullR,
     Unstable,
 )
 from .feasibility import (
     AffineEigForm,
-    CandidateReport,
     FeasibilityVerdict,
-    check_candidate,
     eig_affine_forms,
     scalar_bw1_feasible,
 )
@@ -50,7 +42,6 @@ from .solver import (
     SolverConfig,
     SolverResult,
     dual_gradient,
-    dual_objective,
     init_lambda,
     solve,
     verify_solution,

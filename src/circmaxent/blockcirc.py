@@ -9,7 +9,9 @@ frequency blocks.  A real symmetric matrix has Psi_{N-l} = conj(Psi_l), so
 only the floor(N/2)+1 blocks Psi_0..Psi_{N/2} are ever formed: from the
 first row with a real FFT, or, for a matrix banded to distance n, straight
 from its n+1 band blocks.  Dense mN x mN matrices are only materialized by
-``to_dense`` (oracles and baselines), never on the solver path.
+``to_dense`` (oracles and baselines), never on the solver path.  A full
+bordered dual matrix enters only through ``_dual_band``, which reduces it to
+its band.
 
 Transform convention: the frequency blocks are
 
@@ -22,14 +24,13 @@ checking V Psi V* against the assembled matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BadInput, BandTooWide, NotPositiveDefinite
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -60,6 +61,14 @@ def _block_toeplitz(row: np.ndarray) -> np.ndarray:
     d = i[None, :] - i[:, None]
     blocks = np.where((d >= 0)[:, :, None, None], row[np.abs(d)], np.swapaxes(row, 1, 2)[np.abs(d)])
     return blocks.transpose(0, 2, 1, 3).reshape(k * m, k * m)
+
+
+def _band_norm(B: np.ndarray) -> float:
+    """Frobenius norm of the symmetric block-Toeplitz matrix with first block
+    row B, where block d appears n+1-d times on each side of the diagonal."""
+    cw = 2.0 * np.arange(len(B), 0, -1)
+    cw[0] = len(B)
+    return math.sqrt(float(np.einsum("d,dij,dij->", cw, B, B)))
 
 
 def _cholesky_blocks(psi: np.ndarray, what: str) -> np.ndarray:
@@ -143,38 +152,12 @@ class BlockCirculant:
             raise BadInput(f"first_row shape {row.shape} != {(self.N, self.m, self.m)}")
         object.__setattr__(self, "first_row", row)
 
-    @classmethod
-    def identity(cls, m: int, N: int) -> "BlockCirculant":
-        row = np.zeros((N, m, m))
-        row[0] = np.eye(m)
-        return cls(m, N, row)
-
     def to_dense(self) -> np.ndarray:
         """Assemble the full mN x mN matrix (test/baseline use only)."""
         i = np.arange(self.N)
         idx = (i[None, :] - i[:, None]) % self.N  # (j - i) mod N
         blocks = self.first_row[idx]  # (N, N, m, m)
         return blocks.transpose(0, 2, 1, 3).reshape(self.N * self.m, self.N * self.m)
-
-    def is_symmetric(self, rtol: float = 1e-12) -> bool:
-        mirror = np.swapaxes(self.first_row[(-np.arange(self.N)) % self.N], -1, -2)
-        scale = max(1.0, float(np.abs(self.first_row).max()))
-        return float(np.abs(self.first_row - mirror).max()) <= rtol * scale
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Frequency blocks of a block-circulant matrix (DFT of the first row)."""
-
-    m: int
-    N: int
-    psi: np.ndarray  # (N, m, m) complex
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex)
-        if psi.shape != (self.N, self.m, self.m):
-            raise BadInput(f"psi shape {psi.shape} != {(self.N, self.m, self.m)}")
-        object.__setattr__(self, "psi", psi)
 
 
 @dataclass(frozen=True)
@@ -193,6 +176,10 @@ class BandData:
             raise BadInput(f"blocks shape {blocks.shape} != {(self.n + 1, self.m, self.m)}")
         if not np.all(np.isfinite(blocks)):
             raise BadInput("band blocks must be finite")
+        # a norm that under- or overflows leaves every relative tolerance
+        # of the solve and of its verification meaningless
+        if not 0.0 < _band_norm(blocks) < math.inf:
+            raise BadInput("band norm is zero or not representable in floating point")
         scale = max(1.0, float(np.abs(blocks[0]).max()))
         if np.abs(blocks[0] - blocks[0].T).max() > 1e-12 * scale:
             raise BadInput("Sigma_0 must be symmetric")
@@ -211,21 +198,10 @@ class BandData:
         return BlockCirculant(self.m, N, _band_row(np.swapaxes(self.blocks, 1, 2), N))
 
 
-def dft_spectrum(c: BlockCirculant) -> Spectrum:
-    """Frequency blocks of a block-circulant matrix.
-
-    Computed with a mixed-radix FFT over the block index (valid for any N).
-    For symmetric input every block is Hermitian.
-    """
-    return Spectrum(c.m, c.N, np.fft.fft(c.first_row, axis=0))
-
-
-def circ_inverse(c: BlockCirculant) -> BlockCirculant:
-    """Inverse of a symmetric positive definite block-circulant.
-
-    Transforms the first row with a real FFT, inverts the floor(N/2)+1
-    frequency blocks Psi_0..Psi_{N/2} and transforms back with the real
-    inverse FFT, whose output is real by construction.
+def _factored(c: BlockCirculant, what: str) -> tuple:
+    """Frequency blocks Psi_0..Psi_{N/2} of ``c`` (one real FFT, Hermitian
+    by construction) and log det c, read off their batched Cholesky factors,
+    which are the PD test.
 
     Raises
     ------
@@ -233,7 +209,21 @@ def circ_inverse(c: BlockCirculant) -> BlockCirculant:
         If any frequency block fails Cholesky factorization.
     """
     head = _hermitize(np.fft.rfft(c.first_row, axis=0))
-    _cholesky_blocks(head, "circ_inverse")
+    return head, _half_logdet(_cholesky_blocks(head, what), c.N)
+
+
+def circ_inverse(c: BlockCirculant) -> BlockCirculant:
+    """Inverse of a symmetric positive definite block-circulant.
+
+    Inverts the frequency blocks Psi_0..Psi_{N/2} and transforms back with
+    the real inverse FFT, whose output is real by construction.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If any frequency block fails Cholesky factorization.
+    """
+    head = _factored(c, "circ_inverse")[0]
     return BlockCirculant(c.m, c.N, np.fft.irfft(np.linalg.inv(head), n=c.N, axis=0))
 
 
@@ -244,21 +234,7 @@ def circ_logdet(c: BlockCirculant) -> float:
     conjugate of Psi_l, so only Psi_0..Psi_{N/2} are factored, by batched
     Cholesky, and weighted by their multiplicity.  Real by construction.
     """
-    head = _hermitize(np.fft.rfft(c.first_row, axis=0))
-    return _half_logdet(_cholesky_blocks(head, "circ_logdet"), c.N)
-
-
-def gaussian_entropy(c: BlockCirculant) -> float:
-    """Differential entropy of a zero-mean Gaussian with this covariance."""
-    return _factored_entropy(c, "gaussian_entropy")[1]
-
-
-def _factored_entropy(c: BlockCirculant, what: str) -> tuple:
-    """Frequency blocks Psi_0..Psi_{N/2} of ``c`` (one real FFT) and the
-    Gaussian entropy read off their Cholesky factors, which are the PD test."""
-    head = _hermitize(np.fft.rfft(c.first_row, axis=0))
-    logdet = _half_logdet(_cholesky_blocks(head, what), c.N)
-    return head, 0.5 * logdet + 0.5 * (c.m * c.N) * (1.0 + LOG_2PI)
+    return _factored(c, "circ_logdet")[1]
 
 
 def _dual_band(lam: np.ndarray, m: int, n: int, N: int) -> np.ndarray:
@@ -296,17 +272,13 @@ def project_band_gram(lam: np.ndarray, m: int, n: int, N: int) -> BlockCirculant
     return BlockCirculant(m, N, _band_row(_dual_band(lam, m, n, N), N))
 
 
-def leading_band(c: BlockCirculant, n: int) -> np.ndarray:
-    """Leading (n+1) x (n+1) block principal submatrix, assembled from the
-    first row: block (i, j) = first_row[j - i] for j >= i."""
+def leading_inverse_band(c: BlockCirculant, n: int) -> np.ndarray:
+    """First n+1 block rows/columns of the inverse of a SPD block-circulant,
+    assembled from the inverse's first row: block (i, j) = row[j - i] for
+    j >= i."""
     if n + 1 > c.N:
         raise BadInput(f"n+1={n + 1} exceeds N={c.N}")
-    return _sym(_block_toeplitz(c.first_row[: n + 1]))
-
-
-def leading_inverse_band(c: BlockCirculant, n: int) -> np.ndarray:
-    """First n+1 block rows/columns of the inverse of a SPD block-circulant."""
-    return leading_band(circ_inverse(c), n)
+    return _sym(_block_toeplitz(circ_inverse(c).first_row[: n + 1]))
 
 
 def circulant_average(dense: np.ndarray, m: int) -> BlockCirculant:

@@ -75,15 +75,6 @@ def _emit(payload: dict, out: str) -> None:
             fh.write(text + "\n")
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        eta=args.tol,
-        max_iter=args.max_iter,
-    )
-
-
 def cmd_solve(args) -> int:
     band, N = _load_problem(args.input)
     if band.m == 1 and band.n == 1:
@@ -97,7 +88,7 @@ def cmd_solve(args) -> int:
             return EXIT_INFEASIBLE
 
     if args.method == "gd":
-        cfg = _solver_config(args)
+        cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter)
         trace_fh = open(args.trace, "w") if args.trace else None
         try:
             if trace_fh is not None:
@@ -296,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--init", choices=["toeplitz", "identity"], default="toeplitz")
     p.add_argument("--method", choices=["gd", "ips", "sk1"], default="gd")
-    p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=None, help="gradient-norm stopping threshold")
     p.add_argument("--max-iter", type=int, default=1_000_000)
     p.add_argument("--max-cycles", type=int, default=2000)

@@ -9,16 +9,8 @@ class BadInput(CircMaxentError):
     """Malformed or out-of-range problem data."""
 
 
-class AsymmetricRow(BadInput):
-    """A scalar circulant first row is not palindromic."""
-
-
 class NotPositiveDefinite(CircMaxentError):
     """A matrix required to be positive definite failed factorization."""
-
-
-class NonRealSpectrum(CircMaxentError):
-    """Frequency blocks violate conjugate symmetry; no real circulant matches."""
 
 
 class BandTooWide(CircMaxentError):

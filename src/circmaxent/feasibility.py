@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcirc import BandData
-from .errors import AsymmetricRow, BadInput, BandTooWide
+from .errors import BadInput, BandTooWide
 
 
 @dataclass(frozen=True)
@@ -108,29 +108,3 @@ def eig_affine_forms(band: BandData, N: int) -> list:
         )
         forms.append(AffineEigForm(k=k, constant=float(const), distances=distances, coeffs=coeffs))
     return forms
-
-
-@dataclass(frozen=True)
-class CandidateReport:
-    pd: bool
-    min_eig: float
-
-
-def check_candidate(first_row) -> CandidateReport:
-    """Positive definiteness of a full scalar circulant given its first row.
-
-    Raises
-    ------
-    AsymmetricRow
-        If the row is not palindromic (row[k] != row[N-k]).
-    """
-    row = np.asarray(first_row, dtype=float)
-    if row.ndim != 1 or len(row) < 2:
-        raise BadInput("expected a 1-D first row of length >= 2")
-    N = len(row)
-    scale = max(1.0, float(np.abs(row).max()))
-    if np.abs(row - row[(-np.arange(N)) % N]).max() > 1e-12 * scale:
-        raise AsymmetricRow("first row is not palindromic; matrix would not be symmetric")
-    eigs = np.fft.fft(row).real
-    min_eig = float(eigs.min())
-    return CandidateReport(pd=min_eig > 0.0, min_eig=min_eig)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _hermitize, _sym, circ_inverse, dft_spectrum
+from .blockcirc import BandData, BlockCirculant, _band_row, _hermitize, _sym, circ_inverse
 from .errors import BadInput
 from .toeplitz import _companion, band_from_ar, spectral_radius
 
@@ -29,7 +29,7 @@ def random_feasible_band(m: int, n: int, N: int, rng) -> BandData:
     for d in range(1, n + 1):
         band[d] = rng.standard_normal((m, m)) * 0.4 / (d + 1)
     prec = BlockCirculant(m, N, _band_row(band, N))
-    eigs = np.linalg.eigvalsh(_hermitize(dft_spectrum(prec).psi))
+    eigs = np.linalg.eigvalsh(_hermitize(np.fft.fft(prec.first_row, axis=0)))
     lift = _MARGIN - float(eigs.min())
     if lift > 0:
         band[0] += lift * np.eye(m)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockcirc import BandData, _sym
-from .errors import BadInput, BandTooWide, NoConvergence, RequiresFullR
+from .errors import BandTooWide, NoConvergence, RequiresFullR
 from .toeplitz import circulant_approx
 
 
@@ -185,27 +185,19 @@ def ips_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
     raise NoConvergence(f"clique marginal deviation {deviation:.3e} > {tol:.3e} after {max_cycles} cycles")
 
 
-def sk1_solve(
-    band: BandData,
-    N: int,
-    tol: float = 1e-9,
-    max_cycles: int = 2000,
-    start: np.ndarray = None,
-) -> ScalingResult:
+def sk1_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000) -> ScalingResult:
     """Covariance-side scaling over the complement-graph cliques.
 
     Each step replaces the conditional covariance of the current complement
     clique (given the rest) by its diagonal, which zeroes the corresponding
     off-diagonal precision entries while leaving every specified entry of
-    the covariance untouched.  Needs a positive definite starting completion
-    that already agrees with the band; by default the circulant approximant
-    of the band extension is used.
+    the covariance untouched.  Starts from the circulant approximant of the
+    band extension, a completion that already agrees with the band.
 
     Raises
     ------
     RequiresFullR
-        If no positive definite start is available (none supplied and the
-        default approximant is not PD at this N).
+        If that approximant is not positive definite at this N.
     NoConvergence
         After ``max_cycles`` cycles.
     """
@@ -213,18 +205,11 @@ def sk1_solve(
     graph = PatternGraph.banded(m, n, N)
     compl = [np.array(c) for c in bron_kerbosch(graph.complement_adjacency()).cliques]
     dim = m * N
-    if start is None:
-        sigma = circulant_approx(band, N).to_dense()
-    else:
-        sigma = _sym(np.asarray(start, dtype=float).copy())
-        if sigma.shape != (dim, dim):
-            raise BadInput(f"start shape {sigma.shape} != {(dim, dim)}")
+    sigma = circulant_approx(band, N).to_dense()
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
-        raise RequiresFullR(
-            "no positive definite starting completion; supply one via start="
-        ) from exc
+        raise RequiresFullR("the circulant approximant is not a positive definite starting completion") from exc
 
     offband = np.ones((dim, dim), dtype=bool)
     for u in range(dim):

@@ -9,11 +9,13 @@ definite.  The dual objective is
 
 a convex function on that open domain.  It depends on Lambda only through
 its block-diagonal sums, which are N times the band K_0..K_n of the
-projection (the circulant precision), and it is strictly convex in K, so the
-minimizing band, and with it the completion, is unique.  ``solve`` iterates
-on K, an (n+1, m, m) array, taking exactly the gradient step in Lambda
-reduced to the band; Lambda appears only in the adapters (``DualVariable``,
-``init_lambda``, ``dual_objective``, ``dual_gradient``, ``lambda_star``).
+projection (the circulant precision, the bilateral AR model of the
+completion), and it is strictly convex in K, so the minimizing band, and
+with it the completion, is unique.  ``solve`` starts from a band and
+iterates on K, an (n+1, m, m) array, taking exactly the gradient step in
+Lambda reduced to the band, and returns the final band as ``K``.  A full
+Lambda is read only where a caller hands one in (``DualVariable`` starts,
+``dual_gradient``) and built only by ``init_lambda``.
 The completion is the inverse of the projection, so its own inverse is
 banded block-circulant by construction and the band constraint holds at the
 level of the final gradient norm.  An evaluation touches only the
@@ -37,22 +39,23 @@ from .blockcirc import (
     BandData,
     BlockCirculant,
     _band_lags,
+    _band_norm,
     _band_spectrum,
     _block_toeplitz,
     _cholesky_blocks,
     _dual_band,
-    _factored_entropy,
+    _factored,
     _half_logdet,
     _sym,
-    circ_inverse,
-    circ_logdet,
     circulant_average,
-    leading_band,
-    project_band_gram,
 )
 from .errors import BadInput, BandTooWide, InfeasibleStart, NotPositiveDefinite
 from .toeplitz import phi_inverse_coeffs, solve_yule_walker
 
+LOG_2PI = float(np.log(2.0 * np.pi))
+# Armijo sufficient-decrease fraction and backtracking factor.
+_ALPHA = 0.3
+_BETA = 0.5
 # Decreases below ~16 eps times the objective's terms cannot be read off it;
 # the line search then reuses the last validated step instead of testing.
 _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
@@ -77,17 +80,6 @@ class DualVariable:
             raise BadInput(f"dual matrix shape {value.shape} != {(size, size)}")
         object.__setattr__(self, "value", _sym(value))
 
-    def project(self, N: int) -> BlockCirculant:
-        return project_band_gram(self.value, self.m, self.n, N)
-
-    def is_feasible(self, N: int) -> bool:
-        """Membership in the dual domain: the band projection is PD."""
-        try:
-            circ_logdet(self.project(N))
-        except NotPositiveDefinite:
-            return False
-        return True
-
 
 @dataclass
 class SolverConfig:
@@ -99,17 +91,11 @@ class SolverConfig:
     resets to 1 every iteration.
     """
 
-    alpha: float = 0.3
-    beta: float = 0.5
     eta: Optional[float] = None
     max_iter: int = 1_000_000
     trace: Optional[IO[str]] = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise BadInput(f"alpha={self.alpha} outside (0, 0.5)")
-        if not 0.0 < self.beta < 1.0:
-            raise BadInput(f"beta={self.beta} outside (0, 1)")
         if self.max_iter < 0:
             raise BadInput(f"max_iter={self.max_iter} is negative")
 
@@ -120,11 +106,12 @@ class SolverResult:
 
     ``status`` is one of "converged", "max_iter", "diverged" (dual norm blew
     past the cap; the problem is likely infeasible) or "stalled" (progress
-    fell below floating-point resolution).  ``sigma`` is always the
-    completion implied by the final iterate.
+    fell below floating-point resolution).  ``K`` is the final iterate,
+    the precision band K_0..K_n (n+1, m, m), and ``sigma`` the completion
+    it implies, the inverse of K's banded block-circulant.
     """
 
-    lambda_star: DualVariable
+    K: np.ndarray
     sigma: BlockCirculant
     iterations: int
     final_grad_norm: float
@@ -144,21 +131,18 @@ class SolutionReport:
     entropy: float
 
 
-def dual_objective(lam: DualVariable, band: BandData, N: int) -> float:
-    """Tr(Lambda T_n) - log det of the band projection; +inf outside the
-    domain (so backtracking line searches shrink straight through it)."""
-    return _objective(lam.value, band.toeplitz(), band.m, band.n, N)
-
-
 def dual_gradient(lam: DualVariable, band: BandData, N: int) -> np.ndarray:
-    """Gradient T_n - E^T (projection)^{-1} E of the dual objective.
+    """Gradient T_n - E^T (projection)^{-1} E of the dual objective: the
+    block-Toeplitz matrix of the band gradient at Lambda's band.
 
     Raises
     ------
     NotPositiveDefinite
         If the iterate is outside the dual domain.
     """
-    return _sym(band.toeplitz() - leading_band(circ_inverse(lam.project(N)), band.n))
+    K = _dual_band(lam.value, band.m, band.n, N)
+    _cholesky_blocks(_band_spectrum(K, N), "dual_gradient")
+    return _block_toeplitz(_gradient(K, np.swapaxes(band.blocks, 1, 2), band.m, band.n, N)[0])
 
 
 def _objective(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int) -> float:
@@ -189,14 +173,6 @@ def _gradient(K: np.ndarray, data: np.ndarray, m: int, n: int, N: int):
     return G, inv
 
 
-def _band_norm(B: np.ndarray) -> float:
-    """Frobenius norm of the symmetric block-Toeplitz matrix with first block
-    row B, where block d appears n+1-d times on each side of the diagonal."""
-    cw = 2.0 * np.arange(len(B), 0, -1)
-    cw[0] = len(B)
-    return math.sqrt(float(np.einsum("d,dij,dij->", cw, B, B)))
-
-
 def _lift(K: np.ndarray, N: int) -> DualVariable:
     """The block-Toeplitz dual with band projection K: block (i, i+d) is
     (N / (n+1-d)) * K_d."""
@@ -204,25 +180,33 @@ def _lift(K: np.ndarray, N: int) -> DualVariable:
     return DualVariable(K.shape[1], len(K) - 1, _block_toeplitz((N / w) * K))
 
 
-def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
-    """Starting dual variable.
+def _start(band: BandData, N: int, mode: str) -> np.ndarray:
+    """Starting band K_0..K_n for ``solve``.
 
-    "identity" returns the identity matrix (always in the domain: its band
-    projection is ((n+1)/N) I).  "toeplitz" inverts the projection formulas
-    under a block-Toeplitz ansatz so that the projection's band equals the
-    Laurent coefficients of the extension's inverse spectral density, i.e.
-    the limit the optimal projection approaches as N grows; block (i, i+d)
-    is (N / (n+1-d)) * M_d^T.  Membership in the dual domain is not checked
-    here (see ``DualVariable.is_feasible``); ``solve`` checks its start.
+    "identity" is ((n+1)/N) I, 0, ..., 0, the band of the identity Lambda
+    (always in the domain).  "toeplitz" is the Laurent coefficients of the
+    band extension's inverse spectral density, K_d = M_d^T, the limit the
+    optimal band approaches as N grows.  Membership in the dual domain is
+    not checked here; ``solve`` checks its start.
     """
     m, n = band.m, band.n
     if N < 2 * n + 2:
         raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
     if mode == "identity":
-        return DualVariable(m, n, np.eye((n + 1) * m))
+        K = np.zeros((n + 1, m, m))
+        K[0] = (n + 1) / N * np.eye(m)
+        return K
     if mode == "toeplitz":
-        return _lift(np.swapaxes(phi_inverse_coeffs(solve_yule_walker(band)).M, 1, 2), N)
+        return np.swapaxes(phi_inverse_coeffs(solve_yule_walker(band)).M, 1, 2)
     raise BadInput(f"unknown init mode {mode!r}")
+
+
+def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
+    """Starting dual variable: the block-Toeplitz Lambda whose band
+    projection is ``solve``'s start band for ``mode`` ("identity" or
+    "toeplitz"); block (i, i+d) is (N / (n+1-d)) * K_d.  For "identity" that
+    is the identity matrix up to rounding."""
+    return _lift(_start(band, N, mode), N)
 
 
 def solve(
@@ -236,9 +220,9 @@ def solve(
     Descends along the negative gradient with Armijo backtracking (the
     objective evaluates to +inf outside the domain, so the line search also
     enforces feasibility) and stops when the gradient's Frobenius norm drops
-    to ``eta``.  The start is reduced to its band K, which is the iterate;
-    ``lambda_star`` is the block-Toeplitz Lambda of the final band.  Returns
-    the completion ``sigma`` = inverse of the final band projection: its
+    to ``eta``.  The iterate is the band K; a ``DualVariable`` start is
+    reduced to its band first.  Returns the final band ``K`` and the
+    completion ``sigma`` = inverse of the final band projection: its
     inverse is banded block-circulant by construction and its band matches
     the data to a tolerance tied to ``eta``.
 
@@ -259,16 +243,14 @@ def solve(
     eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, _band_norm(data))
 
     if isinstance(init, DualVariable):
-        lam, init_mode = init, "custom"
+        K, init_mode = _dual_band(init.value, m, n, N), "custom"
     else:
-        lam, init_mode = init_lambda(band, N, init), init
-    K = _dual_band(lam.value, m, n, N)
+        K, init_mode = _start(band, N, init), init
     f = _objective(K, D, m, n, N)
     if not math.isfinite(f):
         if init_mode != "toeplitz":
             raise InfeasibleStart(f"{init_mode} start lies outside the dual domain for N={N}")
-        K = np.zeros_like(K)
-        K[0] = (n + 1) / N * np.eye(m)  # the identity start's band
+        K = _start(band, N, "identity")
         init_mode = "identity (fallback from toeplitz)"
         f = _objective(K, D, m, n, N)
     G, inv = _gradient(K, data, m, n, N)
@@ -294,12 +276,12 @@ def solve(
         # Armijo test when the predicted decrease is readable off f; below
         # that resolution step at the last validated scale and test only
         # that the point stays in the domain.
-        armijo = cfg.alpha * _STEP0 * (-slope) >= noise or t_acc is None
+        armijo = _ALPHA * _STEP0 * (-slope) >= noise or t_acc is None
         t = _STEP0 if armijo else t_acc
         step = (w / N) * G
         f_new = _objective(K - t * step, D, m, n, N)
-        while (f_new > f + cfg.alpha * t * slope) if armijo else not math.isfinite(f_new):
-            t *= cfg.beta
+        while (f_new > f + _ALPHA * t * slope) if armijo else not math.isfinite(f_new):
+            t *= _BETA
             backtracks += 1
             if t < 1e-18:
                 status = "stalled"
@@ -324,7 +306,7 @@ def solve(
         status = "converged"
 
     return SolverResult(
-        lambda_star=_lift(K, N),
+        K=K,
         sigma=BlockCirculant(m, N, np.fft.irfft(inv, n=N, axis=0)),
         iterations=iterations,
         final_grad_norm=gnorm,
@@ -354,7 +336,8 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
         sigma = circulant_average(np.asarray(solution, dtype=float), band.m)
     data = np.swapaxes(band.blocks, 1, 2)
     band_res = _band_norm(sigma.first_row[: band.n + 1] - data) / _band_norm(data)
-    head, entropy = _factored_entropy(sigma, "verify_solution")
+    head, logdet = _factored(sigma, "verify_solution")
+    entropy = 0.5 * logdet + 0.5 * (sigma.m * sigma.N) * (1.0 + LOG_2PI)
     kinv = np.fft.irfft(np.linalg.inv(head), n=sigma.N, axis=0)  # first row
     off = kinv[band.n + 1: sigma.N - band.n]
     ref = float(np.linalg.norm(kinv[0]))

@@ -1,16 +1,44 @@
 """Shared oracles and generators for the test suite.
 
-Everything here goes through dense numpy linear algebra on materialized
-matrices, independent of the package's spectral code paths.
+The oracles go through dense numpy linear algebra on materialized matrices,
+independent of the package's spectral code paths.  Two helpers are thin
+adapters to the package instead: ``band_spectrum_full`` (the band kernel,
+which tests compare against the oracles) and ``in_dual_domain`` (the
+package's PD test, used to sample dual variables).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from circmaxent import BadInput, BandData, BlockCirculant, DualVariable, NonRealSpectrum, Spectrum
+from circmaxent import (
+    BadInput,
+    BandData,
+    BlockCirculant,
+    DualVariable,
+    NotPositiveDefinite,
+    circ_logdet,
+    project_band_gram,
+)
+from circmaxent.blockcirc import _band_spectrum
 
 
 def sym(a):
     return 0.5 * (a + a.T)
+
+
+def identity_circulant(m, N):
+    row = np.zeros((N, m, m))
+    row[0] = np.eye(m)
+    return BlockCirculant(m, N, row)
+
+
+def is_symmetric(c, rtol=1e-12):
+    """True when the block-circulant with first row ``c.first_row`` is a
+    symmetric matrix: row[N-k] = row[k]^T to ``rtol``."""
+    mirror = np.swapaxes(c.first_row[(-np.arange(c.N)) % c.N], -1, -2)
+    scale = max(1.0, float(np.abs(c.first_row).max()))
+    return float(np.abs(c.first_row - mirror).max()) <= rtol * scale
 
 
 def random_symmetric_circulant(m, N, rng, scale=1.0):
@@ -38,21 +66,34 @@ def random_spd_circulant(m, N, rng, margin=0.5):
 
 
 def dft_spectrum_direct(c):
-    """O(N^2) direct evaluation of the block DFT (reference for the FFT path)."""
+    """O(N^2) direct evaluation of the block DFT, all N frequency blocks
+    Psi_l = sum_k first_row[k] exp(-2j pi l k / N)."""
     ell = np.arange(c.N)
     w = np.exp(-2j * np.pi * np.outer(ell, ell) / c.N)
-    psi = np.einsum("lk,kab->lab", w, c.first_row)
-    return Spectrum(c.m, c.N, psi)
+    return np.einsum("lk,kab->lab", w, c.first_row)
 
 
-def spectrum_to_circulant(s, rtol=1e-9):
-    """Inverse transform; requires conjugate symmetry Psi_{N-l} = conj(Psi_l)."""
-    mirror = np.conj(s.psi[(-np.arange(s.N)) % s.N])
-    scale = max(1.0, float(np.abs(s.psi).max()))
-    if np.abs(s.psi - mirror).max() > rtol * scale:
-        raise NonRealSpectrum("spectrum violates conjugate symmetry; no real circulant matches")
-    row = np.fft.ifft(s.psi, axis=0)
-    return BlockCirculant(s.m, s.N, row.real)
+def band_spectrum_full(c):
+    """All N frequency blocks of a symmetric block-circulant through the
+    package's band kernel: its first floor(N/2)+1 first-row blocks are the
+    band (the central block of an even N halved, since the kernel adds the
+    band's mirror), and Psi_{N-l} = conj(Psi_l) fills in the rest."""
+    K = c.first_row[: c.N // 2 + 1].copy()
+    if c.N % 2 == 0:
+        K[-1] *= 0.5
+    head = _band_spectrum(K, c.N)
+    return np.concatenate([head, np.conj(head[1:(c.N + 1) // 2][::-1])])
+
+
+def spectrum_to_circulant(psi, rtol=1e-9):
+    """Inverse transform of N frequency blocks (N, m, m); requires
+    conjugate symmetry Psi_{N-l} = conj(Psi_l)."""
+    N, m = psi.shape[0], psi.shape[1]
+    mirror = np.conj(psi[(-np.arange(N)) % N])
+    scale = max(1.0, float(np.abs(psi).max()))
+    if np.abs(psi - mirror).max() > rtol * scale:
+        raise ValueError("spectrum violates conjugate symmetry; no real circulant matches")
+    return BlockCirculant(m, N, np.fft.ifft(psi, axis=0).real)
 
 
 def circ_matmul(a, b):
@@ -76,10 +117,10 @@ def is_banded(c, b, tol=0.0):
     return True
 
 
-def is_hermitian(s, rtol=1e-12):
+def is_hermitian(psi, rtol=1e-12):
     """True when every frequency block is Hermitian to ``rtol``."""
-    dev = np.abs(s.psi - 0.5 * (s.psi + np.conj(np.swapaxes(s.psi, -1, -2)))).max()
-    scale = max(1.0, float(np.abs(s.psi).max()))
+    dev = np.abs(psi - 0.5 * (psi + np.conj(np.swapaxes(psi, -1, -2)))).max()
+    scale = max(1.0, float(np.abs(psi).max()))
     return float(dev) <= rtol * scale
 
 
@@ -109,6 +150,16 @@ def dense_circulant_basis(m, N):
     return basis
 
 
+def in_dual_domain(lam, N):
+    """Membership of a DualVariable in the dual domain: its band projection
+    is positive definite."""
+    try:
+        circ_logdet(project_band_gram(lam.value, lam.m, lam.n, N))
+    except NotPositiveDefinite:
+        return False
+    return True
+
+
 def random_feasible_dual(band, N, rng, spread=0.25):
     """Random dual variable inside the domain (rejection from the identity)."""
     size = (band.n + 1) * band.m
@@ -116,7 +167,7 @@ def random_feasible_dual(band, N, rng, spread=0.25):
         cand = DualVariable(
             band.m, band.n, np.eye(size) + spread * sym(rng.standard_normal((size, size)))
         )
-        if cand.is_feasible(N):
+        if in_dual_domain(cand, N):
             return cand
         spread *= 0.5
 
@@ -129,6 +180,23 @@ def spectral_lags(coeffs, Q, K, L=4096):
     h = np.linalg.inv(np.fft.fft(np.asarray(coeffs, dtype=float), n=L, axis=0))
     phi = h @ np.asarray(Q, dtype=float) @ np.conj(np.swapaxes(h, 1, 2))
     return np.fft.ifft(phi, axis=0)[: K + 1].real
+
+
+@dataclass(frozen=True)
+class CandidateReport:
+    pd: bool
+    min_eig: float
+
+
+def check_candidate(first_row):
+    """Positive definiteness of a full scalar circulant given its
+    palindromic first row (row[k] = row[N-k]), from its eigenvalues, the
+    real parts of the row's DFT."""
+    row = np.asarray(first_row, dtype=float)
+    if row.ndim != 1 or len(row) < 2:
+        raise BadInput("expected a 1-D first row of length >= 2")
+    min_eig = float(np.fft.fft(row).real.min())
+    return CandidateReport(pd=min_eig > 0.0, min_eig=min_eig)
 
 
 def white_noise_band(m, n):

@@ -5,10 +5,15 @@ functions and ``solver._objective``), so a rename in ``src/`` would silently
 zero its per-layer counters; these tests make it fail instead.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import numpy as np
+
+from circmaxent import random_feasible_band
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 600
@@ -32,3 +37,16 @@ def test_traced_run_counts_solver_work():
     evals = metrics["solver.evals"]["value"]
     assert evals > 0
     assert evals >= metrics["solver.iterations"]["value"]
+
+
+def test_instance_generator_is_pinned():
+    # every benchmark instance is a random_feasible_band draw; a change to
+    # its arithmetic or to its use of rng changes the workloads
+    rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    for m in (1, 2, 3, 5, 10):
+        for n in range(4):
+            for N in (2 * n + 2, 9, 16, 33):
+                if N >= 2 * n + 2:
+                    digest.update(random_feasible_band(m, n, N, rng).blocks.tobytes())
+    assert digest.hexdigest() == "016747615d98b9f844d1eddc2de938be77c62a23187d49b441cee130546f938a"

@@ -10,6 +10,7 @@ import pytest
 
 from circmaxent.cli import main
 from circmaxent import BlockCirculant
+from helpers import is_symmetric
 
 
 def write_problem(path, m, n, N, blocks):
@@ -73,7 +74,7 @@ class TestSolveCommand:
         N, m = payload["N"], payload["m"]
         row = np.array(payload["first_block_row"], dtype=float).reshape(N, m, m)
         circ = BlockCirculant(m, N, row)
-        assert circ.is_symmetric(1e-9)
+        assert is_symmetric(circ, 1e-9)
         # floats reparse bit-exactly
         assert json.loads(json.dumps(payload)) == payload
         # re-solving on the embedded band reproduces the same completion
@@ -101,6 +102,12 @@ class TestSolveCommand:
         for path in (matrix, scalar):
             assert main(["solve", path]) == 1
             assert "finite" in capsys.readouterr().err
+
+    def test_unrepresentable_scale_exits_1(self, tmp_path, capsys):
+        for s in (1e200, 1e-200):
+            path = write_problem(tmp_path / "scaled.json", 1, 1, 8, [[s], [0.3 * s]])
+            assert main(["solve", path, "--max-iter", "20000"]) == 1
+            assert "band norm" in capsys.readouterr().err
 
     def test_stalled_exits_3(self, white_problem, tmp_path, monkeypatch):
         # a solve whose progress stopped below floating-point resolution

@@ -13,9 +13,8 @@ from circmaxent import (
     InfeasibleStart,
     NotPositiveDefinite,
     SolverConfig,
+    circ_logdet,
     dual_gradient,
-    dual_objective,
-    gaussian_entropy,
     init_lambda,
     ips_solve,
     project_band_gram,
@@ -23,8 +22,8 @@ from circmaxent import (
     solve,
     verify_solution,
 )
-from circmaxent.solver import _gradient, _objective
-from helpers import is_banded, random_feasible_dual, scalar_band, sym, white_noise_band
+from circmaxent.solver import LOG_2PI, _gradient, _lift, _objective
+from helpers import in_dual_domain, is_banded, random_feasible_dual, scalar_band, sym, white_noise_band
 
 
 def max_det_x_oracle(sigma0, sigma1):
@@ -96,12 +95,12 @@ class TestDualObjective:
         m, n, N = 2, 2, 12
         band = white_noise_band(m, n)
         lam = DualVariable(m, n, (N / (n + 1)) * np.eye((n + 1) * m))
-        assert abs(dual_objective(lam, band, N) - N * m) < 1e-10
+        assert abs(_objective(lam.value, band.toeplitz(), m, n, N) - N * m) < 1e-10
 
     def test_outside_domain_is_inf(self):
         band = white_noise_band(1, 1)
         lam = DualVariable(1, 1, -np.eye(2))
-        assert dual_objective(lam, band, 6) == math.inf
+        assert _objective(lam.value, band.toeplitz(), 1, 1, 6) == math.inf
         # in band form: a negative frequency block, a non-finite band
         m, n, N = 2, 1, 9
         D = np.zeros((n + 1, m, m))
@@ -118,7 +117,7 @@ class TestDualObjective:
         expect = np.sum(lam.value * band.toeplitz()) - np.linalg.slogdet(
             project_band_gram(lam.value, 1, 1, 4).to_dense()
         )[1]
-        assert abs(dual_objective(lam, band, 4) - expect) < 1e-10
+        assert abs(_objective(lam.value, band.toeplitz(), 1, 1, 4) - expect) < 1e-10
 
 
 class TestDualGradient:
@@ -158,10 +157,10 @@ class TestDualGradient:
                     assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
                     # the band form solve iterates on: K = the projection's
                     # band, D = N c_d Sigma_d^T with c = (1, 2, ..., 2)
-                    K = lam.project(N).first_row[: n + 1]
+                    K = project_band_gram(lam.value, m, n, N).first_row[: n + 1]
                     S = np.swapaxes(band.blocks, 1, 2)
                     D = N * np.array([1.0] + [2.0] * n)[:, None, None] * S
-                    f = dual_objective(lam, band, N)
+                    f = _objective(lam.value, T, m, n, N)
                     assert abs(_objective(K, D, m, n, N) - f) <= 1e-12 * max(1.0, abs(f))
                     G = _gradient(K, S, m, n, N)[0]
                     assert np.abs(G.swapaxes(0, 1).reshape(m, -1) - g[:m]).max() <= 1e-12
@@ -183,7 +182,7 @@ class TestHalfSpectrumKernel:
             S = np.swapaxes(band.blocks, 1, 2)
             D = N * np.array([1.0] + [2.0] * n)[:, None, None] * S
             for lam in (random_feasible_dual(band, N, rng), init_lambda(band, N, "identity")):
-                K = lam.project(N).first_row[: n + 1]
+                K = project_band_gram(lam.value, m, n, N).first_row[: n + 1]
                 dense = project_band_gram(K, m, n, N).to_dense()
                 f = np.sum(K * D) - np.linalg.slogdet(dense)[1]
                 row = np.linalg.inv(dense)[:m].reshape(m, N, m).swapaxes(0, 1)
@@ -203,18 +202,18 @@ class TestInitLambda:
         m, n, N = 2, 1, 8
         band = white_noise_band(m, n)
         ident = init_lambda(band, N, "identity")
-        proj_i = ident.project(N)
+        proj_i = project_band_gram(ident.value, m, n, N)
         assert np.abs(proj_i.first_row[0] - (n + 1) / N * np.eye(m)).max() < 1e-14
         warm = init_lambda(band, N, "toeplitz")
-        proj_t = warm.project(N)
+        proj_t = project_band_gram(warm.value, m, n, N)
         assert np.abs(proj_t.first_row[0] - np.eye(m)).max() < 1e-13
         assert np.abs(proj_t.first_row[1:]).max() < 1e-13
-        assert ident.is_feasible(N) and warm.is_feasible(N)
+        assert in_dual_domain(ident, N) and in_dual_domain(warm, N)
 
     def test_scalar_projection_band_hits_inverse_coeffs(self):
         band = scalar_band([1.0, 0.5])
         lam = init_lambda(band, 12, "toeplitz")
-        proj = lam.project(12)
+        proj = project_band_gram(lam.value, 1, 1, 12)
         assert abs(proj.first_row[0, 0, 0] - 5.0 / 3.0) < 1e-12
         assert abs(proj.first_row[1, 0, 0] + 2.0 / 3.0) < 1e-12
         assert np.abs(proj.first_row[2:11]).max() < 1e-12
@@ -225,7 +224,7 @@ class TestInitLambda:
         rng = np.random.default_rng(42)
         band = random_feasible_band(2, 2, 12, rng)
         M = phi_inverse_coeffs(solve_yule_walker(band)).M
-        proj = init_lambda(band, 12, "toeplitz").project(12)
+        proj = project_band_gram(init_lambda(band, 12, "toeplitz").value, 2, 2, 12)
         assert np.abs(proj.first_row[0] - M[0]).max() < 1e-12
         for d in (1, 2):
             assert np.abs(proj.first_row[d] - M[d].T).max() < 1e-12
@@ -312,7 +311,7 @@ class TestSolve:
         rng = np.random.default_rng(46)
         band = random_feasible_band(1, 2, 10, rng)
         res = solve(band, 10)
-        g = dual_gradient(res.lambda_star, band, 10)
+        g = dual_gradient(_lift(res.K, 10), band, 10)
         eta = 1e-8 * max(1.0, np.linalg.norm(band.toeplitz()))
         assert np.linalg.norm(g) <= eta
 
@@ -327,7 +326,7 @@ class TestSolve:
             b = random_feasible_dual(band, 12, rng, spread=0.3)
             theta = rng.uniform(0.05, 0.95)
             mid = DualVariable(2, 2, theta * a.value + (1 - theta) * b.value)
-            if not mid.is_feasible(12):
+            if not in_dual_domain(mid, 12):
                 continue
             fa = _objective(a.value, T, 2, 2, 12)
             fb = _objective(b.value, T, 2, 2, 12)
@@ -339,7 +338,7 @@ class TestSolve:
         rng = np.random.default_rng(48)
         band = random_feasible_band(2, 1, 12, rng)
         res = solve(band, 12)
-        proj = project_band_gram(res.lambda_star.value, 2, 1, 12)
+        proj = project_band_gram(res.K, 2, 1, 12)
         assert is_banded(proj, band.n)  # structural: exact zeros off band
         prod = res.sigma.to_dense() @ proj.to_dense()
         assert np.abs(prod - np.eye(24)).max() < 1e-8
@@ -351,7 +350,7 @@ class TestSolve:
         rng = np.random.default_rng(53)
         m, n, N = 2, 2, 12
         band = random_feasible_band(m, n, N, rng)
-        sums = N * random_feasible_dual(band, N, rng).project(N).first_row[: n + 1]
+        sums = N * project_band_gram(random_feasible_dual(band, N, rng).value, m, n, N).first_row[: n + 1]
         lift = np.zeros(((n + 1) * m, (n + 1) * m))
         first_row = np.zeros_like(lift)
         for d in range(n + 1):
@@ -368,17 +367,16 @@ class TestSolve:
         assert np.linalg.norm(res_f.sigma.first_row - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_iterates_on_the_band(self, monkeypatch):
-        # the iteration reads neither the dense T_n nor the dense leading
-        # band of the completion
-        import circmaxent.blockcirc as blockcirc
+        # from its start to its result, solve builds no full dual matrix:
+        # neither the dense T_n nor a block-Toeplitz Lambda from a band
         import circmaxent.solver as solver
 
         def refuse(*args):
-            raise AssertionError("solve must not assemble the leading band")
+            raise AssertionError("solve must not assemble a full dual matrix")
 
         monkeypatch.setattr(BandData, "toeplitz", refuse)
-        monkeypatch.setattr(blockcirc, "leading_band", refuse)
-        monkeypatch.setattr(solver, "leading_band", refuse, raising=False)
+        monkeypatch.setattr(solver, "_lift", refuse)
+        monkeypatch.setattr(solver, "_block_toeplitz", refuse)
         band = random_feasible_band(2, 1, 10, np.random.default_rng(54))
         for init in ("toeplitz", "identity"):
             res = solve(band, 10, init=init)
@@ -401,11 +399,17 @@ class TestSolve:
 
     def test_config_validation(self):
         with pytest.raises(BadInput):
-            SolverConfig(alpha=0.7)
-        with pytest.raises(BadInput):
-            SolverConfig(beta=1.0)
-        with pytest.raises(BadInput):
             SolverConfig(max_iter=-1)
+
+    def test_unrepresentable_scale_rejected(self):
+        # the band (1, 0.3) s at s = 1e200 has a squared norm that overflows
+        # (the solve used to report "converged" with an infinite gradient
+        # norm), at s = 1e-200 one that underflows to zero (it reported
+        # "converged" and verify_solution divided by zero)
+        for s in (1e200, 1e-200):
+            with pytest.raises(BadInput):
+                solve(BandData(1, 1, s * np.array([1.0, 0.3]).reshape(2, 1, 1)), 8,
+                      SolverConfig(max_iter=20000))
 
     def test_rounding_trap_converges(self):
         res = solve(BandData(5, 3, TRAP_BAND), 15, SolverConfig(max_iter=2500))
@@ -415,8 +419,6 @@ class TestSolve:
         # a 0-iteration solve factors the start's floor(N/2)+1 frequency
         # blocks once for the objective and inverts the same blocks once for
         # the gradient and the completion; it takes no full-length block DFT
-        import circmaxent.blockcirc as blockcirc
-
         band = random_feasible_band(3, 2, 12, np.random.default_rng(52))
         calls = []
 
@@ -431,7 +433,6 @@ class TestSolve:
 
             return wrapper
 
-        monkeypatch.setattr(blockcirc, "dft_spectrum", refuse)
         monkeypatch.setattr(np.fft, "fft", refuse)
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
@@ -447,7 +448,7 @@ class TestVerifySolution:
         report = verify_solution(res, band)
         assert report.band_residual == 0.0
         assert report.dempster_residual == 0.0
-        assert abs(report.entropy - gaussian_entropy(res.sigma)) == 0.0
+        assert abs(report.entropy - 0.5 * 16 * (1.0 + LOG_2PI)) <= 1e-12 * report.entropy
 
     def test_converged_residual_levels(self):
         rng = np.random.default_rng(50)
@@ -487,7 +488,7 @@ class TestVerifySolution:
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
         report = verify_solution(res, band)
         assert sorted(calls) == ["cholesky", "inv", "rfft"]
-        assert report.entropy == gaussian_entropy(res.sigma)
+        assert report.entropy == 0.5 * circ_logdet(res.sigma) + 0.5 * (2 * 64) * (1.0 + LOG_2PI)
 
 
 class TestSolverPathStructure:
@@ -516,8 +517,8 @@ class TestDualVariable:
         assert np.abs(lam.value - sym(raw)).max() == 0.0
 
     def test_feasibility_predicate(self):
-        assert DualVariable(1, 1, np.eye(2)).is_feasible(6)
-        assert not DualVariable(1, 1, -np.eye(2)).is_feasible(6)
+        assert in_dual_domain(DualVariable(1, 1, np.eye(2)), 6)
+        assert not in_dual_domain(DualVariable(1, 1, -np.eye(2)), 6)
 
     def test_shape_checked(self):
         with pytest.raises(BadInput):
