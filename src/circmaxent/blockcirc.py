@@ -136,6 +136,28 @@ def _band_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
     return (back @ inv.reshape(-1, m * m)).real.reshape(n + 1, m, m)
 
 
+def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
+    """Blocks V_0..V_2n (2n+1, m^2, m^2) of the Hessian of -log det C(K) in
+    the two-sided band lags, from the inverse frequency blocks
+    G_l = Psi_l^{-1} (``inv``, (h+1, m, m)):
+
+        V_s = sum_{l=0}^{N-1} exp(+2j pi l s / N) conj(G_l) (x) G_l,
+
+    real since G_{N-l} = conj(G_l).  The second derivative along a band
+    direction E is sum_{j,k} vec(E_j) . V_{k-j} vec(E_k) over lags
+    j, k = -n..n, with E_{-d} = E_d^T, V_{-s} = V_s^T and row-major vec.
+    One real product of a (2n+1) m^2 x 2(h+1) and a 2(h+1) x m^2 matrix:
+    O(n m^4 N) time and O(n m^2 N) memory, with no per-unknown frequency
+    blocks."""
+    h1, m = inv.shape[0], inv.shape[1]
+    At = np.ascontiguousarray(inv.reshape(h1, m * m).T.conj())  # conj(G_l)[a, c] at [(a, c), l]
+    left = (N * _phase_tables(2 * n, N)[1])[:, None, :] * At  # (2n+1, m^2, h+1)
+    # Re(x y) = [Re x, Im x] . [Re y, -Im y], read off the interleaved float views
+    M = left.view(float).reshape(-1, 2 * h1) @ At.view(float).T
+    # M[s] is indexed ((a, c), (b, e)) for conj(G)[a, c] G[b, e]
+    return M.reshape(2 * n + 1, m, m, m, m).transpose(0, 1, 3, 2, 4).reshape(2 * n + 1, m * m, m * m)
+
+
 @dataclass(frozen=True)
 class BlockCirculant:
     """Symmetric block-circulant matrix stored as its first block row."""

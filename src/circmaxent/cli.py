@@ -2,8 +2,11 @@
 
 Problem files are JSON: {"m", "n", "N", "blocks"} with n+1 blocks of m*m
 scalars row-major (Sigma_0 first).  Solution files carry the first block row
-of the completion plus diagnostics.  Floats are serialized with Python's
-shortest round-trip representation, which reparses bit-exactly.
+of the completion plus diagnostics, as compact one-line JSON.  Floats are
+serialized with Python's shortest round-trip representation, which reparses
+bit-exactly.  ``solve`` runs damped Newton on the precision band by
+default (``--method gd`` is the paper's gradient descent), and ``feas``
+decides the generic case with the same Newton solve.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 detected
 infeasibility, 3 iteration budget exhausted or no further progress.
@@ -67,7 +70,8 @@ def _solution_payload(sigma: BlockCirculant, diagnostics: dict) -> dict:
 
 
 def _emit(payload: dict, out: str) -> None:
-    text = json.dumps(payload, indent=2)
+    # compact: with an indent CPython falls back to its pure-Python encoder
+    text = json.dumps(payload)
     if out == "-":
         print(text)
     else:
@@ -87,13 +91,13 @@ def cmd_solve(args) -> int:
             )
             return EXIT_INFEASIBLE
 
-    if args.method == "gd":
+    if args.method in ("newton", "gd"):
         cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter)
         trace_fh = open(args.trace, "w") if args.trace else None
         try:
             if trace_fh is not None:
                 cfg.trace = trace_fh
-            result = solve(band, N, cfg, init=args.init)
+            result = solve(band, N, cfg, init=args.init, method=args.method)
         finally:
             if trace_fh is not None:
                 trace_fh.close()
@@ -167,7 +171,7 @@ def cmd_feas(args) -> int:
     else:
         payload.update(feasible=None, margin=None, bounds=None)
         cfg = SolverConfig(max_iter=args.budget)
-        result = solve(band, N, cfg)
+        result = solve(band, N, cfg, method="newton")
         payload["evidence"] = {
             "status": result.status,
             "iterations": result.iterations,
@@ -286,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the maximum-entropy completion")
     add_common(p)
     p.add_argument("--init", choices=["toeplitz", "identity"], default="toeplitz")
-    p.add_argument("--method", choices=["gd", "ips", "sk1"], default="gd")
-    p.add_argument("--tol", type=float, default=None, help="gradient-norm stopping threshold")
+    p.add_argument("--method", choices=["newton", "gd", "ips", "sk1"], default="newton")
+    p.add_argument("--tol", type=float, default=None,
+                   help="gradient-norm stopping threshold (newton: an extra stop)")
     p.add_argument("--max-iter", type=int, default=1_000_000)
     p.add_argument("--max-cycles", type=int, default=2000)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace file")

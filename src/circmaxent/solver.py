@@ -1,4 +1,4 @@
-"""Gradient descent on the reduced dual of the circulant completion problem.
+"""Descent on the reduced dual of the circulant completion problem.
 
 The maximum-entropy completion of a banded symmetric block-circulant
 covariance is recovered from a dual variable: one symmetric matrix Lambda of
@@ -12,10 +12,19 @@ its block-diagonal sums, which are N times the band K_0..K_n of the
 projection (the circulant precision, the bilateral AR model of the
 completion), and it is strictly convex in K, so the minimizing band, and
 with it the completion, is unique.  ``solve`` starts from a band and
-iterates on K, an (n+1, m, m) array, taking exactly the gradient step in
-Lambda reduced to the band, and returns the final band as ``K``.  A full
-Lambda is read only where a caller hands one in (``DualVariable`` starts,
-``dual_gradient``) and built only by ``init_lambda``.
+iterates on K, an (n+1, m, m) array, and returns the final band as ``K``.
+A full Lambda is read only where a caller hands one in (``DualVariable``
+starts, ``dual_gradient``) and built only by ``init_lambda``.
+
+One backtracking loop takes one of two steps.  ``method="gd"``, the
+default, is the paper's algorithm: exactly the gradient step in Lambda
+reduced to the band, stopped at a gradient norm ``eta``.  ``method="newton"``
+is damped Newton on the p = m(m+1)/2 + n m^2 band entries: the Hessian is
+assembled in the lag domain from the same inverse frequency blocks as the
+gradient, in O(n m^4 N), and factored by Cholesky; the solve stops on the
+squared Newton decrement, which is affine invariant, so the stopping rule
+and the step count do not depend on the scale of the data.
+
 The completion is the inverse of the projection, so its own inverse is
 banded block-circulant by construction and the band constraint holds at the
 level of the final gradient norm.  An evaluation touches only the
@@ -23,14 +32,15 @@ floor(N/2)+1 frequency blocks Psi_0..Psi_{N/2}: it forms them straight from
 the n+1 band blocks through a cached phase table, factors them with one
 batched Cholesky for the log-determinant, and the gradient inverts the same
 blocks and reads the n+1 inverse lags back through the conjugate table.
-That is O(m^3 N + m^2 n N) per iteration with no FFT; one real inverse FFT
-builds the completion at exit.  No mN x mN dense matrix is ever formed.
+That is O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse
+FFT builds the completion at exit.  No mN x mN dense matrix is ever formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Optional, Union
 
 import numpy as np
@@ -46,6 +56,7 @@ from .blockcirc import (
     _dual_band,
     _factored,
     _half_logdet,
+    _hessian_lags,
     _sym,
     circulant_average,
 )
@@ -63,6 +74,16 @@ _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
 _STEP0 = 1.0
 # A dual iterate whose Lambda's Frobenius norm passes this cap is "diverged".
 _LAMBDA_CAP = 1e10
+# Newton stops when half its squared decrement, a bound on f - f* near the
+# optimum, falls to this.
+_DECREMENT_TOL = 1e-20
+# f is self-concordant, so at a squared Newton decrement below
+# ((1 - 2 alpha) / 4)^2 the full step passes the Armijo test in exact
+# arithmetic (Boyd & Vandenberghe 9.6.4) and lands inside the domain, and
+# the decrement then falls quadratically.  There Newton takes the full step
+# untested: near the domain's boundary f's rounding error can exceed the
+# predicted decrease, and the test would fail on rounding alone.
+_FULL_STEP = ((1.0 - 2.0 * _ALPHA) / 4.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -83,12 +104,14 @@ class DualVariable:
 
 @dataclass
 class SolverConfig:
-    """Backtracking gradient descent parameters.
+    """Backtracking descent parameters.
 
     ``eta`` is the gradient-norm stopping threshold (Frobenius norm, a cheap
-    equivalent of the spectral norm up to dimension constants); when None it
-    defaults to 1e-8 * max(1, ||T_n||_F) at solve time.  The line-search step
-    resets to 1 every iteration.
+    equivalent of the spectral norm up to dimension constants).  For
+    gradient descent it defaults, when None, to 1e-8 * max(1, ||T_n||_F) at
+    solve time; Newton stops on its decrement and uses ``eta`` only when it
+    is given, as an extra stop.  The line-search step resets to 1 every
+    iteration.
     """
 
     eta: Optional[float] = None
@@ -106,7 +129,8 @@ class SolverResult:
 
     ``status`` is one of "converged", "max_iter", "diverged" (dual norm blew
     past the cap; the problem is likely infeasible) or "stalled" (progress
-    fell below floating-point resolution).  ``K`` is the final iterate,
+    fell below floating-point resolution, or the Newton system was singular
+    or not finite).  ``K`` is the final iterate,
     the precision band K_0..K_n (n+1, m, m), and ``sigma`` the completion
     it implies, the inverse of K's banded block-circulant.
     """
@@ -173,6 +197,62 @@ def _gradient(K: np.ndarray, data: np.ndarray, m: int, n: int, N: int):
     return G, inv
 
 
+@lru_cache(maxsize=64)
+def _newton_coords(m: int, n: int) -> tuple:
+    """Index tables for the p = m(m+1)/2 + n m^2 Newton unknowns, K_0's
+    upper triangle and then K_1..K_n.
+
+    In the flattened two-sided lags (E_-n, ..., E_n), E_-d = E_d^T, unknown
+    i sits at i1[i] and at its mirror i2[i], with weight c[i] = 1/2 on K_0's
+    diagonal, where the two coincide, and 1 elsewhere.  ``hidx`` (4, p, p)
+    locates the lag Hessian's entries at (i1, i1), (i1, i2), (i2, i1) and
+    (i2, i2) in the flattened ``_hessian_lags`` stack: block (k, j) of that
+    Hessian is V_{j-k}, and V_{k-j}^T below the diagonal.
+    """
+    P = m * m
+    idx = np.arange((2 * n + 1) * P).reshape(2 * n + 1, m, m)
+    upper = np.triu_indices(m)
+    i1 = np.concatenate([idx[n][upper], idx[n + 1:].ravel()])
+    i2 = np.concatenate([idx[n].T[upper], idx[:n][::-1].swapaxes(1, 2).ravel()])
+    c = np.where(i1 == i2, 0.5, 1.0)
+    lag, pos = np.divmod(np.arange(idx.size), P)
+    d = lag[None, :] - lag[:, None]
+    flat = np.abs(d) * P * P + np.where(d >= 0, pos[:, None] * P + pos[None, :], pos[None, :] * P + pos[:, None])
+    hidx = np.stack([flat[np.ix_(a, b)] for a in (i1, i2) for b in (i1, i2)])
+    for arr in (i1, i2, c, hidx):
+        arr.setflags(write=False)
+    return i1, i2, c, hidx
+
+
+def _newton_step(G: np.ndarray, inv: np.ndarray, N: int) -> tuple:
+    """Newton step on the band at a point with band gradient G and inverse
+    frequency blocks ``inv`` (see ``_gradient``): the band H^{-1} g, with g
+    and H the gradient and Hessian of the objective in the band unknowns,
+    and the squared Newton decrement g . H^{-1} g.  The Hessian is
+    assembled in the lag domain (``_hessian_lags``) and factored by
+    Cholesky.  A singular or non-finite system gives (None, nan)."""
+    n, m = len(G) - 1, G.shape[1]
+    i1, i2, c, hidx = _newton_coords(m, n)
+    # solved for the scaled blocks inv / s: H / s^2 and g / s are O(1) at
+    # any scale of the data
+    s = float(np.abs(inv).max())
+    H = c[:, None] * _hessian_lags(inv / s, n, N).ravel()[hidx].sum(axis=0) * c
+    # the gradient in the two-sided lags is N G_d at lag d and N G_d^T at -d
+    g2 = (N / s) * np.concatenate([np.swapaxes(G[:0:-1], 1, 2), G]).reshape(-1)
+    g = c * (g2[i1] + g2[i2])
+    try:
+        L = np.linalg.cholesky(H)
+        y = np.linalg.solve(L, g)
+        x = np.linalg.solve(L.T, y) / s
+    except np.linalg.LinAlgError:
+        return None, math.nan
+    step = np.zeros(len(g2))
+    step[i1] += c * x
+    step[i2] += c * x
+    lam2 = float(y @ y) if np.isfinite(x).all() else math.nan
+    return step[n * m * m:].reshape(n + 1, m, m), lam2
+
+
 def _lift(K: np.ndarray, N: int) -> DualVariable:
     """The block-Toeplitz dual with band projection K: block (i, i+d) is
     (N / (n+1-d)) * K_d."""
@@ -214,24 +294,35 @@ def solve(
     N: int,
     config: Optional[SolverConfig] = None,
     init: Union[str, DualVariable] = "toeplitz",
+    method: str = "gd",
 ) -> SolverResult:
-    """Minimize the dual objective by backtracking gradient descent.
+    """Minimize the dual objective by backtracking descent.
 
-    Descends along the negative gradient with Armijo backtracking (the
-    objective evaluates to +inf outside the domain, so the line search also
-    enforces feasibility) and stops when the gradient's Frobenius norm drops
-    to ``eta``.  The iterate is the band K; a ``DualVariable`` start is
+    ``method="gd"`` descends along the negative gradient and stops when the
+    gradient's Frobenius norm drops to ``eta``.  ``method="newton"`` takes
+    the Newton step on the band and stops when half the squared Newton
+    decrement drops to 1e-20, or when the decrement stops falling in the
+    full-step regime, where rounding sets its floor; a given ``eta`` also
+    stops it.  Both backtrack on Armijo (the objective evaluates to +inf
+    outside the domain, so the line search also enforces feasibility).  The
+    iterate is the band K; a ``DualVariable`` start is
     reduced to its band first.  Returns the final band ``K`` and the
     completion ``sigma`` = inverse of the final band projection: its
     inverse is banded block-circulant by construction and its band matches
     the data to a tolerance tied to ``eta``.
 
     A result is always returned; non-convergence is flagged in ``status``
-    (see SolverResult).  If the Toeplitz warm start is infeasible the solver
+    (see SolverResult), and "converged" requires a finite stopping value.
+    A singular Newton system ends the solve as "stalled".  Newton's
+    "diverged" cap is on K relative to the data.  If the Toeplitz warm
+    start is infeasible the solver
     falls back to the identity start and reports it; any other infeasible
     start raises InfeasibleStart.
     """
     cfg = config if config is not None else SolverConfig()
+    if method not in ("gd", "newton"):
+        raise BadInput(f"unknown method {method!r}")
+    newton = method == "newton"
     m, n = band.m, band.n
     # The gradient step in Lambda moves the block sum N K_d by the w_d =
     # n+1-d gradient blocks on its diagonal, and Tr(Lambda T_n) = sum(K * D)
@@ -241,6 +332,7 @@ def solve(
     D = 2.0 * N * data
     D[0] *= 0.5
     eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, _band_norm(data))
+    data_max = float(np.abs(data).max())
 
     if isinstance(init, DualVariable):
         K, init_mode = _dual_band(init.value, m, n, N), "custom"
@@ -259,26 +351,45 @@ def solve(
     backtracks = 0
     iterations = 0
     status = None
-    t_acc = None  # last Armijo-validated step
+    # last Armijo-validated step; Newton's natural step is 1 throughout
+    t_acc = _STEP0 if newton else None
+    lam2_prev = math.inf
 
     if cfg.trace is not None:
         cfg.trace.write("iter,jbar,grad_norm,step\n")
         cfg.trace.write(f"0,{f!r},{gnorm!r},0.0\n")
 
-    while gnorm > eta:
+    while True:
+        if newton:
+            step, lam2 = _newton_step(G, inv, N)
+            slope = -lam2
+            # The decrement is affine invariant, so its tolerances are
+            # absolute.  In the full-step regime a decrement that stops
+            # falling is at its rounding floor.
+            armijo = lam2 > _FULL_STEP
+            done = lam2 / 2 <= _DECREMENT_TOL or (not armijo and lam2 >= lam2_prev)
+            done = done or (cfg.eta is not None and gnorm <= eta)
+            lam2_prev = lam2
+        else:
+            step = (w / N) * G
+            slope = -(gnorm ** 2)  # Tr(grad^T direction) for direction = -grad
+            # f is Tr(K D) - logdet, so its rounding error scales with the
+            # larger of the two terms, not with f itself.
+            noise = _NOISE_EPS * max(1.0, abs(f), abs(float(np.vdot(K, D))))
+            # Armijo test when the predicted decrease is readable off f;
+            # below that resolution step at the last validated scale and
+            # test only that the point stays in the domain.
+            armijo = _ALPHA * _STEP0 * (-slope) >= noise or t_acc is None
+            done = gnorm <= eta
+        if not math.isfinite(slope):
+            status = "stalled"
+            break
+        if done:
+            break
         if iterations >= cfg.max_iter:
             status = "max_iter"
             break
-        slope = -(gnorm ** 2)  # Tr(grad^T direction) for direction = -grad
-        # f is Tr(K D) - logdet, so its rounding error scales with the
-        # larger of the two terms, not with f itself.
-        noise = _NOISE_EPS * max(1.0, abs(f), abs(float(np.vdot(K, D))))
-        # Armijo test when the predicted decrease is readable off f; below
-        # that resolution step at the last validated scale and test only
-        # that the point stays in the domain.
-        armijo = _ALPHA * _STEP0 * (-slope) >= noise or t_acc is None
         t = _STEP0 if armijo else t_acc
-        step = (w / N) * G
         f_new = _objective(K - t * step, D, m, n, N)
         while (f_new > f + _ALPHA * t * slope) if armijo else not math.isfinite(f_new):
             t *= _BETA
@@ -289,7 +400,7 @@ def solve(
             f_new = _objective(K - t * step, D, m, n, N)
         if status is not None:
             break
-        if armijo:
+        if armijo and not newton:
             t_acc = t
         K = K - t * step
         f = f_new
@@ -299,7 +410,9 @@ def solve(
         trace.append(f)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
-        if _band_norm((N / w) * K) > _LAMBDA_CAP:
+        # Newton's cap is on K relative to the data, so it holds at any scale
+        size = N * float(np.abs(K).max()) * data_max if newton else _band_norm((N / w) * K)
+        if size > _LAMBDA_CAP:
             status = "diverged"
             break
     if status is None:
@@ -335,10 +448,14 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     else:
         sigma = circulant_average(np.asarray(solution, dtype=float), band.m)
     data = np.swapaxes(band.blocks, 1, 2)
-    band_res = _band_norm(sigma.first_row[: band.n + 1] - data) / _band_norm(data)
+    # both ratios are taken on arrays scaled to a largest |entry| of 1, so
+    # their squared norms neither under- nor overflow at any data scale
+    s = float(np.abs(data).max())
+    band_res = _band_norm((sigma.first_row[: band.n + 1] - data) / s) / _band_norm(data / s)
     head, logdet = _factored(sigma, "verify_solution")
     entropy = 0.5 * logdet + 0.5 * (sigma.m * sigma.N) * (1.0 + LOG_2PI)
     kinv = np.fft.irfft(np.linalg.inv(head), n=sigma.N, axis=0)  # first row
+    kinv /= np.abs(kinv).max()
     off = kinv[band.n + 1: sigma.N - band.n]
     ref = float(np.linalg.norm(kinv[0]))
     dempster = float(np.linalg.norm(off, axis=(1, 2)).max() / ref) if len(off) else 0.0

@@ -208,3 +208,34 @@ def white_noise_band(m, n):
 def scalar_band(values):
     arr = np.asarray(values, dtype=float).reshape(-1, 1, 1)
     return BandData(1, len(arr) - 1, arr)
+
+
+def completion_residuals(first_row, blocks):
+    """Dense oracle for a completion's first block row (N, m, m) against
+    the band Sigma_0..Sigma_n: the band residual (relative Frobenius
+    mismatch of first_row[d] with Sigma_d^T) and the Dempster residual
+    (largest off-band block of the dense inverse's first block row relative
+    to its diagonal block).  Both are ratios, taken after dividing by the
+    data's largest |entry|, so any representable scale reads the same."""
+    blocks = np.asarray(blocks, dtype=float)
+    scale = np.abs(blocks).max()
+    row = np.asarray(first_row, dtype=float) / scale
+    data = np.swapaxes(blocks, 1, 2) / scale
+    n, m, N = len(blocks) - 1, blocks.shape[1], len(row)
+    band_res = np.linalg.norm(row[: n + 1] - data) / np.linalg.norm(data)
+    inv = np.linalg.inv(BlockCirculant(m, N, row).to_dense())
+    inv_row = inv[:m].reshape(m, N, m).swapaxes(0, 1)
+    off = inv_row[n + 1: N - n]
+    dempster = max((np.linalg.norm(b) for b in off), default=0.0) / np.linalg.norm(inv_row[0])
+    return float(band_res), float(dempster)
+
+
+def channel_band(rng, rhos):
+    """(Sigma_0, Sigma_1) = (Q D Q^T, Q D diag(rhos) Q^T): independent
+    scalar channels with lag-one correlations ``rhos`` in a random
+    orthonormal basis Q, with random variances D.  Feasible at N exactly
+    when every channel is (``scalar_bw1_feasible``)."""
+    m = len(rhos)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    d = rng.uniform(0.5, 2.0, m)
+    return np.stack([q @ np.diag(d) @ q.T, q @ np.diag(d * np.asarray(rhos)) @ q.T])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from circmaxent.cli import main
-from circmaxent import BlockCirculant
-from helpers import is_symmetric
+from circmaxent import BlockCirculant, scalar_bw1_feasible
+from helpers import channel_band, completion_residuals, is_symmetric
 
 
 def write_problem(path, m, n, N, blocks):
@@ -45,6 +45,7 @@ class TestSolveCommand:
         assert np.abs(row[1:]).max() < 1e-10
         assert payload["diagnostics"]["iterations"] <= 1
         assert payload["diagnostics"]["status"] == "converged"
+        assert out.read_text().count("\n") == 1  # compact JSON, one line
 
     def test_n4_solution_row(self, n4_problem, tmp_path):
         out = tmp_path / "sol.json"
@@ -126,6 +127,60 @@ class TestSolveCommand:
         assert main(["solve", white_problem, "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
 
+    def test_near_boundary_budget_solve(self, tmp_path):
+        # (1, -0.90) lies inside the odd-N bound cos(8 pi / 9) = -0.940;
+        # gradient descent exhausted a 2,000-iteration budget here (exit 3)
+        prob = write_problem(tmp_path / "nb.json", 1, 1, 9, [[1.0], [-0.90]])
+        out = tmp_path / "sol.json"
+        assert main(["solve", prob, "--max-iter", "2000", "-o", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["status"] == "converged" and diagnostics["iterations"] <= 20
+
+    def test_gd_method(self, n4_problem, tmp_path):
+        iterations = {}
+        for method in ("gd", "newton"):
+            out = tmp_path / f"{method}.json"
+            assert main(["solve", n4_problem, "-o", str(out), "--method", method, "--tol", "1e-11"]) == 0
+            payload = json.loads(out.read_text())
+            row = np.array(payload["first_block_row"], dtype=float).ravel()
+            assert np.abs(row - [1.0, 0.3, (-1 + math.sqrt(1.72)) / 2, 0.3]).max() < 1e-8
+            iterations[method] = payload["diagnostics"]["iterations"]
+        assert iterations["gd"] > iterations["newton"]
+
+    def test_newton_trace_one_row_per_step(self, tmp_path):
+        prob = write_problem(tmp_path / "nb.json", 1, 1, 9, [[1.0], [-0.90]])
+        out = tmp_path / "sol.json"
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", prob, "-o", str(out), "--trace", str(trace)]) == 0
+        iterations = json.loads(out.read_text())["diagnostics"]["iterations"]
+        lines = trace.read_text().strip().splitlines()
+        assert lines[0] == "iter,jbar,grad_norm,step"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(iterations + 1)]
+
+    def test_scale_free(self, tmp_path):
+        # the band (1, 0.3) s: the same rescaled completion in the same
+        # number of steps, or at the edges of the range a non-zero exit;
+        # never exit 0 with a completion the dense oracle rejects
+        out = tmp_path / "sol.json"
+        runs = {}
+        for s in (1.0, 1e-100, 1e-8, 1e8, 1e100, 1e-160, 1e150):
+            prob = write_problem(tmp_path / "s.json", 1, 1, 8, [[s], [0.3 * s]])
+            code = main(["solve", prob, "-o", str(out)])
+            payload = json.loads(out.read_text()) if out.exists() else None
+            out.unlink(missing_ok=True)
+            runs[s] = code, payload
+            if code == 0:
+                row = np.array(payload["first_block_row"], dtype=float).reshape(8, 1, 1)
+                blocks = s * np.array([1.0, 0.3]).reshape(2, 1, 1)
+                assert max(completion_residuals(row, blocks)) <= 1e-8
+        ref = np.array(runs[1.0][1]["first_block_row"], dtype=float)
+        for s, (code, payload) in runs.items():
+            if code == 0 or abs(math.log10(s)) <= 100:
+                assert code == 0
+                assert payload["diagnostics"]["iterations"] == runs[1.0][1]["diagnostics"]["iterations"]
+                row = np.array(payload["first_block_row"], dtype=float)
+                assert np.abs(row / s - ref).max() <= 1e-10
+
     def test_ips_method(self, n4_problem, tmp_path):
         out = tmp_path / "sol.json"
         assert main(["solve", n4_problem, "-o", str(out), "--method", "ips"]) == 0
@@ -204,6 +259,29 @@ class TestFeasCommand:
         payload = json.loads(out.read_text())
         assert payload["feasible"] is True
         assert payload["evidence"]["status"] == "converged"
+
+
+    def test_two_channel_verdicts(self, tmp_path):
+        # two independent channels in a rotated basis, one of them within
+        # 3% of a bound of its odd-N interval: every feasible band is
+        # answered "feasible", and no verdict is wrong
+        rng = np.random.default_rng(71)
+        out = tmp_path / "feas.json"
+        for k in range(24):
+            N = (7, 9)[k % 2]
+            lower = math.cos((N - 1) * math.pi / N)
+            near = (1.0 - rng.uniform(0.005, 0.03), lower * (1.0 - rng.uniform(0.005, 0.03)),
+                    lower * (1.0 + rng.uniform(0.005, 0.03)))[k % 3]
+            rhos = [near, float(rng.uniform(-0.5, 0.9))]
+            known = all(scalar_bw1_feasible(1.0, r, N).feasible for r in rhos)
+            blocks = channel_band(rng, rhos)
+            prob = write_problem(tmp_path / "c.json", 2, 1, N, [b.reshape(-1).tolist() for b in blocks])
+            assert main(["feas", prob, "-o", str(out)]) == 0
+            verdict = json.loads(out.read_text())["feasible"]
+            if known:
+                assert verdict is True
+            else:
+                assert verdict in (False, None)
 
 
 class TestCompareCommand:

@@ -9,11 +9,13 @@ import pytest
 from circmaxent import (
     BadInput,
     BandData,
+    BlockCirculant,
     DualVariable,
     InfeasibleStart,
     NotPositiveDefinite,
     SolverConfig,
     circ_logdet,
+    circulant_average,
     dual_gradient,
     init_lambda,
     ips_solve,
@@ -22,8 +24,17 @@ from circmaxent import (
     solve,
     verify_solution,
 )
-from circmaxent.solver import LOG_2PI, _gradient, _lift, _objective
-from helpers import in_dual_domain, is_banded, random_feasible_dual, scalar_band, sym, white_noise_band
+from circmaxent.blockcirc import _block_toeplitz, _hessian_lags
+from circmaxent.solver import LOG_2PI, _gradient, _lift, _newton_step, _objective, _start
+from helpers import (
+    completion_residuals,
+    in_dual_domain,
+    is_banded,
+    random_feasible_dual,
+    scalar_band,
+    sym,
+    white_noise_band,
+)
 
 
 def max_det_x_oracle(sigma0, sigma1):
@@ -441,6 +452,131 @@ class TestSolve:
         assert sorted(calls) == ["cholesky", "inv"]
 
 
+def _interior_point(band, N):
+    """A generic point of the dual domain: midway between the identity
+    start and the optimum (the domain is convex)."""
+    return 0.5 * (_start(band, N, "identity") + solve(band, N, method="newton").K)
+
+
+def _two_sided(E):
+    """Flattened two-sided lags (E_-n, ..., E_n), E_-d = E_d^T, of a band."""
+    return np.concatenate([np.swapaxes(E[:0:-1], 1, 2), E]).reshape(-1)
+
+
+# odd N, even N and N = 2n+2, where the band meets its mirror
+NEWTON_CASES = [(2, 1, 7), (1, 2, 9), (3, 2, 8), (2, 1, 10), (2, 2, 6), (1, 3, 8), (3, 1, 4)]
+
+
+class TestNewton:
+    @pytest.mark.parametrize("m, n, N", NEWTON_CASES)
+    def test_hessian_lags_finite_differences(self, m, n, N):
+        # the lag-domain Hessian applied to a band direction is N times the
+        # directional derivative of the band gradient
+        rng = np.random.default_rng(600 + 10 * m + N)
+        band = random_feasible_band(m, n, N, rng)
+        data = np.swapaxes(band.blocks, 1, 2)
+        K = _interior_point(band, N)
+        inv = _gradient(K, data, m, n, N)[1]
+        E = rng.standard_normal(K.shape)
+        E[0] = sym(E[0])
+        hv = (_block_toeplitz(_hessian_lags(inv, n, N)) @ _two_sided(E)).reshape(2 * n + 1, m, m)[n:]
+        h = 1e-5
+        fd = N * (_gradient(K + h * E, data, m, n, N)[0] - _gradient(K - h * E, data, m, n, N)[0]) / (2 * h)
+        assert np.abs(hv - fd).max() <= 1e-6 * np.abs(hv).max()
+
+    @pytest.mark.parametrize("m, n, N", NEWTON_CASES)
+    def test_step_solves_the_newton_system(self, m, n, N):
+        # along the step the gradient falls by itself to first order, and
+        # the decrement is the gradient's pairing with the step
+        rng = np.random.default_rng(700 + 10 * m + N)
+        band = random_feasible_band(m, n, N, rng)
+        data = np.swapaxes(band.blocks, 1, 2)
+        K = _interior_point(band, N)
+        G, inv = _gradient(K, data, m, n, N)
+        step, lam2 = _newton_step(G, inv, N)
+        assert np.array_equal(step[0], step[0].T)
+        h = 1e-5
+        dG = (_gradient(K + h * step, data, m, n, N)[0] - _gradient(K - h * step, data, m, n, N)[0]) / (2 * h)
+        assert np.abs(dG - G).max() <= 1e-6 * np.abs(G).max()
+        pairing = N * (np.vdot(G[0], step[0]) + 2.0 * np.vdot(G[1:], step[1:]))
+        assert lam2 > 0 and abs(lam2 - pairing) <= 1e-10 * lam2
+
+    def test_singular_system_stalls(self, monkeypatch):
+        import circmaxent.solver as solver
+
+        band = random_feasible_band(2, 1, 9, np.random.default_rng(61))
+        for bad in (0.0, math.nan):
+            monkeypatch.setattr(solver, "_hessian_lags", lambda inv, n, N, v=bad: np.full((2 * n + 1, 4, 4), v))
+            res = solve(band, 9, method="newton")
+            assert res.status == "stalled" and not res.converged
+
+    def test_unknown_method(self):
+        with pytest.raises(BadInput):
+            solve(white_noise_band(1, 1), 8, method="bfgs")
+
+    def test_near_boundary_in_few_steps(self):
+        # plain GD needs 98,367 steps here
+        band = scalar_band([1.0, -0.91])
+        res = solve(band, 9, method="newton")
+        assert res.converged and res.iterations <= 20
+        assert verify_solution(res, band).band_residual <= 1e-9
+
+    def test_full_step_trap_converges(self, monkeypatch):
+        # a decrement whose rounding floor lies above the tolerance (forced
+        # here by a zero tolerance) must end the solve once it stops
+        # falling, not run it to its budget
+        import circmaxent.solver as solver
+
+        band = scalar_band([1.0, 0.999])
+        for tol in (solver._DECREMENT_TOL, 0.0):
+            monkeypatch.setattr(solver, "_DECREMENT_TOL", tol)
+            res = solve(band, 8, SolverConfig(max_iter=100), init="identity", method="newton")
+            assert res.converged and res.iterations <= 20
+            assert completion_residuals(res.sigma.first_row, band.blocks)[0] <= 1e-9
+
+    def test_scale_free(self):
+        # Newton's steps are affine invariant: the band (1, 0.3) s gives the
+        # same rescaled completion in the same number of steps at any scale
+        # (GD reported "converged" at residual 2.6e-4 at 1e-100 and 1e-8,
+        # and "stalled" at 1e100)
+        base = np.array([1.0, 0.3]).reshape(2, 1, 1)
+        ref = solve(BandData(1, 1, base), 8, method="newton")
+        assert ref.converged
+        for s in (1e-100, 1e-8, 1e8, 1e100):
+            res = solve(BandData(1, 1, s * base), 8, method="newton")
+            assert res.converged and res.iterations == ref.iterations
+            assert np.abs(res.sigma.first_row / s - ref.sigma.first_row).max() <= 1e-10
+        # at the edges of the range: the same completion or no "converged"
+        for s in (1e-160, 1e150):
+            res = solve(BandData(1, 1, s * base), 8, method="newton")
+            if res.converged:
+                assert np.abs(res.sigma.first_row / s - ref.sigma.first_row).max() <= 1e-10
+                assert completion_residuals(res.sigma.first_row, s * base)[0] <= 1e-8
+
+    def test_agrees_with_gd_and_ips(self):
+        # the instances of acceptance criteria 3 and 4; GD at eta = 1e-11
+        # runs on every third criterion-3 instance, where it is fast
+        rng = np.random.default_rng(303)
+        cases = [(random_feasible_band(m, n, N, rng), N, k % 3 == 0)
+                 for k, (m, n, N) in enumerate((m, n, N) for m in (1, 2, 3) for n in (1, 2, 3)
+                                               for N in (8, 12, 16, 20, 24, 32))]
+        rng = np.random.default_rng(404)
+        for m, n, N in [(1, 1, 8), (1, 1, 16), (1, 2, 12), (1, 2, 24), (1, 3, 32), (1, 3, 48),
+                        (2, 1, 8), (2, 1, 16), (2, 2, 12), (2, 2, 24), (2, 3, 10), (2, 3, 16),
+                        (3, 1, 8), (3, 1, 16), (3, 2, 10), (3, 2, 16), (3, 3, 8), (3, 3, 12),
+                        (1, 2, 40), (2, 2, 20)]:
+            cases.append((random_feasible_band(m, n, N, rng), N, True))
+        for band, N, with_gd in cases:
+            newton = solve(band, N, method="newton")
+            assert newton.converged
+            ref = newton.sigma.first_row
+            others = [circulant_average(ips_solve(band, N, tol=1e-12).sigma, band.m).first_row]
+            if with_gd:
+                others.append(solve(band, N, SolverConfig(eta=1e-11)).sigma.first_row)
+            for row in others:
+                assert np.linalg.norm(row - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
 class TestVerifySolution:
     def test_white_noise_zero_residuals(self):
         band = white_noise_band(2, 1)
@@ -456,6 +592,18 @@ class TestVerifySolution:
         report = verify_solution(solve(band, 16), band)
         assert report.band_residual <= 1e-6
         assert report.dempster_residual <= 1e-6
+
+    def test_scale_safe_norms(self):
+        # at 1e-160 the Dempster reference norm of the inverse (~1e160)
+        # overflowed when squared (a RuntimeWarning, an error in this
+        # suite) and the squared band norms went subnormal
+        base = np.array([1.0, 0.3]).reshape(2, 1, 1)
+        ref = solve(BandData(1, 1, base), 8, method="newton")
+        want = verify_solution(ref, BandData(1, 1, base))
+        for s in (1e-160, 1e150):
+            report = verify_solution(BlockCirculant(1, 8, s * ref.sigma.first_row), BandData(1, 1, s * base))
+            assert abs(report.band_residual - want.band_residual) <= 1e-15
+            assert abs(report.dempster_residual - want.dempster_residual) <= 1e-15
 
     def test_ips_solution_cross_check(self):
         rng = np.random.default_rng(51)
