@@ -63,11 +63,23 @@ def _block_toeplitz(row: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(k * m, k * m)
 
 
-def _band_norm(B: np.ndarray) -> float:
+@lru_cache(maxsize=64)
+def _norm_weights(k: int) -> np.ndarray:
+    """Multiplicity of block d of a first block row of k blocks in its
+    symmetric block-Toeplitz matrix: k for d = 0, 2(k-d) for the blocks that
+    appear k-d times on each side of the diagonal."""
+    cw = 2.0 * np.arange(k, 0, -1)
+    cw[0] = k
+    cw.setflags(write=False)
+    return cw
+
+
+def _band_norm(B: np.ndarray, cw: np.ndarray | None = None) -> float:
     """Frobenius norm of the symmetric block-Toeplitz matrix with first block
-    row B, where block d appears n+1-d times on each side of the diagonal."""
-    cw = 2.0 * np.arange(len(B), 0, -1)
-    cw[0] = len(B)
+    row B.  ``cw`` replaces the multiplicities ``_norm_weights(len(B))``,
+    e.g. by cw_d c_d^2 for the norm of the row with block d scaled by c_d."""
+    if cw is None:
+        cw = _norm_weights(len(B))
     return math.sqrt(float(np.einsum("d,dij,dij->", cw, B, B)))
 
 
@@ -108,10 +120,19 @@ def _phase_tables(n: int, N: int) -> tuple:
     return fwd, back
 
 
+@lru_cache(maxsize=64)
+def _logdet_weights(N: int, m: int) -> np.ndarray:
+    """2 w_l for each of the m Cholesky diagonal entries of Psi_l, shape
+    (h+1, m): log det is their dot product with the diagonal's logs."""
+    w = np.repeat(2.0 * _half_weights(N)[:, None], m, axis=1)
+    w.setflags(write=False)
+    return w
+
+
 def _half_logdet(chol: np.ndarray, N: int) -> float:
     """log det of the full matrix from the Cholesky factors of Psi_0..Psi_h."""
     diag = chol.diagonal(axis1=1, axis2=2).real
-    return float(2.0 * (_half_weights(N) @ np.log(diag).sum(axis=1)))
+    return float(np.vdot(_logdet_weights(N, chol.shape[1]), np.log(diag)))
 
 
 def _band_spectrum(K: np.ndarray, N: int) -> np.ndarray:

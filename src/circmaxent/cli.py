@@ -2,14 +2,17 @@
 
 Problem files are JSON: {"m", "n", "N", "blocks"} with n+1 blocks of m*m
 scalars row-major (Sigma_0 first).  Solution files carry the first block row
-of the completion plus diagnostics, as compact one-line JSON.  Floats are
-serialized with Python's shortest round-trip representation, which reparses
-bit-exactly.  ``solve`` runs damped Newton on the precision band by
-default (``--method gd`` is the paper's gradient descent), and ``feas``
-decides the generic case with the same Newton solve.
+of the completion plus diagnostics, and Newton and GD solutions the
+precision band K_0..K_n, the first-row blocks of the completion's banded
+inverse, as compact one-line JSON.  Floats are serialized with Python's
+shortest round-trip representation, which reparses bit-exactly.  ``solve``
+runs damped Newton on the precision band by default (``--method gd`` is the
+paper's gradient descent), and ``feas`` decides the generic case with the
+same Newton solve.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 detected
-infeasibility, 3 iteration budget exhausted or no further progress.
+infeasibility (a band whose block-Toeplitz matrix is not positive definite
+is decided up front), 3 iteration budget exhausted or no further progress.
 Diagnostics never change exit codes.
 """
 
@@ -60,13 +63,16 @@ def _load_problem(path):
     return BandData(m, n, arr), N
 
 
-def _solution_payload(sigma: BlockCirculant, diagnostics: dict) -> dict:
-    return {
+def _solution_payload(sigma: BlockCirculant, diagnostics: dict, K=None) -> dict:
+    payload = {
         "m": sigma.m,
         "N": sigma.N,
         "first_block_row": [blk.reshape(-1).tolist() for blk in sigma.first_row],
         "diagnostics": diagnostics,
     }
+    if K is not None:
+        payload["precision_band"] = [blk.reshape(-1).tolist() for blk in K]
+    return payload
 
 
 def _emit(payload: dict, out: str) -> None:
@@ -77,6 +83,20 @@ def _emit(payload: dict, out: str) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text + "\n")
+
+
+_TOEPLITZ_NOT_PD = ("the band's block-Toeplitz matrix, a principal submatrix of every "
+                    "completion, is not positive definite")
+
+
+def _toeplitz_pd(band: BandData) -> bool:
+    """Whether the (n+1)-block Toeplitz matrix of the band is positive
+    definite; if it is not, no completion is."""
+    try:
+        np.linalg.cholesky(band.toeplitz())
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def cmd_solve(args) -> int:
@@ -90,6 +110,9 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INFEASIBLE
+    elif not _toeplitz_pd(band):
+        print(f"infeasible: {_TOEPLITZ_NOT_PD}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
     if args.method in ("newton", "gd"):
         cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter)
@@ -112,7 +135,7 @@ def cmd_solve(args) -> int:
             "status": result.status,
             "init": result.init_mode,
         }
-        _emit(_solution_payload(result.sigma, diagnostics), args.output)
+        _emit(_solution_payload(result.sigma, diagnostics, result.K), args.output)
         if result.status == "diverged":
             return EXIT_INFEASIBLE
         if result.status in ("max_iter", "stalled"):
@@ -168,6 +191,8 @@ def cmd_feas(args) -> int:
             margin=verdict.margin,
             bounds=[verdict.lower, verdict.upper],
         )
+    elif not _toeplitz_pd(band):
+        payload.update(feasible=False, margin=None, bounds=None, reason=_TOEPLITZ_NOT_PD)
     else:
         payload.update(feasible=None, margin=None, bounds=None)
         cfg = SolverConfig(max_iter=args.budget)

@@ -27,13 +27,17 @@ and the step count do not depend on the scale of the data.
 
 The completion is the inverse of the projection, so its own inverse is
 banded block-circulant by construction and the band constraint holds at the
-level of the final gradient norm.  An evaluation touches only the
-floor(N/2)+1 frequency blocks Psi_0..Psi_{N/2}: it forms them straight from
-the n+1 band blocks through a cached phase table, factors them with one
-batched Cholesky for the log-determinant, and the gradient inverts the same
-blocks and reads the n+1 inverse lags back through the conjugate table.
-That is O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse
-FFT builds the completion at exit.  No mN x mN dense matrix is ever formed.
+level of the final gradient norm.  Each point the loop visits is evaluated
+once: ``_objective`` forms the floor(N/2)+1 frequency blocks
+Psi_0..Psi_{N/2} straight from the n+1 band blocks through a cached phase
+table, factors them with one batched Cholesky for the log-determinant, and
+returns the blocks with the objective and its linear term Tr(K D).  At an
+accepted point the gradient inverts those same blocks and reads the n+1
+inverse lags back through the conjugate table, the Newton step reuses the
+inverse blocks, and the line search's noise floor reuses the linear term;
+a rejected trial costs one spectrum and one Cholesky.  That is
+O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse FFT
+builds the completion at exit.  No mN x mN dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .blockcirc import (
     _factored,
     _half_logdet,
     _hessian_lags,
+    _norm_weights,
     _sym,
     circulant_average,
 )
@@ -164,35 +169,44 @@ def dual_gradient(lam: DualVariable, band: BandData, N: int) -> np.ndarray:
     NotPositiveDefinite
         If the iterate is outside the dual domain.
     """
-    K = _dual_band(lam.value, band.m, band.n, N)
-    _cholesky_blocks(_band_spectrum(K, N), "dual_gradient")
-    return _block_toeplitz(_gradient(K, np.swapaxes(band.blocks, 1, 2), band.m, band.n, N)[0])
+    psi = _band_spectrum(_dual_band(lam.value, band.m, band.n, N), N)
+    _cholesky_blocks(psi, "dual_gradient")
+    return _block_toeplitz(_gradient(psi, np.swapaxes(band.blocks, 1, 2), N)[0])
 
 
-def _objective(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int) -> float:
+def _objective(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int, parts: bool = False):
     """The dual objective at a full Lambda with T = T_n, or at a band K with
-    T = the weighted data band D (see ``solve``): sum(value * T) is
+    T = the weighted data band D (see ``solve``): vdot(value, T) is
     Tr(Lambda T_n) in either form.  A full Lambda is reduced to its band
     first; the log-determinant comes from the Cholesky factors of the band's
-    floor(N/2)+1 frequency blocks."""
+    floor(N/2)+1 frequency blocks.  +inf outside the dual domain.
+
+    With ``parts`` it returns (f, psi, lin): the objective, the frequency
+    blocks it factored (None outside the domain) and the linear term
+    Tr(Lambda T_n), which the gradient and the line search's noise floor
+    reuse, so that each point is evaluated once."""
     K = _dual_band(value, m, n, N)
-    if not np.isfinite(K).all():
-        return math.inf
-    try:
-        logdet = _half_logdet(_cholesky_blocks(_band_spectrum(K, N), "objective"), N)
-    except NotPositiveDefinite:
-        return math.inf
-    return float(np.sum(value * T)) - logdet
+    # T is finite, so a non-finite entry of value makes lin NaN or infinite
+    # (0 * inf is NaN): lin doubles as the finiteness test of K
+    f, psi, lin = math.inf, None, float(np.vdot(value, T))
+    if math.isfinite(lin):
+        psi = _band_spectrum(K, N)
+        try:
+            f = lin - _half_logdet(_cholesky_blocks(psi, "objective"), N)
+        except NotPositiveDefinite:
+            psi = None
+    return (f, psi, lin) if parts else f
 
 
-def _gradient(K: np.ndarray, data: np.ndarray, m: int, n: int, N: int):
-    """Band gradient G_d = Sigma_d^T - sigma_d at a band K inside the dual
-    domain (``data`` holds the Sigma_d^T), and the frequency blocks
-    Psi_0..Psi_{N/2} of the completion sigma, the inverse of K's circulant,
-    that the lags sigma_d were read off; their ``np.fft.irfft`` of length N
-    is sigma's first row.  G_d is block (i, i+d) of the gradient in Lambda."""
-    inv = np.linalg.inv(_band_spectrum(K, N))
-    G = data - _band_lags(inv, n, N)
+def _gradient(psi: np.ndarray, data: np.ndarray, N: int):
+    """Band gradient G_d = Sigma_d^T - sigma_d at a band inside the dual
+    domain, from its frequency blocks ``psi`` (``data`` holds the
+    Sigma_d^T), and the frequency blocks Psi_0..Psi_{N/2} of the completion
+    sigma, the inverse of the band's circulant, that the lags sigma_d were
+    read off; their ``np.fft.irfft`` of length N is sigma's first row.  G_d
+    is block (i, i+d) of the gradient in Lambda."""
+    inv = np.linalg.inv(psi)
+    G = data - _band_lags(inv, len(data) - 1, N)
     G[0] = _sym(G[0])
     return G, inv
 
@@ -327,25 +341,28 @@ def solve(
     # The gradient step in Lambda moves the block sum N K_d by the w_d =
     # n+1-d gradient blocks on its diagonal, and Tr(Lambda T_n) = sum(K * D)
     # since block d of T_n sits once on the diagonal and twice off it.
-    w = np.arange(n + 1, 0, -1.0)[:, None, None]
+    wN = np.arange(n + 1, 0, -1.0)[:, None, None] / N
     data = np.swapaxes(band.blocks, 1, 2)
     D = 2.0 * N * data
     D[0] *= 0.5
     eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, _band_norm(data))
     data_max = float(np.abs(data).max())
+    # GD's divergence cap is on ||Lambda||_F of the lifted band (``_lift``),
+    # whose block d is K_d / wN_d
+    cap_w = _norm_weights(n + 1) / wN[:, 0, 0] ** 2
 
     if isinstance(init, DualVariable):
         K, init_mode = _dual_band(init.value, m, n, N), "custom"
     else:
         K, init_mode = _start(band, N, init), init
-    f = _objective(K, D, m, n, N)
+    f, psi, lin = _objective(K, D, m, n, N, parts=True)
     if not math.isfinite(f):
         if init_mode != "toeplitz":
             raise InfeasibleStart(f"{init_mode} start lies outside the dual domain for N={N}")
         K = _start(band, N, "identity")
         init_mode = "identity (fallback from toeplitz)"
-        f = _objective(K, D, m, n, N)
-    G, inv = _gradient(K, data, m, n, N)
+        f, psi, lin = _objective(K, D, m, n, N, parts=True)
+    G, inv = _gradient(psi, data, N)
     gnorm = _band_norm(G)
     trace = [f]
     backtracks = 0
@@ -371,11 +388,11 @@ def solve(
             done = done or (cfg.eta is not None and gnorm <= eta)
             lam2_prev = lam2
         else:
-            step = (w / N) * G
+            step = wN * G
             slope = -(gnorm ** 2)  # Tr(grad^T direction) for direction = -grad
             # f is Tr(K D) - logdet, so its rounding error scales with the
             # larger of the two terms, not with f itself.
-            noise = _NOISE_EPS * max(1.0, abs(f), abs(float(np.vdot(K, D))))
+            noise = _NOISE_EPS * max(1.0, abs(f), abs(lin))
             # Armijo test when the predicted decrease is readable off f;
             # below that resolution step at the last validated scale and
             # test only that the point stays in the domain.
@@ -390,28 +407,29 @@ def solve(
             status = "max_iter"
             break
         t = _STEP0 if armijo else t_acc
-        f_new = _objective(K - t * step, D, m, n, N)
+        trial = K - t * step
+        f_new, psi, lin = _objective(trial, D, m, n, N, parts=True)
         while (f_new > f + _ALPHA * t * slope) if armijo else not math.isfinite(f_new):
             t *= _BETA
             backtracks += 1
             if t < 1e-18:
                 status = "stalled"
                 break
-            f_new = _objective(K - t * step, D, m, n, N)
+            trial = K - t * step
+            f_new, psi, lin = _objective(trial, D, m, n, N, parts=True)
         if status is not None:
             break
         if armijo and not newton:
             t_acc = t
-        K = K - t * step
-        f = f_new
-        G, inv = _gradient(K, data, m, n, N)
+        K, f = trial, f_new
+        G, inv = _gradient(psi, data, N)
         gnorm = _band_norm(G)
         iterations += 1
         trace.append(f)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
         # Newton's cap is on K relative to the data, so it holds at any scale
-        size = N * float(np.abs(K).max()) * data_max if newton else _band_norm((N / w) * K)
+        size = N * float(np.abs(K).max()) * data_max if newton else _band_norm(K, cap_w)
         if size > _LAMBDA_CAP:
             status = "diverged"
             break

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from circmaxent.cli import main
-from circmaxent import BlockCirculant, scalar_bw1_feasible
+from circmaxent import BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible
 from helpers import channel_band, completion_residuals, is_symmetric
 
 
@@ -126,6 +126,40 @@ class TestSolveCommand:
         out = tmp_path / "sol.json"
         assert main(["solve", white_problem, "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
+
+    def test_toeplitz_not_pd_exits_2(self, tmp_path, capsys):
+        # the (n+1)-block Toeplitz matrix of (I, diag(-1.02, 0.3)) has an
+        # eigenvalue 1 - 1.02 < 0 and is a principal submatrix of every
+        # completion; the Yule-Walker start raised here (exit 1)
+        blocks = [[1.0, 0.0, 0.0, 1.0], [-1.02, 0.0, 0.0, 0.3]]
+        prob = write_problem(tmp_path / "np.json", 2, 1, 8, blocks)
+        for method in ("newton", "gd", "ips"):
+            assert main(["solve", prob, "--method", method]) == 2
+            assert "infeasible" in capsys.readouterr().err
+        out = tmp_path / "feas.json"
+        assert main(["feas", prob, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["feasible"] is False and "positive definite" in payload["reason"]
+
+    def test_precision_band(self, tmp_path):
+        # the solution's precision band K is the band of the completion's
+        # inverse: the inverse of K's banded circulant is the completion
+        rng = np.random.default_rng(91)
+        m, n, N = 2, 2, 9
+        blocks = random_feasible_band(m, n, N, rng).blocks
+        prob = write_problem(tmp_path / "p.json", m, n, N, [b.reshape(-1).tolist() for b in blocks])
+        for method in ("newton", "gd", "ips"):
+            out = tmp_path / f"{method}.json"
+            assert main(["solve", prob, "-o", str(out), "--method", method]) == 0
+            payload = json.loads(out.read_text())
+            if method == "ips":
+                assert "precision_band" not in payload
+                continue
+            K = np.array(payload["precision_band"], dtype=float).reshape(n + 1, m, m)
+            precision = project_band_gram(K, m, n, N).to_dense()
+            row = np.array(payload["first_block_row"], dtype=float).reshape(N, m, m)
+            dense = BlockCirculant(m, N, row).to_dense()
+            assert np.linalg.norm(np.linalg.inv(precision) - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_near_boundary_budget_solve(self, tmp_path):
         # (1, -0.90) lies inside the odd-N bound cos(8 pi / 9) = -0.940;

@@ -24,7 +24,7 @@ from circmaxent import (
     solve,
     verify_solution,
 )
-from circmaxent.blockcirc import _block_toeplitz, _hessian_lags
+from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _hessian_lags
 from circmaxent.solver import LOG_2PI, _gradient, _lift, _newton_step, _objective, _start
 from helpers import (
     completion_residuals,
@@ -35,6 +35,11 @@ from helpers import (
     sym,
     white_noise_band,
 )
+
+
+def band_gradient(K, data, N):
+    """``_gradient`` at a band K, from its frequency blocks."""
+    return _gradient(_band_spectrum(K, N), data, N)
 
 
 def max_det_x_oracle(sigma0, sigma1):
@@ -173,7 +178,7 @@ class TestDualGradient:
                     D = N * np.array([1.0] + [2.0] * n)[:, None, None] * S
                     f = _objective(lam.value, T, m, n, N)
                     assert abs(_objective(K, D, m, n, N) - f) <= 1e-12 * max(1.0, abs(f))
-                    G = _gradient(K, S, m, n, N)[0]
+                    G = band_gradient(K, S, N)[0]
                     assert np.abs(G.swapaxes(0, 1).reshape(m, -1) - g[:m]).max() <= 1e-12
                     checked += 1
         assert checked >= 18
@@ -200,7 +205,7 @@ class TestHalfSpectrumKernel:
                 tol = 1e-12 * max(1.0, abs(f))
                 assert abs(_objective(K, D, m, n, N) - f) <= tol
                 assert abs(_objective(lam.value, band.toeplitz(), m, n, N) - f) <= tol
-                G, inv = _gradient(K, S, m, n, N)
+                G, inv = band_gradient(K, S, N)
                 expect = S - row[: n + 1]
                 expect[0] = sym(expect[0])
                 assert np.linalg.norm(G - expect) <= 1e-12 * np.linalg.norm(row[: n + 1])
@@ -451,6 +456,31 @@ class TestSolve:
         assert res.converged and res.iterations == 0
         assert sorted(calls) == ["cholesky", "inv"]
 
+    @pytest.mark.parametrize("method, band, N", [
+        ("gd", random_feasible_band(2, 2, 8, np.random.default_rng(53)), 8),
+        ("newton", scalar_band([1.0, -0.91]), 9),
+    ])
+    def test_one_spectrum_per_point(self, monkeypatch, method, band, N):
+        # every point the loop evaluates forms its frequency blocks once:
+        # the start, each accepted step and each backtrack; the gradient
+        # and the next step reuse the accepted trial's blocks
+        import circmaxent.solver as solver
+
+        calls = []
+
+        def counted(K, N):
+            calls.append(N)
+            return _band_spectrum(K, N)
+
+        monkeypatch.setattr(solver, "_band_spectrum", counted)
+        res = solve(band, N, method=method)
+        assert res.converged and res.init_mode == "toeplitz"
+        assert res.iterations > 1 and res.line_search_backtracks_total > 0
+        assert len(calls) == 1 + res.iterations + res.line_search_backtracks_total
+        calls.clear()
+        dual_gradient(init_lambda(band, N), band, N)
+        assert len(calls) == 1
+
 
 def _interior_point(band, N):
     """A generic point of the dual domain: midway between the identity
@@ -476,12 +506,12 @@ class TestNewton:
         band = random_feasible_band(m, n, N, rng)
         data = np.swapaxes(band.blocks, 1, 2)
         K = _interior_point(band, N)
-        inv = _gradient(K, data, m, n, N)[1]
+        inv = band_gradient(K, data, N)[1]
         E = rng.standard_normal(K.shape)
         E[0] = sym(E[0])
         hv = (_block_toeplitz(_hessian_lags(inv, n, N)) @ _two_sided(E)).reshape(2 * n + 1, m, m)[n:]
         h = 1e-5
-        fd = N * (_gradient(K + h * E, data, m, n, N)[0] - _gradient(K - h * E, data, m, n, N)[0]) / (2 * h)
+        fd = N * (band_gradient(K + h * E, data, N)[0] - band_gradient(K - h * E, data, N)[0]) / (2 * h)
         assert np.abs(hv - fd).max() <= 1e-6 * np.abs(hv).max()
 
     @pytest.mark.parametrize("m, n, N", NEWTON_CASES)
@@ -492,11 +522,11 @@ class TestNewton:
         band = random_feasible_band(m, n, N, rng)
         data = np.swapaxes(band.blocks, 1, 2)
         K = _interior_point(band, N)
-        G, inv = _gradient(K, data, m, n, N)
+        G, inv = band_gradient(K, data, N)
         step, lam2 = _newton_step(G, inv, N)
         assert np.array_equal(step[0], step[0].T)
         h = 1e-5
-        dG = (_gradient(K + h * step, data, m, n, N)[0] - _gradient(K - h * step, data, m, n, N)[0]) / (2 * h)
+        dG = (band_gradient(K + h * step, data, N)[0] - band_gradient(K - h * step, data, N)[0]) / (2 * h)
         assert np.abs(dG - G).max() <= 1e-6 * np.abs(G).max()
         pairing = N * (np.vdot(G[0], step[0]) + 2.0 * np.vdot(G[1:], step[1:]))
         assert lam2 > 0 and abs(lam2 - pairing) <= 1e-10 * lam2
