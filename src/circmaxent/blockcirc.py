@@ -74,13 +74,10 @@ def _norm_weights(k: int) -> np.ndarray:
     return cw
 
 
-def _band_norm(B: np.ndarray, cw: np.ndarray | None = None) -> float:
+def _band_norm(B: np.ndarray) -> float:
     """Frobenius norm of the symmetric block-Toeplitz matrix with first block
-    row B.  ``cw`` replaces the multiplicities ``_norm_weights(len(B))``,
-    e.g. by cw_d c_d^2 for the norm of the row with block d scaled by c_d."""
-    if cw is None:
-        cw = _norm_weights(len(B))
-    return math.sqrt(float(np.einsum("d,dij,dij->", cw, B, B)))
+    row B."""
+    return math.sqrt(float(np.einsum("d,dij,dij->", _norm_weights(len(B)), B, B)))
 
 
 def _cholesky_blocks(psi: np.ndarray, what: str) -> np.ndarray:

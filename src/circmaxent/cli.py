@@ -8,17 +8,22 @@ inverse, as compact one-line JSON.  Floats are serialized with Python's
 shortest round-trip representation, which reparses bit-exactly.  ``solve``
 runs damped Newton on the precision band by default (``--method gd`` is the
 paper's gradient descent), and ``feas`` decides the generic case with the
-same Newton solve.
+same Newton solve.  ``solve``, ``compare`` and ``bench`` run, time and
+verify every method through ``_run_method``, which projects a baseline's
+dense iterate onto circulants; ``compare`` measures distances between
+circulant first rows, so no mN x mN matrix is built for any result.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 detected
-infeasibility (a band whose block-Toeplitz matrix is not positive definite
-is decided up front), 3 iteration budget exhausted or no further progress.
-Diagnostics never change exit codes.
+infeasibility (``solve`` and ``compare`` decide a scalar bandwidth-1 band by
+its closed form, and reject any band whose block-Toeplitz matrix is not
+positive definite up front, as ``extend`` does), 3 iteration budget
+exhausted or no further progress.  Diagnostics never change exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -38,6 +43,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_MAXITER = 3
+# exit code of a solve that ran, by its status
+_STATUS_EXIT = {"converged": EXIT_OK, "diverged": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER, "stalled": EXIT_MAXITER}
 
 
 def _load_problem(path):
@@ -99,78 +106,85 @@ def _toeplitz_pd(band: BandData) -> bool:
     return True
 
 
-def cmd_solve(args) -> int:
-    band, N = _load_problem(args.input)
+def _infeasible_reason(band: BandData, N: int) -> str | None:
+    """Why the band has no completion of size N, when that is decided up
+    front: the closed form for scalar bandwidth 1, else the block-Toeplitz
+    test.  None means the solve has to decide."""
     if band.m == 1 and band.n == 1:
         verdict = scalar_bw1_feasible(band.blocks[0, 0, 0], band.blocks[1, 0, 0], N)
-        if not verdict.feasible:
-            print(
-                f"infeasible: sigma_1={float(band.blocks[1, 0, 0])!r} outside "
-                f"({verdict.lower!r}, {verdict.upper!r}) for N={N}",
-                file=sys.stderr,
-            )
-            return EXIT_INFEASIBLE
-    elif not _toeplitz_pd(band):
-        print(f"infeasible: {_TOEPLITZ_NOT_PD}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        if verdict.feasible:
+            return None
+        return (f"sigma_1={float(band.blocks[1, 0, 0])!r} outside "
+                f"({verdict.lower!r}, {verdict.upper!r}) for N={N}")
+    return None if _toeplitz_pd(band) else _TOEPLITZ_NOT_PD
 
-    if args.method in ("newton", "gd"):
-        cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter)
-        trace_fh = open(args.trace, "w") if args.trace else None
-        try:
-            if trace_fh is not None:
-                cfg.trace = trace_fh
-            result = solve(band, N, cfg, init=args.init, method=args.method)
-        finally:
-            if trace_fh is not None:
-                trace_fh.close()
-        report = verify_solution(result, band)
-        diagnostics = {
-            "iterations": result.iterations,
-            "grad_norm": result.final_grad_norm,
-            "jbar": result.objective_trace[-1],
-            "band_residual": report.band_residual,
-            "dempster_residual": report.dempster_residual,
-            "entropy": report.entropy,
-            "status": result.status,
-            "init": result.init_mode,
-        }
-        _emit(_solution_payload(result.sigma, diagnostics, result.K), args.output)
-        if result.status == "diverged":
-            return EXIT_INFEASIBLE
-        if result.status in ("max_iter", "stalled"):
-            return EXIT_MAXITER
-        return EXIT_OK
 
-    # baseline methods produce the same solution file via circulant averaging
-    runner = ips_solve if args.method == "ips" else sk1_solve
-    try:
+def _run_method(band, N, method, init, args, trace=None):
+    """Run one method on the band, time it and verify its completion.
+
+    ``args`` supplies ``tol``, ``max_iter`` (newton, gd) and ``max_cycles``
+    (ips, sk1).  Returns (sigma, K, diagnostics, seconds): the completion as
+    a BlockCirculant, baseline iterates projected onto circulants; the
+    precision band, None for the baselines; the diagnostics a solution file
+    carries; and the seconds spent in the method alone, without the
+    verification.
+    """
+    t0 = time.perf_counter()
+    if method in ("newton", "gd"):
+        cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter, trace=trace)
+        result = solve(band, N, cfg, init=init, method=method)
+        seconds = time.perf_counter() - t0
+        sigma, K = result.sigma, result.K
+        iterations, grad_norm, jbar = result.iterations, result.final_grad_norm, result.objective_trace[-1]
+        status, init_mode = result.status, result.init_mode
+    else:
+        runner = ips_solve if method == "ips" else sk1_solve
         scaled = runner(band, N, tol=args.tol or 1e-9, max_cycles=args.max_cycles)
-    except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except RequiresFullR as exc:
-        print(f"no starting completion: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    sigma = circulant_average(scaled.sigma, band.m)
+        seconds = time.perf_counter() - t0
+        sigma, K = circulant_average(scaled.sigma, band.m), None
+        iterations, grad_norm, jbar, status, init_mode = scaled.cycles, None, None, "converged", method
     report = verify_solution(sigma, band)
     diagnostics = {
-        "iterations": scaled.cycles,
-        "grad_norm": None,
-        "jbar": None,
+        "iterations": iterations,
+        "grad_norm": grad_norm,
+        "jbar": jbar,
         "band_residual": report.band_residual,
         "dempster_residual": report.dempster_residual,
         "entropy": report.entropy,
-        "status": "converged",
-        "init": args.method,
+        "status": status,
+        "init": init_mode,
     }
-    _emit(_solution_payload(sigma, diagnostics), args.output)
-    return EXIT_OK
+    return sigma, K, diagnostics, seconds
+
+
+def cmd_solve(args) -> int:
+    band, N = _load_problem(args.input)
+    reason = _infeasible_reason(band, N)
+    if reason is not None:
+        print(f"infeasible: {reason}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    # the baselines write no trace
+    traced = args.trace and args.method in ("newton", "gd")
+    with open(args.trace, "w") if traced else contextlib.nullcontext() as trace:
+        try:
+            sigma, K, diagnostics, _ = _run_method(band, N, args.method, args.init, args, trace)
+        except NoConvergence as exc:
+            print(f"no convergence: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except RequiresFullR as exc:
+            print(f"no starting completion: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+    _emit(_solution_payload(sigma, diagnostics, K), args.output)
+    return _STATUS_EXIT[diagnostics["status"]]
 
 
 def cmd_extend(args) -> int:
     band, n_file = _load_problem(args.input)
     N = args.N or n_file
+    # the band extension needs the AR fit, which needs a PD Toeplitz matrix
+    if not _toeplitz_pd(band):
+        print(f"infeasible: {_TOEPLITZ_NOT_PD}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     approx = circulant_approx(band, N)
     try:
         pd, offband = True, verify_solution(approx, band).dempster_residual
@@ -220,59 +234,27 @@ def cmd_feas(args) -> int:
     return EXIT_OK
 
 
-def _run_method(band, N, method, init, tol, max_iter, max_cycles):
-    t0 = time.perf_counter()
-    if method == "gd":
-        cfg = SolverConfig(eta=tol, max_iter=max_iter)
-        result = solve(band, N, cfg, init=init)
-        elapsed = time.perf_counter() - t0
-        report = verify_solution(result, band)
-        return {
-            "method": "gd",
-            "init": init,
-            "iterations": result.iterations,
-            "seconds": elapsed,
-            "band_residual": report.band_residual,
-            "dempster_residual": report.dempster_residual,
-            "sigma": result.sigma,
-        }
-    runner = ips_solve if method == "ips" else sk1_solve
-    scaled = runner(band, N, tol=tol or 1e-9, max_cycles=max_cycles)
-    elapsed = time.perf_counter() - t0
-    report = verify_solution(scaled.sigma, band)
-    return {
-        "method": method,
-        "init": "",
-        "iterations": scaled.cycles,
-        "seconds": elapsed,
-        "band_residual": report.band_residual,
-        "dempster_residual": report.dempster_residual,
-        "sigma": scaled.sigma,
-    }
-
-
 def cmd_compare(args) -> int:
     band, N = _load_problem(args.input)
-    rows = [
-        _run_method(band, N, "gd", "toeplitz", args.tol, args.max_iter, args.max_cycles),
-        _run_method(band, N, "gd", "identity", args.tol, args.max_iter, args.max_cycles),
-        _run_method(band, N, "ips", "", args.tol, args.max_iter, args.max_cycles),
-    ]
-    # GD rows carry a BlockCirculant, baseline rows a dense matrix
-    dense = [r["sigma"].to_dense() if isinstance(r["sigma"], BlockCirculant) else r["sigma"]
-             for r in rows]
-    ref = dense[0]
+    reason = _infeasible_reason(band, N)
+    if reason is not None:
+        print(f"infeasible: {reason}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    rows = [(method, init, *_run_method(band, N, method, init, args))
+            for method, init in (("gd", "toeplitz"), ("gd", "identity"), ("ips", ""))]
+    # the same ratio as between the dense circulants
+    ref = rows[0][2].first_row
     ref_norm = np.linalg.norm(ref)
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["method", "init", "iterations", "seconds", "band_residual",
          "dempster_residual", "rel_dist_to_gd_toeplitz"]
     )
-    for row, sigma in zip(rows, dense):
-        dist = float(np.linalg.norm(sigma - ref) / ref_norm)
+    for method, init, sigma, _, diag, seconds in rows:
+        dist = float(np.linalg.norm(sigma.first_row - ref) / ref_norm)
         writer.writerow(
-            [row["method"], row["init"], row["iterations"], f"{row['seconds']:.6f}",
-             repr(row["band_residual"]), repr(row["dempster_residual"]), repr(dist)]
+            [method, init, diag["iterations"], f"{seconds:.6f}", repr(diag["band_residual"]),
+             repr(diag["dempster_residual"]), repr(dist)]
         )
     return EXIT_OK
 
@@ -285,18 +267,14 @@ def cmd_bench(args) -> int:
         ["N", "m", "n", "method", "init", "iterations", "seconds",
          "band_residual", "dempster_residual"]
     )
-    methods = args.method
+    gd_inits = ["toeplitz", "identity"] if args.init == "both" else [args.init]
     for N in args.N:
-        for method in methods:
-            inits = ["toeplitz", "identity"] if method == "gd" else [""]
-            if method == "gd" and args.init != "both":
-                inits = [args.init]
-            for init in inits:
-                row = _run_method(band, N, method, init, args.tol, args.max_iter, args.max_cycles)
+        for method in args.method:
+            for init in gd_inits if method == "gd" else [""]:
+                _, _, diag, seconds = _run_method(band, N, method, init, args)
                 writer.writerow(
-                    [N, args.m, args.n, row["method"], row["init"], row["iterations"],
-                     f"{row['seconds']:.6f}", repr(row["band_residual"]),
-                     repr(row["dempster_residual"])]
+                    [N, args.m, args.n, method, init, diag["iterations"], f"{seconds:.6f}",
+                     repr(diag["band_residual"]), repr(diag["dempster_residual"])]
                 )
     return EXIT_OK
 

@@ -61,9 +61,7 @@ from .blockcirc import (
     _factored,
     _half_logdet,
     _hessian_lags,
-    _norm_weights,
     _sym,
-    circulant_average,
 )
 from .errors import BadInput, BandTooWide, InfeasibleStart, NotPositiveDefinite
 from .toeplitz import phi_inverse_coeffs, solve_yule_walker
@@ -77,7 +75,7 @@ _BETA = 0.5
 _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
 # Initial line-search step, reset every iteration.
 _STEP0 = 1.0
-# A dual iterate whose Lambda's Frobenius norm passes this cap is "diverged".
+# A dual iterate with N max|K| max|data| past this cap is "diverged".
 _LAMBDA_CAP = 1e10
 # Newton stops when half its squared decrement, a bound on f - f* near the
 # optimum, falls to this.
@@ -132,12 +130,12 @@ class SolverConfig:
 class SolverResult:
     """Outcome of one dual descent run.
 
-    ``status`` is one of "converged", "max_iter", "diverged" (dual norm blew
-    past the cap; the problem is likely infeasible) or "stalled" (progress
-    fell below floating-point resolution, or the Newton system was singular
-    or not finite).  ``K`` is the final iterate,
-    the precision band K_0..K_n (n+1, m, m), and ``sigma`` the completion
-    it implies, the inverse of K's banded block-circulant.
+    ``status`` is one of "converged", "max_iter", "diverged" (the band blew
+    past the cap relative to the data; the problem is likely infeasible) or
+    "stalled" (progress fell below floating-point resolution, or the Newton
+    system was singular or not finite).  ``K`` is the final iterate, the
+    precision band K_0..K_n (n+1, m, m), and ``sigma`` the completion it
+    implies, the inverse of K's banded block-circulant.
     """
 
     K: np.ndarray
@@ -327,11 +325,10 @@ def solve(
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult), and "converged" requires a finite stopping value.
-    A singular Newton system ends the solve as "stalled".  Newton's
-    "diverged" cap is on K relative to the data.  If the Toeplitz warm
-    start is infeasible the solver
-    falls back to the identity start and reports it; any other infeasible
-    start raises InfeasibleStart.
+    A singular Newton system ends the solve as "stalled".  The "diverged"
+    cap is on K relative to the data, for both methods.  If the Toeplitz
+    warm start is infeasible the solver falls back to the identity start
+    and reports it; any other infeasible start raises InfeasibleStart.
     """
     cfg = config if config is not None else SolverConfig()
     if method not in ("gd", "newton"):
@@ -347,9 +344,6 @@ def solve(
     D[0] *= 0.5
     eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, _band_norm(data))
     data_max = float(np.abs(data).max())
-    # GD's divergence cap is on ||Lambda||_F of the lifted band (``_lift``),
-    # whose block d is K_d / wN_d
-    cap_w = _norm_weights(n + 1) / wN[:, 0, 0] ** 2
 
     if isinstance(init, DualVariable):
         K, init_mode = _dual_band(init.value, m, n, N), "custom"
@@ -428,9 +422,8 @@ def solve(
         trace.append(f)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
-        # Newton's cap is on K relative to the data, so it holds at any scale
-        size = N * float(np.abs(K).max()) * data_max if newton else _band_norm(K, cap_w)
-        if size > _LAMBDA_CAP:
+        # the cap is on K relative to the data, so it holds at any scale
+        if N * float(np.abs(K).max()) * data_max > _LAMBDA_CAP:
             status = "diverged"
             break
     if status is None:
@@ -452,19 +445,14 @@ def solve(
 def verify_solution(solution, band: BandData) -> SolutionReport:
     """Residual report for a completion.
 
-    Accepts a SolverResult, a BlockCirculant, or a dense symmetric matrix
-    (baseline iterates; projected onto circulants first).  Reports the
+    Accepts a SolverResult or a BlockCirculant (a baseline's dense iterate
+    is projected onto circulants by ``circulant_average`` first).  Reports the
     relative band residual, the Dempster residual (largest off-band block of
     the freshly computed inverse, relative to its diagonal block), and the
     Gaussian entropy of the completion, both from one factorization of its
     frequency blocks, which raises NotPositiveDefinite if it is not PD.
     """
-    if isinstance(solution, SolverResult):
-        sigma = solution.sigma
-    elif isinstance(solution, BlockCirculant):
-        sigma = solution
-    else:
-        sigma = circulant_average(np.asarray(solution, dtype=float), band.m)
+    sigma = solution.sigma if isinstance(solution, SolverResult) else solution
     data = np.swapaxes(band.blocks, 1, 2)
     # both ratios are taken on arrays scaled to a largest |entry| of 1, so
     # their squared norms neither under- nor overflow at any data scale

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -133,9 +134,12 @@ class TestSolveCommand:
         # completion; the Yule-Walker start raised here (exit 1)
         blocks = [[1.0, 0.0, 0.0, 1.0], [-1.02, 0.0, 0.0, 0.3]]
         prob = write_problem(tmp_path / "np.json", 2, 1, 8, blocks)
-        for method in ("newton", "gd", "ips"):
-            assert main(["solve", prob, "--method", method]) == 2
-            assert "infeasible" in capsys.readouterr().err
+        runs = [["solve", prob, "--method", method] for method in ("newton", "gd", "ips")]
+        errs = set()
+        for argv in runs + [["extend", prob], ["compare", prob]]:
+            assert main(argv) == 2
+            errs.add(capsys.readouterr().err)
+        assert len(errs) == 1 and errs.pop().startswith("infeasible: ")
         out = tmp_path / "feas.json"
         assert main(["feas", prob, "-o", str(out)]) == 0
         payload = json.loads(out.read_text())
@@ -214,6 +218,18 @@ class TestSolveCommand:
                 assert payload["diagnostics"]["iterations"] == runs[1.0][1]["diagnostics"]["iterations"]
                 row = np.array(payload["first_block_row"], dtype=float)
                 assert np.abs(row / s - ref).max() <= 1e-10
+
+    def test_diagnostics_keys(self, n4_problem, tmp_path):
+        # every method writes the same diagnostics; only the dual methods
+        # have a precision band
+        keys = {"iterations", "grad_norm", "jbar", "band_residual", "dempster_residual",
+                "entropy", "status", "init"}
+        out = tmp_path / "sol.json"
+        for method in ("newton", "gd", "ips", "sk1"):
+            assert main(["solve", n4_problem, "-o", str(out), "--method", method]) == 0
+            payload = json.loads(out.read_text())
+            assert set(payload["diagnostics"]) == keys
+            assert ("precision_band" in payload) == (method in ("newton", "gd"))
 
     def test_ips_method(self, n4_problem, tmp_path):
         out = tmp_path / "sol.json"
@@ -326,6 +342,21 @@ class TestCompareCommand:
         for r in rows:
             assert float(r["rel_dist_to_gd_toeplitz"]) <= 1e-5
             assert float(r["band_residual"]) <= 1e-6
+
+    def test_builds_no_dense_matrix(self, n4_problem, monkeypatch, capsys):
+        # IPS works on its dense given-entry matrix by design; the command
+        # itself compares circulant first rows
+        to_dense = BlockCirculant.to_dense
+
+        def refuse_from_cli(self):
+            if sys._getframe(1).f_globals["__name__"] == "circmaxent.cli":
+                raise AssertionError("compare must not assemble dense matrices")
+            return to_dense(self)
+
+        monkeypatch.setattr(BlockCirculant, "to_dense", refuse_from_cli)
+        assert main(["compare", n4_problem]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["method"] for r in rows] == ["gd", "gd", "ips"]
 
 
 class TestBenchCommand:
