@@ -120,7 +120,9 @@ def _infeasible_reason(band: BandData, N: int) -> str | None:
 
 
 def _run_method(band, N, method, init, args, trace=None):
-    """Run one method on the band, time it and verify its completion.
+    """Run one method on the band, time it and verify its completion:
+    a newton or gd solve against the precision band it returns, a baseline
+    by factoring its circulant (see ``verify_solution``).
 
     ``args`` supplies ``tol``, ``max_iter`` (newton, gd) and ``max_cycles``
     (ips, sk1).  Returns (sigma, K, diagnostics, seconds): the completion as
@@ -134,16 +136,17 @@ def _run_method(band, N, method, init, args, trace=None):
         cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter, trace=trace)
         result = solve(band, N, cfg, init=init, method=method)
         seconds = time.perf_counter() - t0
-        sigma, K = result.sigma, result.K
+        solution, sigma, K = result, result.sigma, result.K
         iterations, grad_norm, jbar = result.iterations, result.final_grad_norm, result.objective_trace[-1]
         status, init_mode = result.status, result.init_mode
     else:
         runner = ips_solve if method == "ips" else sk1_solve
         scaled = runner(band, N, tol=args.tol or 1e-9, max_cycles=args.max_cycles)
         seconds = time.perf_counter() - t0
-        sigma, K = circulant_average(scaled.sigma, band.m), None
+        sigma = circulant_average(scaled.sigma, band.m)
+        solution, K = sigma, None
         iterations, grad_norm, jbar, status, init_mode = scaled.cycles, None, None, "converged", method
-    report = verify_solution(sigma, band)
+    report = verify_solution(solution, band)
     diagnostics = {
         "iterations": iterations,
         "grad_norm": grad_norm,

@@ -37,7 +37,10 @@ inverse lags back through the conjugate table, the Newton step reuses the
 inverse blocks, and the line search's noise floor reuses the linear term;
 a rejected trial costs one spectrum and one Cholesky.  That is
 O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse FFT
-builds the completion at exit.  No mN x mN dense matrix is ever formed.
+builds the completion at exit.  ``verify_solution`` checks a result against
+the band it returns: one spectrum and one Cholesky of K, one real FFT of the
+completion and two batched block products, O(m^3 N + m^2 N log N) with no
+inverse.  No mN x mN dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -151,7 +154,14 @@ class SolverResult:
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """Residuals of a candidate completion against the given band."""
+    """Residuals of a candidate completion against the given band.
+
+    ``dempster_residual`` is max_l ||L_l^H S_l L_l - I||_F for a
+    SolverResult, checked against its precision band, where a value below 1
+    certifies the completion positive definite, and the largest off-band
+    block of the inverse, relative to its diagonal block, for a bare
+    BlockCirculant (see ``verify_solution``).
+    """
 
     band_residual: float
     dempster_residual: float
@@ -446,23 +456,61 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     """Residual report for a completion.
 
     Accepts a SolverResult or a BlockCirculant (a baseline's dense iterate
-    is projected onto circulants by ``circulant_average`` first).  Reports the
-    relative band residual, the Dempster residual (largest off-band block of
-    the freshly computed inverse, relative to its diagonal block), and the
-    Gaussian entropy of the completion, both from one factorization of its
-    frequency blocks, which raises NotPositiveDefinite if it is not PD.
+    is projected onto circulants by ``circulant_average`` first).  Both get
+    the relative band residual.
+
+    A SolverResult is checked against the precision band K it returns,
+    without factoring or inverting the completion: the batched Cholesky
+    factors L_l of K's frequency blocks Psi_l are the PD test of K and give
+    the entropy, 0.5 (mN (1 + log 2 pi) - log det C(K)), and the Dempster
+    residual is max_l ||L_l^H S_l L_l - I||_F, with S_l the frequency
+    blocks of the completion.  That is a congruence, so a residual below 1
+    proves the completion's symmetric part positive definite, and one of 1
+    or more raises NotPositiveDefinite.
+
+    A BlockCirculant is factored instead: its Dempster residual is the
+    largest off-band block of its freshly computed inverse, relative to the
+    inverse's diagonal block, and its entropy comes from the same
+    factorization of its frequency blocks, which raises NotPositiveDefinite
+    if it is not PD.
+
+    Raises BadInput if the block sizes of the completion, the band or K
+    disagree, and BandTooWide if N < 2n + 2.
     """
-    sigma = solution.sigma if isinstance(solution, SolverResult) else solution
+    result = solution if isinstance(solution, SolverResult) else None
+    sigma = solution.sigma if result is not None else solution
+    m, n, N = band.m, band.n, sigma.N
+    if sigma.m != m:
+        raise BadInput(f"completion blocks are {sigma.m} x {sigma.m}, band blocks {m} x {m}")
+    if N < 2 * n + 2:
+        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
     data = np.swapaxes(band.blocks, 1, 2)
     # both ratios are taken on arrays scaled to a largest |entry| of 1, so
     # their squared norms neither under- nor overflow at any data scale
     s = float(np.abs(data).max())
-    band_res = _band_norm((sigma.first_row[: band.n + 1] - data) / s) / _band_norm(data / s)
-    head, logdet = _factored(sigma, "verify_solution")
-    entropy = 0.5 * logdet + 0.5 * (sigma.m * sigma.N) * (1.0 + LOG_2PI)
-    kinv = np.fft.irfft(np.linalg.inv(head), n=sigma.N, axis=0)  # first row
-    kinv /= np.abs(kinv).max()
-    off = kinv[band.n + 1: sigma.N - band.n]
-    ref = float(np.linalg.norm(kinv[0]))
-    dempster = float(np.linalg.norm(off, axis=(1, 2)).max() / ref) if len(off) else 0.0
+    band_res = _band_norm((sigma.first_row[: n + 1] - data) / s) / _band_norm(data / s)
+    if result is None:
+        head, logdet = _factored(sigma, "verify_solution")
+        kinv = np.fft.irfft(np.linalg.inv(head), n=N, axis=0)  # first row
+        kinv /= np.abs(kinv).max()
+        off = kinv[n + 1: N - n]
+        ref = float(np.linalg.norm(kinv[0]))
+        dempster = float(np.linalg.norm(off, axis=(1, 2)).max() / ref)
+    else:
+        if np.shape(result.K) != (n + 1, m, m):
+            raise BadInput(f"precision band shape {np.shape(result.K)} != {(n + 1, m, m)}")
+        chol = _cholesky_blocks(_band_spectrum(result.K, N), "verify_solution")
+        logdet = -_half_logdet(chol, N)
+        # R is O(1) at any data scale; a completion far from K's inverse,
+        # or not finite, reads inf or nan here and fails the test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.conj(np.swapaxes(chol, 1, 2)) @ np.fft.rfft(sigma.first_row, axis=0) @ chol
+            R[:, np.arange(m), np.arange(m)] -= 1.0
+            r = R.reshape(len(R), -1).view(float)  # real and imaginary parts
+            dempster = math.sqrt(float(np.einsum("lk,lk->l", r, r).max()))
+        if not dempster < 1.0:
+            raise NotPositiveDefinite(
+                f"verify_solution: Dempster residual {dempster!r} is not below 1, "
+                "so the completion is not shown to be positive definite")
+    entropy = 0.5 * logdet + 0.5 * (m * N) * (1.0 + LOG_2PI)
     return SolutionReport(band_residual=band_res, dempster_residual=dempster, entropy=entropy)

@@ -1,5 +1,6 @@
 """Dual gradient descent: objective, gradient, warm starts, convergence."""
 
+import dataclasses
 import io
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from circmaxent import (
     BadInput,
     BandData,
+    BandTooWide,
     BlockCirculant,
     DualVariable,
     InfeasibleStart,
@@ -637,11 +639,21 @@ class TestVerifySolution:
         # suite) and the squared band norms went subnormal
         base = np.array([1.0, 0.3]).reshape(2, 1, 1)
         ref = solve(BandData(1, 1, base), 8, method="newton")
-        want = verify_solution(ref, BandData(1, 1, base))
+        want = verify_solution(ref.sigma, BandData(1, 1, base))
         for s in (1e-160, 1e150):
             report = verify_solution(BlockCirculant(1, 8, s * ref.sigma.first_row), BandData(1, 1, s * base))
             assert abs(report.band_residual - want.band_residual) <= 1e-15
             assert abs(report.dempster_residual - want.dempster_residual) <= 1e-15
+
+    def test_scale_safe_solver_result(self):
+        # K scales as 1/s, so the band check's products L^H S L stay O(1)
+        base = np.array([1.0, 0.3]).reshape(2, 1, 1)
+        want = verify_solution(solve(BandData(1, 1, base), 8, method="newton"), BandData(1, 1, base))
+        for s in (1e-160, 1e150):
+            band = BandData(1, 1, s * base)
+            report = verify_solution(solve(band, 8, method="newton"), band)
+            assert abs(report.band_residual - want.band_residual) <= 1e-14
+            assert abs(report.dempster_residual - want.dempster_residual) <= 1e-14
 
     def test_ips_solution_cross_check(self):
         rng = np.random.default_rng(51)
@@ -654,12 +666,8 @@ class TestVerifySolution:
         dist = np.linalg.norm(scaled.sigma - res.sigma.to_dense()) / np.linalg.norm(scaled.sigma)
         assert dist <= 1e-5
 
-
-    def test_factors_the_completion_once(self, monkeypatch):
-        # one real FFT and one batched Cholesky serve the PD test, the
-        # Dempster residual's inverse and the entropy
-        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
-        res = solve(band, 64)
+    @staticmethod
+    def _count_calls(monkeypatch, names):
         calls = []
 
         def counted(name, fn):
@@ -669,12 +677,90 @@ class TestVerifySolution:
 
             return wrapper
 
-        monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
-        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-        report = verify_solution(res, band)
+        for name in names:
+            mod = np.fft if "fft" in name else np.linalg
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        return calls
+
+    def test_factors_the_completion_once(self, monkeypatch):
+        # a bare completion: one real FFT and one batched Cholesky serve the
+        # PD test, the Dempster residual's inverse and the entropy
+        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
+        res = solve(band, 64)
+        want = 0.5 * circ_logdet(res.sigma) + 0.5 * (2 * 64) * (1.0 + LOG_2PI)
+        calls = self._count_calls(monkeypatch, ("rfft", "cholesky", "inv"))
+        report = verify_solution(res.sigma, band)
         assert sorted(calls) == ["cholesky", "inv", "rfft"]
-        assert report.entropy == 0.5 * circ_logdet(res.sigma) + 0.5 * (2 * 64) * (1.0 + LOG_2PI)
+        assert report.entropy == want
+
+    def test_solver_result_factors_only_its_band(self, monkeypatch):
+        # a solve is checked against its precision band: one Cholesky of
+        # K's frequency blocks and one real FFT of the completion, with no
+        # inverse and no inverse FFT
+        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
+        res = solve(band, 64)
+        want = 0.5 * circ_logdet(res.sigma) + 0.5 * (2 * 64) * (1.0 + LOG_2PI)
+        calls = self._count_calls(monkeypatch, ("rfft", "irfft", "cholesky", "inv"))
+        report = verify_solution(res, band)
+        assert sorted(calls) == ["cholesky", "rfft"]
+        assert abs(report.entropy - want) <= 1e-13 * abs(want)
+        assert report.dempster_residual <= 1e-13
+
+    def test_sees_a_corrupted_precision_band(self):
+        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
+        res = solve(band, 64)
+        assert verify_solution(res, band).dempster_residual <= 1e-13
+        K = res.K.copy()
+        K[1, 0, 1] *= 1.0 + 1e-6
+        # the factoring path never reads K, so it cannot see this
+        assert verify_solution(dataclasses.replace(res, K=K), band).dempster_residual > 1e-8
+
+    def test_non_pd_completion_raises(self):
+        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
+        res = solve(band, 64)
+        row = res.sigma.first_row.copy()
+        # shift the smallest frequency-block eigenvalue to -0.01
+        row[0] -= (np.linalg.eigvalsh(np.fft.fft(row, axis=0)).min() + 0.01) * np.eye(2)
+        bad = BlockCirculant(2, 64, row)
+        for solution in (bad, dataclasses.replace(res, sigma=bad)):
+            with pytest.raises(NotPositiveDefinite):
+                verify_solution(solution, band)
+
+    def test_mismatched_input(self):
+        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
+        res = solve(band, 16)
+        other = random_feasible_band(3, 1, 16, np.random.default_rng(53))
+        with pytest.raises(BadInput):
+            verify_solution(res, other)
+        with pytest.raises(BadInput):
+            verify_solution(res.sigma, other)
+        with pytest.raises(BadInput):
+            verify_solution(dataclasses.replace(res, K=res.K[:1]), band)
+        # at N < 2n+2 the band and its mirror overlap: no off-band block
+        # is left to test, which read as a Dempster residual of 0
+        row = np.zeros((3, 2, 2))
+        row[0] = np.eye(2)
+        with pytest.raises(BandTooWide):
+            verify_solution(BlockCirculant(2, 3, row), band)
+
+    def test_dempster_cross_check(self):
+        # criterion 3's seed on part of its grid: the dense oracle confirms
+        # the banded inverse that the band check certifies, and the entropy
+        # matches the factoring path
+        rng = np.random.default_rng(303)
+        for m in (1, 2, 3):
+            for n in (1, 2, 3):
+                for N in (8, 16, 32):
+                    band = random_feasible_band(m, n, N, rng)
+                    res = solve(band, N)
+                    assert res.converged
+                    report = verify_solution(res, band)
+                    band_res, dempster = completion_residuals(res.sigma.first_row, band.blocks)
+                    assert band_res <= 1e-6 and dempster <= 1e-6
+                    assert report.band_residual <= 1e-6
+                    assert report.dempster_residual <= 1e-12
+                    factored = verify_solution(res.sigma, band).entropy
+                    assert abs(report.entropy - factored) <= 1e-13 * abs(factored)
 
 
 class TestSolverPathStructure:
