@@ -13,10 +13,10 @@ verify every method through ``_run_method``, which projects a baseline's
 dense iterate onto circulants; ``compare`` measures distances between
 circulant first rows, so no mN x mN matrix is built for any result.
 
-Exit codes: 0 converged/answered, 1 I/O or parse error, 2 detected
-infeasibility (``solve`` and ``compare`` decide a scalar bandwidth-1 band by
-its closed form, and reject any band whose block-Toeplitz matrix is not
-positive definite up front, as ``extend`` does), 3 iteration budget
+Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by
+a solve's certificate or up front (``solve`` and ``compare`` decide a scalar
+bandwidth-1 band by its closed form, and reject any band whose block-Toeplitz
+matrix is not positive definite, as ``extend`` does), 3 iteration budget
 exhausted or no further progress.  Diagnostics never change exit codes.
 """
 
@@ -44,7 +44,7 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_MAXITER = 3
 # exit code of a solve that ran, by its status
-_STATUS_EXIT = {"converged": EXIT_OK, "diverged": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER, "stalled": EXIT_MAXITER}
+_STATUS_EXIT = {"converged": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER, "stalled": EXIT_MAXITER}
 
 
 def _load_problem(path):
@@ -200,29 +200,22 @@ def cmd_extend(args) -> int:
 
 def cmd_feas(args) -> int:
     band, N = _load_problem(args.input)
-    payload = {"N": N, "m": band.m, "n": band.n}
+    payload = {"N": N, "m": band.m, "n": band.n, "feasible": None, "margin": None, "bounds": None}
     if band.m == 1 and band.n == 1:
         verdict = scalar_bw1_feasible(band.blocks[0, 0, 0], band.blocks[1, 0, 0], N)
-        payload.update(
-            feasible=verdict.feasible,
-            margin=verdict.margin,
-            bounds=[verdict.lower, verdict.upper],
-        )
+        payload.update(feasible=verdict.feasible, margin=verdict.margin, bounds=[verdict.lower, verdict.upper])
     elif not _toeplitz_pd(band):
-        payload.update(feasible=False, margin=None, bounds=None, reason=_TOEPLITZ_NOT_PD)
+        payload.update(feasible=False, reason=_TOEPLITZ_NOT_PD)
     else:
-        payload.update(feasible=None, margin=None, bounds=None)
-        cfg = SolverConfig(max_iter=args.budget)
-        result = solve(band, N, cfg, method="newton")
+        result = solve(band, N, SolverConfig(max_iter=args.budget), method="newton")
+        # K is the witness of a converged solve, the certificate of an infeasible one
+        payload["feasible"] = {"converged": True, "infeasible": False}.get(result.status)
         payload["evidence"] = {
             "status": result.status,
             "iterations": result.iterations,
             "grad_norm": result.final_grad_norm,
+            "precision_band": [blk.reshape(-1).tolist() for blk in result.K],
         }
-        if result.converged:
-            payload["feasible"] = True
-        elif result.status == "diverged":
-            payload["feasible"] = False
     if band.m == 1:
         payload["forms"] = [
             {

@@ -78,7 +78,8 @@ _BETA = 0.5
 _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
 # Initial line-search step, reset every iteration.
 _STEP0 = 1.0
-# A dual iterate with N max|K| max|data| past this cap is "diverged".
+# A budget guard on N max|K| max|data|, not a verdict: data on the boundary
+# of the feasible set have no strict certificate, and their K grows unbounded.
 _LAMBDA_CAP = 1e10
 # Newton stops when half its squared decrement, a bound on f - f* near the
 # optimum, falls to this.
@@ -133,12 +134,12 @@ class SolverConfig:
 class SolverResult:
     """Outcome of one dual descent run.
 
-    ``status`` is one of "converged", "max_iter", "diverged" (the band blew
-    past the cap relative to the data; the problem is likely infeasible) or
-    "stalled" (progress fell below floating-point resolution, or the Newton
-    system was singular or not finite).  ``K`` is the final iterate, the
+    ``status`` is one of "converged", "max_iter", "infeasible" (K certifies
+    that the data have no completion; see ``solve``) or "stalled" (progress
+    fell below floating-point resolution, the Newton system was singular or
+    not finite, or K passed the cap).  ``K`` is the final iterate, the
     precision band K_0..K_n (n+1, m, m), and ``sigma`` the completion it
-    implies, the inverse of K's banded block-circulant.
+    implies, the inverse of K's banded block-circulant C(K).
     """
 
     K: np.ndarray
@@ -335,8 +336,11 @@ def solve(
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult), and "converged" requires a finite stopping value.
-    A singular Newton system ends the solve as "stalled".  The "diverged"
-    cap is on K relative to the data, for both methods.  If the Toeplitz
+    C(K) is PD at every iterate, so Tr(K D) = Tr(C(K) Sigma) > 0 for any
+    completion Sigma, and Tr(K D) < 0 beyond rounding at the start or an
+    accepted iterate ends the solve as "infeasible" with K the certificate.
+    A singular Newton system, or K past a cap relative to the data, ends
+    it as "stalled".  If the Toeplitz
     warm start is infeasible the solver falls back to the identity start
     and reports it; any other infeasible start raises InfeasibleStart.
     """
@@ -381,6 +385,10 @@ def solve(
         cfg.trace.write(f"0,{f!r},{gnorm!r},0.0\n")
 
     while True:
+        # 1e-12 vdot(|K|, |D|) bounds lin's rounding; lin < 0 first: a feasible solve pays one test
+        if lin < 0 and lin < -1e-12 * float(np.vdot(np.abs(K), np.abs(D))):
+            status = "infeasible"
+            break
         if newton:
             step, lam2 = _newton_step(G, inv, N)
             slope = -lam2
@@ -410,6 +418,9 @@ def solve(
         if iterations >= cfg.max_iter:
             status = "max_iter"
             break
+        if N * float(np.abs(K).max()) * data_max > _LAMBDA_CAP:
+            status = "stalled"
+            break
         t = _STEP0 if armijo else t_acc
         trial = K - t * step
         f_new, psi, lin = _objective(trial, D, m, n, N, parts=True)
@@ -432,10 +443,6 @@ def solve(
         trace.append(f)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
-        # the cap is on K relative to the data, so it holds at any scale
-        if N * float(np.abs(K).max()) * data_max > _LAMBDA_CAP:
-            status = "diverged"
-            break
     if status is None:
         status = "converged"
 

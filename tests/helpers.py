@@ -230,6 +230,18 @@ def completion_residuals(first_row, blocks):
     return float(band_res), float(dempster)
 
 
+def certificate_holds(K, band, N):
+    """Dense oracle for a certificate of infeasibility: the banded
+    block-circulant C(K) of the precision band K (n+1, m, m) is positive
+    definite, and its pairing Tr(C(K) Sigma) with the data, which is the same
+    for every completion Sigma since C(K) is banded, is negative.  A PD
+    C(K) pairs positively with every PD Sigma, so no completion exists
+    (theorem of alternatives)."""
+    C = project_band_gram(np.asarray(K, dtype=float), band.m, band.n, N).to_dense()
+    return bool(np.linalg.eigvalsh(C).min() > 0
+                and np.trace(C @ band.embed_circulant(N).to_dense()) < 0)
+
+
 def channel_band(rng, rhos):
     """(Sigma_0, Sigma_1) = (Q D Q^T, Q D diag(rhos) Q^T): independent
     scalar channels with lag-one correlations ``rhos`` in a random

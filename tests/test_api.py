@@ -1,11 +1,14 @@
-"""The public API holds only what code outside the unit tests uses, and no
-module imports a name it does not use.
+"""The public API holds only what code outside the unit tests uses, no
+module imports a name it does not use, and every status ``solve`` sets has
+a CLI exit code.
 
-No linter is a dependency, so both checks read the sources with ``ast``.
+No linter is a dependency, so the checks read the sources with ``ast``.
 """
 
 import ast
 import pathlib
+
+from circmaxent.cli import _STATUS_EXIT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "circmaxent"
@@ -68,3 +71,17 @@ def test_no_unused_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported_names(tree) - read)]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def test_every_solve_status_has_an_exit_code():
+    # cmd_solve maps a status through _STATUS_EXIT, so a status missing
+    # there would surface as a KeyError
+    solve = next(node for node in parse(PACKAGE / "solver.py").body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    statuses = {
+        node.value.value for node in ast.walk(solve)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "status" for t in node.targets)
+        and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+    }
+    assert statuses == set(_STATUS_EXIT)

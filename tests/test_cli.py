@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from circmaxent.cli import main
-from circmaxent import BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible
-from helpers import channel_band, completion_residuals, is_symmetric
+from circmaxent import BandData, BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible
+from helpers import certificate_holds, channel_band, completion_residuals, is_symmetric
 
 
 def write_problem(path, m, n, N, blocks):
@@ -314,7 +314,8 @@ class TestFeasCommand:
     def test_two_channel_verdicts(self, tmp_path):
         # two independent channels in a rotated basis, one of them within
         # 3% of a bound of its odd-N interval: every feasible band is
-        # answered "feasible", and no verdict is wrong
+        # answered "feasible", and every infeasible one "infeasible" with a
+        # precision band that certifies it, which also ends solve with exit 2
         rng = np.random.default_rng(71)
         out = tmp_path / "feas.json"
         for k in range(24):
@@ -327,11 +328,13 @@ class TestFeasCommand:
             blocks = channel_band(rng, rhos)
             prob = write_problem(tmp_path / "c.json", 2, 1, N, [b.reshape(-1).tolist() for b in blocks])
             assert main(["feas", prob, "-o", str(out)]) == 0
-            verdict = json.loads(out.read_text())["feasible"]
-            if known:
-                assert verdict is True
-            else:
-                assert verdict in (False, None)
+            payload = json.loads(out.read_text())
+            assert payload["feasible"] is known
+            if not known:
+                K = np.array(payload["evidence"]["precision_band"]).reshape(2, 2, 2)
+                assert certificate_holds(K, BandData(2, 1, blocks), N)
+                assert main(["solve", prob, "-o", str(out)]) == 2
+                assert json.loads(out.read_text())["diagnostics"]["status"] == "infeasible"
 
 
 class TestCompareCommand:

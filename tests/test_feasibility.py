@@ -13,7 +13,7 @@ from circmaxent import (
     solve,
 )
 from circmaxent.blockcirc import BlockCirculant
-from helpers import band_spectrum_full, check_candidate, scalar_band
+from helpers import band_spectrum_full, certificate_holds, check_candidate, scalar_band
 
 
 def cosine_mix_row(sigma0, sigma1, N):
@@ -196,6 +196,24 @@ class TestSolverAgreement:
                 )
                 assert verdict.feasible  # all grid points are inside the bounds
                 assert res.converged
+
+    def test_newton_certifies_near_bounds(self):
+        # sigma_1 within 3% of either bound, on both sides, plus one point
+        # 7e-6 past the lower bound: Newton may call a band infeasible only
+        # with a certificate, and must agree with the closed form
+        points = [(-0.9397, 9)]
+        for N in range(5, 16):
+            for bound in (scalar_bw1_feasible(1.0, 0.0, N).lower, 1.0):
+                points += [(bound * f, N) for f in (0.97, 0.99, 0.995, 1.005, 1.01, 1.03)]
+        for sigma1, N in points:
+            band = scalar_band([1.0, sigma1])
+            # the toeplitz start needs a PD Toeplitz matrix, |sigma_1| < 1
+            init = "toeplitz" if abs(sigma1) < 1.0 else "identity"
+            res = solve(band, N, SolverConfig(max_iter=2000), init=init, method="newton")
+            feasible = scalar_bw1_feasible(1.0, sigma1, N).feasible
+            assert res.status == ("converged" if feasible else "infeasible"), (sigma1, N)
+            if not feasible:
+                assert certificate_holds(res.K, band, N), (sigma1, N)
 
     def test_infeasible_grid_never_converges(self):
         for sigma1, N in [(-0.95, 7), (-0.96, 9), (-0.99, 11)]:

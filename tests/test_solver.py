@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from circmaxent import (
 from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _hessian_lags
 from circmaxent.solver import LOG_2PI, _gradient, _lift, _newton_step, _objective, _start
 from helpers import (
+    certificate_holds,
     completion_residuals,
     in_dual_domain,
     is_banded,
@@ -298,10 +300,13 @@ class TestSolve:
         assert verify_solution(res, band).band_residual < 1e-5
 
     def test_infeasible_does_not_converge(self):
+        # both methods end at a band that certifies infeasibility
         band = scalar_band([1.0, -0.95])
-        res = solve(band, 7, SolverConfig(max_iter=3000))
-        assert not res.converged
-        assert res.status in ("max_iter", "diverged")
+        for method in ("gd", "newton"):
+            res = solve(band, 7, SolverConfig(max_iter=3000), method=method)
+            assert not res.converged
+            assert res.status == "infeasible"
+            assert certificate_holds(res.K, band, 7)
 
     def test_unique_optimum_from_three_starts(self):
         rng = np.random.default_rng(44)
@@ -429,9 +434,10 @@ class TestSolve:
                 solve(BandData(1, 1, s * np.array([1.0, 0.3]).reshape(2, 1, 1)), 8,
                       SolverConfig(max_iter=20000))
 
-    def test_small_feasible_band_not_diverged(self):
-        # a feasible band at a small scale has a large K, which the
-        # divergence cap has to judge relative to the data
+    def test_small_feasible_band_not_infeasible(self):
+        # a feasible band at a small scale has a large K, which neither the
+        # certificate test nor the cap may take for infeasibility: both are
+        # relative to the data
         for s in (1e-10, 1e-12):
             band = BandData(1, 1, s * np.array([1.0, 0.3]).reshape(2, 1, 1))
             res = solve(band, 8, SolverConfig(eta=1e-30, max_iter=50))
@@ -560,6 +566,17 @@ class TestNewton:
         res = solve(band, 9, method="newton")
         assert res.converged and res.iterations <= 20
         assert verify_solution(res, band).band_residual <= 1e-9
+
+    def test_boundary_band_stops_at_cap(self):
+        # data exactly on the odd-N bound have no completion and no strict
+        # certificate: the band grows without bound and lin stays positive.
+        # The cap is the budget guard that ends such a solve: without it
+        # Newton took 53,467 steps (8 s) before its decrement test stopped it
+        band = scalar_band([1.0, math.cos(6 * math.pi / 7)])
+        t0 = time.perf_counter()
+        res = solve(band, 7, method="newton")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.status == "stalled" and not res.converged
 
     def test_full_step_trap_converges(self, monkeypatch):
         # a decrement whose rounding floor lies above the tolerance (forced
