@@ -13,7 +13,6 @@ from .errors import (
     BadInput,
     BandTooWide,
     CircMaxentError,
-    InfeasibleStart,
     NoConvergence,
     NotPositiveDefinite,
     RequiresFullR,
@@ -48,7 +47,6 @@ from .solver import (
 )
 from .toeplitz import (
     LevinsonSolution,
-    PhiInverseCoeffs,
     band_from_ar,
     circulant_approx,
     extend_covariances,

@@ -220,8 +220,7 @@ class BandData:
         # of the solve and of its verification meaningless
         if not 0.0 < _band_norm(blocks) < math.inf:
             raise BadInput("band norm is zero or not representable in floating point")
-        scale = max(1.0, float(np.abs(blocks[0]).max()))
-        if np.abs(blocks[0] - blocks[0].T).max() > 1e-12 * scale:
+        if np.abs(blocks[0] - blocks[0].T).max() > 1e-12 * float(np.abs(blocks[0]).max()):
             raise BadInput("Sigma_0 must be symmetric")
         blocks = blocks.copy()
         blocks[0] = _sym(blocks[0])

@@ -16,8 +16,9 @@ circulant first rows, so no mN x mN matrix is built for any result.
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by
 a solve's certificate or up front (``solve`` and ``compare`` decide a scalar
 bandwidth-1 band by its closed form, and reject any band whose block-Toeplitz
-matrix is not positive definite, as ``extend`` does), 3 iteration budget
-exhausted or no further progress.  Diagnostics never change exit codes.
+matrix is not positive definite, as ``extend`` does), 3 iteration or cycle
+budget exhausted or no further progress, including a baseline that cannot
+start.  Diagnostics never change exit codes.
 """
 
 from __future__ import annotations
@@ -171,12 +172,10 @@ def cmd_solve(args) -> int:
     with open(args.trace, "w") if traced else contextlib.nullcontext() as trace:
         try:
             sigma, K, diagnostics, _ = _run_method(band, N, args.method, args.init, args, trace)
-        except NoConvergence as exc:
-            print(f"no convergence: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except RequiresFullR as exc:
-            print(f"no starting completion: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+        except (NoConvergence, RequiresFullR) as exc:
+            # a baseline that runs out of cycles or cannot start proves nothing
+            print(f"no further progress: {exc}", file=sys.stderr)
+            return EXIT_MAXITER
     _emit(_solution_payload(sigma, diagnostics, K), args.output)
     return _STATUS_EXIT[diagnostics["status"]]
 

@@ -21,10 +21,6 @@ class Unstable(CircMaxentError):
     """State matrix has spectral radius >= 1."""
 
 
-class InfeasibleStart(CircMaxentError):
-    """Requested warm start lies outside the dual domain."""
-
-
 class NoConvergence(CircMaxentError):
     """Iteration budget exhausted before the stopping rule was met."""
 

@@ -46,12 +46,6 @@ class AffineEigForm:
     distances: np.ndarray
     coeffs: np.ndarray
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.distances.shape:
-            raise BadInput(f"expected {len(self.distances)} unknowns, got {x.shape}")
-        return float(self.constant + self.coeffs @ x)
-
 
 def scalar_bw1_feasible(sigma0: float, sigma1: float, N: int) -> FeasibilityVerdict:
     """Closed-form feasibility test for scalar bandwidth-1 data.

@@ -32,7 +32,6 @@ class PatternGraph:
     """
 
     m: int
-    n: int
     N: int
     adj: tuple  # per-vertex bitmask over vertices
 
@@ -48,7 +47,7 @@ class PatternGraph:
         adj = []
         for u in range(m * N):
             adj.append(block_near[u // m] & ~(1 << u))
-        return cls(m, n, N, tuple(adj))
+        return cls(m, N, tuple(adj))
 
     @property
     def vertex_count(self) -> int:
@@ -64,7 +63,6 @@ class CliqueSet:
     """Vertex subsets inducing complete subgraphs; canonical sorted order."""
 
     cliques: tuple  # of sorted vertex tuples
-    maximal: bool
 
     def __len__(self):
         return len(self.cliques)
@@ -96,7 +94,7 @@ def band_cliques(N: int, n: int, m: int) -> CliqueSet:
             b = (i + p) % N
             w.extend(range(b * m, (b + 1) * m))
         windows.append(tuple(w))
-    return CliqueSet(_canonical(windows), maximal=True)
+    return CliqueSet(_canonical(windows))
 
 
 def bron_kerbosch(graph) -> CliqueSet:
@@ -128,16 +126,15 @@ def bron_kerbosch(graph) -> CliqueSet:
             x |= vb
 
     expand(0, (1 << nverts) - 1, 0)
-    return CliqueSet(_canonical(out), maximal=True)
+    return CliqueSet(_canonical(out))
 
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Converged dense completion with cycle count and final deviation."""
+    """Converged dense completion with its cycle count."""
 
     sigma: np.ndarray
     cycles: int
-    deviation: float
 
 
 def given_entry_matrix(band: BandData, N: int) -> np.ndarray:
@@ -181,7 +178,7 @@ def ips_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
             np.linalg.norm(sigma[np.ix_(c, c)] - t) for c, t in zip(cliques, targets)
         )
         if deviation <= tol:
-            return ScalingResult(sigma=sigma, cycles=cycle, deviation=float(deviation))
+            return ScalingResult(sigma=sigma, cycles=cycle)
     raise NoConvergence(f"clique marginal deviation {deviation:.3e} > {tol:.3e} after {max_cycles} cycles")
 
 
@@ -230,5 +227,5 @@ def sk1_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
         K = np.linalg.inv(sigma)
         deviation = np.linalg.norm(K[offband]) / np.linalg.norm(K)
         if deviation <= tol:
-            return ScalingResult(sigma=_sym(sigma), cycles=cycle, deviation=float(deviation))
+            return ScalingResult(sigma=_sym(sigma), cycles=cycle)
     raise NoConvergence(f"off-pattern precision residual {deviation:.3e} > {tol:.3e} after {max_cycles} cycles")

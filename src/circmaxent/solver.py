@@ -13,8 +13,8 @@ projection (the circulant precision, the bilateral AR model of the
 completion), and it is strictly convex in K, so the minimizing band, and
 with it the completion, is unique.  ``solve`` starts from a band and
 iterates on K, an (n+1, m, m) array, and returns the final band as ``K``.
-A full Lambda is read only where a caller hands one in (``DualVariable``
-starts, ``dual_gradient``) and built only by ``init_lambda``.
+A full Lambda is read only by ``dual_gradient`` and built only by
+``init_lambda``.
 
 One backtracking loop takes one of two steps.  ``method="gd"``, the
 default, is the paper's algorithm: exactly the gradient step in Lambda
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Optional, Union
+from typing import IO, Optional
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .blockcirc import (
     _hessian_lags,
     _sym,
 )
-from .errors import BadInput, BandTooWide, InfeasibleStart, NotPositiveDefinite
+from .errors import BadInput, BandTooWide, NotPositiveDefinite
 from .toeplitz import phi_inverse_coeffs, solve_yule_walker
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -115,10 +115,10 @@ class SolverConfig:
 
     ``eta`` is the gradient-norm stopping threshold (Frobenius norm, a cheap
     equivalent of the spectral norm up to dimension constants).  For
-    gradient descent it defaults, when None, to 1e-8 * max(1, ||T_n||_F) at
-    solve time; Newton stops on its decrement and uses ``eta`` only when it
-    is given, as an extra stop.  The line-search step resets to 1 every
-    iteration.
+    gradient descent it defaults, when None, to 1e-8 * ||T_n||_F at solve
+    time, relative at every scale of the data; Newton stops on its
+    decrement and uses ``eta`` only when it is given, as an extra stop.
+    The line-search step resets to 1 every iteration.
     """
 
     eta: Optional[float] = None
@@ -238,9 +238,8 @@ def _newton_coords(m: int, n: int) -> tuple:
     i1 = np.concatenate([idx[n][upper], idx[n + 1:].ravel()])
     i2 = np.concatenate([idx[n].T[upper], idx[:n][::-1].swapaxes(1, 2).ravel()])
     c = np.where(i1 == i2, 0.5, 1.0)
-    lag, pos = np.divmod(np.arange(idx.size), P)
-    d = lag[None, :] - lag[:, None]
-    flat = np.abs(d) * P * P + np.where(d >= 0, pos[:, None] * P + pos[None, :], pos[None, :] * P + pos[:, None])
+    # the Hessian's block layout, with the flat position of each entry
+    flat = _block_toeplitz(np.arange((2 * n + 1) * P * P).reshape(2 * n + 1, P, P))
     hidx = np.stack([flat[np.ix_(a, b)] for a in (i1, i2) for b in (i1, i2)])
     for arr in (i1, i2, c, hidx):
         arr.setflags(write=False)
@@ -289,8 +288,9 @@ def _start(band: BandData, N: int, mode: str) -> np.ndarray:
     "identity" is ((n+1)/N) I, 0, ..., 0, the band of the identity Lambda
     (always in the domain).  "toeplitz" is the Laurent coefficients of the
     band extension's inverse spectral density, K_d = M_d^T, the limit the
-    optimal band approaches as N grows.  Membership in the dual domain is
-    not checked here; ``solve`` checks its start.
+    optimal band approaches as N grows; it raises NotPositiveDefinite when
+    the band's block-Toeplitz matrix is not positive definite.  Membership
+    in the dual domain is not checked here; ``solve`` checks its start.
     """
     m, n = band.m, band.n
     if N < 2 * n + 2:
@@ -300,7 +300,7 @@ def _start(band: BandData, N: int, mode: str) -> np.ndarray:
         K[0] = (n + 1) / N * np.eye(m)
         return K
     if mode == "toeplitz":
-        return np.swapaxes(phi_inverse_coeffs(solve_yule_walker(band)).M, 1, 2)
+        return np.swapaxes(phi_inverse_coeffs(solve_yule_walker(band)), 1, 2)
     raise BadInput(f"unknown init mode {mode!r}")
 
 
@@ -308,7 +308,9 @@ def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
     """Starting dual variable: the block-Toeplitz Lambda whose band
     projection is ``solve``'s start band for ``mode`` ("identity" or
     "toeplitz"); block (i, i+d) is (N / (n+1-d)) * K_d.  For "identity" that
-    is the identity matrix up to rounding."""
+    is the identity matrix up to rounding.  Unlike ``solve``, it does not
+    fall back: "toeplitz" raises NotPositiveDefinite when the band's
+    block-Toeplitz matrix is not positive definite."""
     return _lift(_start(band, N, mode), N)
 
 
@@ -316,7 +318,7 @@ def solve(
     band: BandData,
     N: int,
     config: Optional[SolverConfig] = None,
-    init: Union[str, DualVariable] = "toeplitz",
+    init: str = "toeplitz",
     method: str = "gd",
 ) -> SolverResult:
     """Minimize the dual objective by backtracking descent.
@@ -328,8 +330,8 @@ def solve(
     full-step regime, where rounding sets its floor; a given ``eta`` also
     stops it.  Both backtrack on Armijo (the objective evaluates to +inf
     outside the domain, so the line search also enforces feasibility).  The
-    iterate is the band K; a ``DualVariable`` start is
-    reduced to its band first.  Returns the final band ``K`` and the
+    iterate is the band K, started from ``init``, "toeplitz" or "identity"
+    (see ``_start``).  Returns the final band ``K`` and the
     completion ``sigma`` = inverse of the final band projection: its
     inverse is banded block-circulant by construction and its band matches
     the data to a tolerance tied to ``eta``.
@@ -340,9 +342,12 @@ def solve(
     completion Sigma, and Tr(K D) < 0 beyond rounding at the start or an
     accepted iterate ends the solve as "infeasible" with K the certificate.
     A singular Newton system, or K past a cap relative to the data, ends
-    it as "stalled".  If the Toeplitz
-    warm start is infeasible the solver falls back to the identity start
-    and reports it; any other infeasible start raises InfeasibleStart.
+    it as "stalled".  When the toeplitz start cannot be formed (the band's
+    block-Toeplitz matrix is not positive definite) or lies outside the
+    dual domain, the solve starts from the identity, which always lies
+    inside, and reports "identity (fallback from toeplitz)" as its
+    ``init_mode``.  So every band gets a result: the completion, a
+    certificate that there is none, or a status saying why neither.
     """
     cfg = config if config is not None else SolverConfig()
     if method not in ("gd", "newton"):
@@ -356,17 +361,18 @@ def solve(
     data = np.swapaxes(band.blocks, 1, 2)
     D = 2.0 * N * data
     D[0] *= 0.5
-    eta = cfg.eta if cfg.eta is not None else 1e-8 * max(1.0, _band_norm(data))
+    eta = cfg.eta if cfg.eta is not None else 1e-8 * _band_norm(data)
     data_max = float(np.abs(data).max())
 
-    if isinstance(init, DualVariable):
-        K, init_mode = _dual_band(init.value, m, n, N), "custom"
+    init_mode = init
+    try:
+        K = _start(band, N, init)
+    except NotPositiveDefinite:  # the toeplitz start needs a PD block-Toeplitz matrix
+        f = math.inf
     else:
-        K, init_mode = _start(band, N, init), init
-    f, psi, lin = _objective(K, D, m, n, N, parts=True)
+        f, psi, lin = _objective(K, D, m, n, N, parts=True)
     if not math.isfinite(f):
-        if init_mode != "toeplitz":
-            raise InfeasibleStart(f"{init_mode} start lies outside the dual domain for N={N}")
+        # only a toeplitz start gets here: the identity is always inside
         K = _start(band, N, "identity")
         init_mode = "identity (fallback from toeplitz)"
         f, psi, lin = _objective(K, D, m, n, N, parts=True)

@@ -56,19 +56,6 @@ class LevinsonSolution:
     innovation: np.ndarray  # (m, m) symmetric positive definite
 
 
-@dataclass(frozen=True)
-class PhiInverseCoeffs:
-    """Laurent coefficients M_0..M_n of the inverse spectral density.
-
-    The inverse of the extension's spectral density is
-    M_0 + sum_j M_j z^j + sum_j M_j^T z^(-j); M_0 is symmetric.
-    """
-
-    m: int
-    n: int
-    M: np.ndarray  # (n+1, m, m)
-
-
 def solve_yule_walker(band: BandData) -> LevinsonSolution:
     """Fit the order-n matrix AR model to the band.
 
@@ -103,9 +90,13 @@ def solve_yule_walker(band: BandData) -> LevinsonSolution:
     return LevinsonSolution(m, n, coeffs, innovation)
 
 
-def phi_inverse_coeffs(ls: LevinsonSolution) -> PhiInverseCoeffs:
-    """Laurent coefficients of the inverse spectral density:
-    M_j = sum_k coeffs[k]^T innovation^{-1} coeffs[k+j]."""
+def phi_inverse_coeffs(ls: LevinsonSolution) -> np.ndarray:
+    """Laurent coefficients M_0..M_n (n+1, m, m) of the inverse spectral
+    density, M_j = sum_k coeffs[k]^T innovation^{-1} coeffs[k+j].
+
+    The inverse of the extension's spectral density is
+    M_0 + sum_j M_j z^j + sum_j M_j^T z^(-j); M_0 is symmetric.
+    """
     _require_spd(ls.innovation, "innovation covariance")
     lam_inv = _sym(np.linalg.inv(ls.innovation))
     M = np.zeros((ls.n + 1, ls.m, ls.m))
@@ -113,7 +104,7 @@ def phi_inverse_coeffs(ls: LevinsonSolution) -> PhiInverseCoeffs:
         for k in range(ls.n + 1 - j):
             M[j] += ls.coeffs[k].T @ lam_inv @ ls.coeffs[k + j]
     M[0] = _sym(M[0])
-    return PhiInverseCoeffs(ls.m, ls.n, M)
+    return M
 
 
 def extend_covariances(band: BandData, K: int) -> np.ndarray:

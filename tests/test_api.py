@@ -1,6 +1,6 @@
-"""The public API holds only what code outside the unit tests uses, no
-module imports a name it does not use, and every status ``solve`` sets has
-a CLI exit code.
+"""The public API holds only what code outside the unit tests uses, down to
+the fields and methods of its classes, no module imports a name it does not
+use, and every status ``solve`` sets has a CLI exit code.
 
 No linter is a dependency, so the checks read the sources with ``ast``.
 """
@@ -62,6 +62,29 @@ def test_every_export_has_a_user():
         and not any(name in ids for defines, ids in statements if defines != name)
     )
     assert unused == [], f"exported but used only by unit tests: {unused}"
+
+
+def test_every_field_and_method_has_a_reader():
+    # names are matched, not types: a field that shares its name with an
+    # attribute read elsewhere (``PatternGraph.n`` and ``band.n``) passes
+    read = set()
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        read |= {node.attr for node in ast.walk(parse(path))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    members = []
+    for path in modules():
+        for cls in parse(path).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    members.append((cls.name, stmt.target.id))
+                elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    members.append((cls.name, stmt.name))
+    assert members
+    unread = [f"{cls}.{name}" for cls, name in members if name not in read]
+    assert unread == [], f"fields or methods read only by unit tests: {unread}"
 
 
 def test_no_unused_imports():

@@ -344,6 +344,13 @@ class TestContainers:
     def test_band_data_requires_symmetric_head(self):
         with pytest.raises(BadInput):
             BandData(2, 0, np.array([[[1.0, 0.5], [0.0, 1.0]]]))
+        # the tolerance is relative to Sigma_0 at every scale
+        for s in (1.0, 1e-20):
+            with pytest.raises(BadInput):
+                BandData(2, 0, s * np.array([[[1.0, 0.5], [0.1, 1.0]]]))
+        # rounding-level asymmetry is still averaged away
+        head = BandData(2, 0, 1e-20 * np.array([[[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]]])).blocks[0]
+        assert head[0, 1] == head[1, 0]
 
     def test_toeplitz_assembly(self):
         s0 = np.array([[2.0, 0.3], [0.3, 1.5]])

@@ -145,6 +145,15 @@ class TestSolveCommand:
         payload = json.loads(out.read_text())
         assert payload["feasible"] is False and "positive definite" in payload["reason"]
 
+    def test_baseline_without_answer_exits_3(self, tmp_path, capsys):
+        # (1, -0.91) at N = 9 is feasible (the bound is -0.9397): a baseline
+        # out of cycles, or without a PD starting completion, proves nothing
+        # about the band
+        prob = write_problem(tmp_path / "nb.json", 1, 1, 9, [[1.0], [-0.91]])
+        for extra in (["--method", "ips", "--max-cycles", "3"], ["--method", "sk1"]):
+            assert main(["solve", prob, *extra, "-o", str(tmp_path / "out.json")]) == 3
+            assert capsys.readouterr().err.startswith("no further progress: ")
+
     def test_precision_band(self, tmp_path):
         # the solution's precision band K is the band of the completion's
         # inverse: the inverse of K's banded circulant is the completion

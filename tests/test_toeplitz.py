@@ -73,14 +73,14 @@ class TestYuleWalker:
 
 class TestPhiInverseCoeffs:
     def test_white_noise(self):
-        pic = phi_inverse_coeffs(solve_yule_walker(white_noise_band(2, 2)))
-        assert np.abs(pic.M[0] - np.eye(2)).max() == 0.0
-        assert np.abs(pic.M[1:]).max() == 0.0
+        M = phi_inverse_coeffs(solve_yule_walker(white_noise_band(2, 2)))
+        assert np.abs(M[0] - np.eye(2)).max() == 0.0
+        assert np.abs(M[1:]).max() == 0.0
 
     def test_scalar_hand_case(self):
-        pic = phi_inverse_coeffs(solve_yule_walker(scalar_band([1.0, 0.5])))
-        assert abs(pic.M[0, 0, 0] - 5.0 / 3.0) < 1e-12
-        assert abs(pic.M[1, 0, 0] + 2.0 / 3.0) < 1e-12
+        M = phi_inverse_coeffs(solve_yule_walker(scalar_band([1.0, 0.5])))
+        assert abs(M[0, 0, 0] - 5.0 / 3.0) < 1e-12
+        assert abs(M[1, 0, 0] + 2.0 / 3.0) < 1e-12
 
     def test_fourier_extraction_oracle(self):
         # recover the Laurent coefficients of L(theta)^H Lam^-1 L(theta) by
@@ -88,7 +88,7 @@ class TestPhiInverseCoeffs:
         rng = np.random.default_rng(23)
         coeffs, innov = random_stable_ar(2, 2, rng, radius=0.5)
         ls = solve_yule_walker(band_from_ar(coeffs, innov))
-        pic = phi_inverse_coeffs(ls)
+        M = phi_inverse_coeffs(ls)
         grid = 64
         thetas = 2 * np.pi * np.arange(grid) / grid
         lam_inv = np.linalg.inv(ls.innovation)
@@ -99,14 +99,14 @@ class TestPhiInverseCoeffs:
             for j in range(ls.n + 1):
                 acc[j] += phi_inv * np.exp(1j * theta * j) / grid
         # coefficient of exp(-j theta j) is M_j
-        assert np.abs(acc.real - pic.M).max() < 1e-12
+        assert np.abs(acc.real - M).max() < 1e-12
         assert np.abs(acc.imag).max() < 1e-12
 
     def test_m0_symmetric(self):
         rng = np.random.default_rng(24)
         coeffs, innov = random_stable_ar(3, 2, rng)
-        pic = phi_inverse_coeffs(solve_yule_walker(band_from_ar(coeffs, innov)))
-        assert np.abs(pic.M[0] - pic.M[0].T).max() < 1e-12
+        M = phi_inverse_coeffs(solve_yule_walker(band_from_ar(coeffs, innov)))
+        assert np.abs(M[0] - M[0].T).max() < 1e-12
 
 
 class TestExtendCovariances:
