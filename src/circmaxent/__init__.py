@@ -31,7 +31,6 @@ from .ips import (
     ScalingResult,
     band_cliques,
     bron_kerbosch,
-    given_entry_matrix,
     ips_solve,
     sk1_solve,
 )

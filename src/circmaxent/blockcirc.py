@@ -81,14 +81,15 @@ def _band_norm(B: np.ndarray) -> float:
 
 
 def _cholesky_blocks(psi: np.ndarray, what: str) -> np.ndarray:
-    """Batched Cholesky of Hermitian frequency blocks; the PD test.  Reads
-    the lower triangles only."""
+    """Batched Cholesky of Hermitian matrices, such as frequency blocks;
+    the PD test, which rejects non-finite input.  Reads the lower triangles
+    only."""
     if not np.isfinite(psi).all():
-        raise NotPositiveDefinite(f"{what}: non-finite frequency blocks")
+        raise NotPositiveDefinite(f"{what}: non-finite entries")
     try:
         return np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{what}: a frequency block is not positive definite") from exc
+        raise NotPositiveDefinite(f"{what} is not positive definite") from exc
 
 
 @lru_cache(maxsize=64)

@@ -48,27 +48,31 @@ EXIT_MAXITER = 3
 _STATUS_EXIT = {"converged": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER, "stalled": EXIT_MAXITER}
 
 
+def _size(value) -> int:
+    """A size read from a problem file: a JSON integer, or a float with an
+    integral value.  Bools and fractions are malformed."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"size {value!r} is not an integer")
+
+
 def _load_problem(path):
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        m, n, N = int(raw["m"]), int(raw["n"]), int(raw["N"])
-        blocks = raw["blocks"]
+        m, n, N = (_size(raw[key]) for key in ("m", "n", "N"))
+        blocks = np.asarray(raw["blocks"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"problem file {path}: missing or malformed field ({exc})") from exc
     if m < 1 or n < 0 or N < 2:
         raise BadInput(f"problem file {path}: m={m}, n={n}, N={N} out of range")
     if N < 2 * n + 2:
         raise BadInput(f"problem file {path}: N={N} < 2n+2={2 * n + 2}")
-    if len(blocks) != n + 1:
-        raise BadInput(f"problem file {path}: expected {n + 1} blocks, got {len(blocks)}")
-    arr = np.zeros((n + 1, m, m))
-    for k, blk in enumerate(blocks):
-        flat = np.asarray(blk, dtype=float).reshape(-1)
-        if flat.size != m * m:
-            raise BadInput(f"problem file {path}: block {k} has {flat.size} scalars, expected {m * m}")
-        arr[k] = flat.reshape(m, m)
-    return BandData(m, n, arr), N
+    if blocks.shape != (n + 1, m * m):
+        raise BadInput(f"problem file {path}: blocks have shape {blocks.shape}, expected {(n + 1, m * m)}")
+    return BandData(m, n, blocks.reshape(n + 1, m, m)), N
 
 
 def _solution_payload(sigma: BlockCirculant, diagnostics: dict, K=None) -> dict:
@@ -138,11 +142,11 @@ def _run_method(band, N, method, init, args, trace=None):
         result = solve(band, N, cfg, init=init, method=method)
         seconds = time.perf_counter() - t0
         solution, sigma, K = result, result.sigma, result.K
-        iterations, grad_norm, jbar = result.iterations, result.final_grad_norm, result.objective_trace[-1]
+        iterations, grad_norm, jbar = result.iterations, result.final_grad_norm, result.objective
         status, init_mode = result.status, result.init_mode
     else:
         runner = ips_solve if method == "ips" else sk1_solve
-        scaled = runner(band, N, tol=args.tol or 1e-9, max_cycles=args.max_cycles)
+        scaled = runner(band, N, tol=1e-9 if args.tol is None else args.tol, max_cycles=args.max_cycles)
         seconds = time.perf_counter() - t0
         sigma = circulant_average(scaled.sigma, band.m)
         solution, K = sigma, None
@@ -182,7 +186,7 @@ def cmd_solve(args) -> int:
 
 def cmd_extend(args) -> int:
     band, n_file = _load_problem(args.input)
-    N = args.N or n_file
+    N = n_file if args.N is None else args.N
     # the band extension needs the AR fit, which needs a PD Toeplitz matrix
     if not _toeplitz_pd(band):
         print(f"infeasible: {_TOEPLITZ_NOT_PD}", file=sys.stderr)
@@ -333,10 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, BadInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CircMaxentError as exc:
+    except (OSError, json.JSONDecodeError, CircMaxentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

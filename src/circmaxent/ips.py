@@ -8,7 +8,9 @@ pattern graph adjusting the precision so clique marginals match the data
 adjusting the covariance so the corresponding precision entries vanish.
 Both operate on dense mN x mN matrices with one full factorization per
 clique update; they serve as correctness oracles and performance foils for
-the dual gradient solver, not as the fast path.
+the dual gradient solver, not as the fast path.  Which entries are given
+is read off ``blockcirc._band_row``, the writer that embeds the band, so
+the pattern graph and the off-pattern mask cannot disagree with the data.
 """
 
 from __future__ import annotations
@@ -17,9 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, _sym
+from .blockcirc import BandData, BlockCirculant, _band_row, _sym
 from .errors import BandTooWide, NoConvergence, RequiresFullR
 from .toeplitz import circulant_approx
+
+
+def _band_mask(m: int, n: int, N: int) -> np.ndarray:
+    """Which entries of the mN x mN matrix a band of n+1 blocks of size m
+    gives: the nonzero pattern of its banded block-circulant, written by the
+    same ``_band_row`` that embeds the data.  Its diagonal is given."""
+    if N < 2 * n + 2:
+        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    return BlockCirculant(m, N, _band_row(np.ones((n + 1, m, m)), N)).to_dense() != 0
 
 
 @dataclass(frozen=True)
@@ -27,8 +38,9 @@ class PatternGraph:
     """Graph of the specified scalar entries, adjacency stored as bitmasks.
 
     Vertices are the scalar indices 0..mN-1; (u, v) is an edge when the
-    circular distance between their block indices is at most n (u != v).
-    The edge set is invariant under index shifts by m (mod mN).
+    circular distance between their block indices is at most n (u != v),
+    that is when entry (u, v) is given (see ``_band_mask``).  The edge set
+    is invariant under index shifts by m (mod mN).
     """
 
     m: int
@@ -37,17 +49,16 @@ class PatternGraph:
 
     @classmethod
     def banded(cls, m: int, n: int, N: int) -> "PatternGraph":
-        block_near = []
-        for b in range(N):
-            mask = 0
-            for c in range(N):
-                if min((b - c) % N, (c - b) % N) <= n:
-                    mask |= ((1 << m) - 1) << (c * m)
-            block_near.append(mask)
-        adj = []
-        for u in range(m * N):
-            adj.append(block_near[u // m] & ~(1 << u))
-        return cls(m, N, tuple(adj))
+        """The pattern graph of a band of n+1 blocks of size m at N blocks.
+
+        Raises
+        ------
+        BandTooWide
+            If N < 2n + 2, where the band and its mirror would overlap.
+        """
+        near = _band_mask(m, n, N) & ~np.eye(m * N, dtype=bool)
+        rows = np.packbits(near, axis=1, bitorder="little")  # bit v of row u is entry (u, v)
+        return cls(m, N, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
 
     @property
     def vertex_count(self) -> int:
@@ -97,13 +108,14 @@ def band_cliques(N: int, n: int, m: int) -> CliqueSet:
     return CliqueSet(_canonical(windows))
 
 
-def bron_kerbosch(graph) -> CliqueSet:
+def bron_kerbosch(adj) -> CliqueSet:
     """All maximal cliques, each listed once (pivoting variant).
 
-    ``graph`` is a PatternGraph or a sequence of per-vertex adjacency
-    bitmasks.  Exponential worst case; intended for desk-size graphs.
+    ``adj`` is the sequence of per-vertex adjacency bitmasks, such as
+    ``PatternGraph.adj`` or ``complement_adjacency()``.  Exponential worst
+    case; intended for desk-size graphs.
     """
-    adj = graph.adj if isinstance(graph, PatternGraph) else tuple(graph)
+    adj = tuple(adj)
     nverts = len(adj)
     out = []
 
@@ -137,12 +149,6 @@ class ScalingResult:
     cycles: int
 
 
-def given_entry_matrix(band: BandData, N: int) -> np.ndarray:
-    """Dense matrix of the given entries: the band embedded circulantly,
-    zeros in the unspecified positions (only band entries are ever read)."""
-    return band.embed_circulant(N).to_dense()
-
-
 def ips_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000) -> ScalingResult:
     """Iterative proportional scaling over the band cliques.
 
@@ -159,19 +165,17 @@ def ips_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
     """
     m, n = band.m, band.n
     cliques = [np.array(c) for c in band_cliques(N, n, m).cliques]
-    given = given_entry_matrix(band, N)
+    given = band.embed_circulant(N).to_dense()
     # the given-entry submatrix on each window (a symmetric permutation of
     # the band's block-Toeplitz matrix, in the clique's index order)
     targets = [given[np.ix_(c, c)] for c in cliques]
     target_invs = [_sym(np.linalg.inv(t)) for t in targets]
-    dim = m * N
-    K = np.eye(dim)
+    eye = np.eye(m * N)
+    K = eye.copy()
     deviation = np.inf
     for cycle in range(1, max_cycles + 1):
         for c, tinv in zip(cliques, target_invs):
-            cols = np.zeros((dim, len(c)))
-            cols[c, np.arange(len(c))] = 1.0
-            marginal = np.linalg.solve(K, cols)[c]
+            marginal = np.linalg.solve(K, eye[:, c])[c]
             K[np.ix_(c, c)] += tinv - _sym(np.linalg.inv(_sym(marginal)))
         sigma = _sym(np.linalg.inv(K))
         deviation = max(
@@ -199,29 +203,18 @@ def sk1_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
         After ``max_cycles`` cycles.
     """
     m, n = band.m, band.n
-    graph = PatternGraph.banded(m, n, N)
-    compl = [np.array(c) for c in bron_kerbosch(graph.complement_adjacency()).cliques]
-    dim = m * N
+    compl = [np.array(c) for c in bron_kerbosch(PatternGraph.banded(m, n, N).complement_adjacency()).cliques]
     sigma = circulant_approx(band, N).to_dense()
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise RequiresFullR("the circulant approximant is not a positive definite starting completion") from exc
-
-    offband = np.ones((dim, dim), dtype=bool)
-    for u in range(dim):
-        offband[u, u] = False
-        mask = graph.adj[u]
-        for v in range(dim):
-            if mask >> v & 1:
-                offband[u, v] = False
-
+    offband = ~_band_mask(m, n, N)  # the diagonal lies inside the band
+    eye = np.eye(m * N)
     deviation = np.inf
     for cycle in range(1, max_cycles + 1):
         for c in compl:
-            cols = np.zeros((dim, len(c)))
-            cols[c, np.arange(len(c))] = 1.0
-            prec_c = np.linalg.solve(sigma, cols)[c]  # clique block of the precision
+            prec_c = np.linalg.solve(sigma, eye[:, c])[c]  # clique block of the precision
             cond_cov = _sym(np.linalg.inv(_sym(prec_c)))
             sigma[np.ix_(c, c)] += np.diag(np.diag(cond_cov)) - cond_cov
         K = np.linalg.inv(sigma)

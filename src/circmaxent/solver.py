@@ -46,7 +46,7 @@ inverse.  No mN x mN dense matrix is ever formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Optional
 
@@ -118,7 +118,10 @@ class SolverConfig:
     gradient descent it defaults, when None, to 1e-8 * ||T_n||_F at solve
     time, relative at every scale of the data; Newton stops on its
     decrement and uses ``eta`` only when it is given, as an extra stop.
-    The line-search step resets to 1 every iteration.
+    The line-search step resets to 1 every iteration.  A negative or NaN
+    ``eta``, which no gradient norm can meet, an infinite one, which any
+    start meets, and a negative ``max_iter`` raise BadInput; ``eta = 0`` is
+    legal.
     """
 
     eta: Optional[float] = None
@@ -128,6 +131,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 0:
             raise BadInput(f"max_iter={self.max_iter} is negative")
+        if self.eta is not None and not 0 <= self.eta < math.inf:
+            raise BadInput(f"eta={self.eta!r} is not a finite non-negative number")
 
 
 @dataclass
@@ -139,14 +144,16 @@ class SolverResult:
     fell below floating-point resolution, the Newton system was singular or
     not finite, or K passed the cap).  ``K`` is the final iterate, the
     precision band K_0..K_n (n+1, m, m), and ``sigma`` the completion it
-    implies, the inverse of K's banded block-circulant C(K).
+    implies, the inverse of K's banded block-circulant C(K).  ``objective``
+    is the dual objective f at K; a ``SolverConfig.trace`` sink receives f at
+    every iterate.
     """
 
     K: np.ndarray
     sigma: BlockCirculant
     iterations: int
     final_grad_norm: float
-    objective_trace: list = field(default_factory=list)
+    objective: float
     line_search_backtracks_total: int = 0
     converged: bool = False
     status: str = ""
@@ -378,7 +385,6 @@ def solve(
         f, psi, lin = _objective(K, D, m, n, N, parts=True)
     G, inv = _gradient(psi, data, N)
     gnorm = _band_norm(G)
-    trace = [f]
     backtracks = 0
     iterations = 0
     status = None
@@ -446,7 +452,6 @@ def solve(
         G, inv = _gradient(psi, data, N)
         gnorm = _band_norm(G)
         iterations += 1
-        trace.append(f)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
     if status is None:
@@ -457,7 +462,7 @@ def solve(
         sigma=BlockCirculant(m, N, np.fft.irfft(inv, n=N, axis=0)),
         iterations=iterations,
         final_grad_norm=gnorm,
-        objective_trace=trace,
+        objective=f,
         line_search_backtracks_total=backtracks,
         converged=status == "converged",
         status=status,

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _sym
-from .errors import BadInput, BandTooWide, NotPositiveDefinite, Unstable
-
-
-def _require_spd(mat: np.ndarray, what: str) -> None:
-    try:
-        np.linalg.cholesky(_sym(mat))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{what} is not positive definite") from exc
+from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _cholesky_blocks, _sym
+from .errors import BadInput, BandTooWide, Unstable
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -74,7 +67,7 @@ def solve_yule_walker(band: BandData) -> LevinsonSolution:
     # Toeplitz pattern; reversing the block order maps one onto the other,
     # so either is positive definite exactly when the other is.
     T = _block_toeplitz(band.blocks)
-    _require_spd(T, "block-Toeplitz band matrix")
+    _cholesky_blocks(_sym(T), "block-Toeplitz band matrix")
     coeffs = np.zeros((n + 1, m, m))
     coeffs[0] = np.eye(m)
     if n > 0:
@@ -86,7 +79,7 @@ def solve_yule_walker(band: BandData) -> LevinsonSolution:
     for k in range(1, n + 1):
         innovation += coeffs[k] @ band.blocks[k].T
     innovation = _sym(innovation)
-    _require_spd(innovation, "innovation covariance")
+    _cholesky_blocks(innovation, "innovation covariance")
     return LevinsonSolution(m, n, coeffs, innovation)
 
 
@@ -97,7 +90,7 @@ def phi_inverse_coeffs(ls: LevinsonSolution) -> np.ndarray:
     The inverse of the extension's spectral density is
     M_0 + sum_j M_j z^j + sum_j M_j^T z^(-j); M_0 is symmetric.
     """
-    _require_spd(ls.innovation, "innovation covariance")
+    _cholesky_blocks(_sym(ls.innovation), "innovation covariance")
     lam_inv = _sym(np.linalg.inv(ls.innovation))
     M = np.zeros((ls.n + 1, ls.m, ls.m))
     for j in range(ls.n + 1):
@@ -188,7 +181,7 @@ def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
             a = np.kron(coeffs[j], np.eye(m))
             lhs[k, :, abs(k - j)] += a if k >= j else a @ swap
     innovation = np.asarray(innovation, dtype=float)
-    _require_spd(innovation, "innovation covariance")
+    _cholesky_blocks(_sym(innovation), "innovation covariance")
     rhs = np.zeros((n + 1, mm))
     rhs[0] = _sym(innovation).ravel()
     blocks = np.linalg.solve(lhs.reshape(-1, (n + 1) * mm), rhs.ravel()).reshape(n + 1, m, m)

@@ -69,6 +69,29 @@ class TestSolveCommand:
         short.write_text(json.dumps({"m": 1, "n": 1, "N": 3, "blocks": [[1.0], [0.1]]}))
         assert main(["solve", str(short)]) == 1  # violates N >= 2n+2
 
+    @pytest.mark.parametrize("command", ["solve", "feas"])
+    @pytest.mark.parametrize("field, value", [
+        ("blocks", 5),
+        ("blocks", [["a"], [0.3]]),
+        ("blocks", [{"a": 1.0}, [0.3]]),
+        ("m", 1.7),
+        ("m", True),
+    ])
+    def test_malformed_problem_exits_1(self, command, field, value, tmp_path, capsys):
+        payload = {"m": 1, "n": 1, "N": 8, "blocks": [[1.0], [0.3]], field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main([command, str(path), "-o", str(tmp_path / "out.json")]) == 1
+        assert "error: problem file" in capsys.readouterr().err
+
+    def test_ips_tol_zero_is_not_the_default(self, n4_problem, tmp_path, capsys):
+        # --tol 0 asks for an exact clique match, which rounding never gives,
+        # not for the default 1e-9
+        out = str(tmp_path / "sol.json")
+        assert main(["solve", n4_problem, "-o", out, "--method", "ips", "--max-cycles", "20"]) == 0
+        assert main(["solve", n4_problem, "-o", out, "--method", "ips", "--max-cycles", "20", "--tol", "0"]) == 3
+        assert "after 20 cycles" in capsys.readouterr().err
+
     def test_solution_round_trip_and_rerun(self, n4_problem, tmp_path):
         out = tmp_path / "sol.json"
         assert main(["solve", n4_problem, "-o", str(out), "--tol", "1e-11"]) == 0
@@ -274,6 +297,11 @@ class TestExtendCommand:
             assert main(["extend", prob, "--N", str(N), "-o", str(out)]) == 0
             norms.append(json.loads(out.read_text())["diagnostics"]["inverse_offband_norm"])
         assert norms[2] <= norms[1] <= norms[0]
+
+    def test_zero_size_is_not_the_default(self, n4_problem, tmp_path, capsys):
+        # --N 0 is a size (too small), not a request for the file's N
+        assert main(["extend", n4_problem, "--N", "0", "-o", str(tmp_path / "ext.json")]) == 1
+        assert "N=0" in capsys.readouterr().err
 
     def test_reports_non_pd_approximant(self, infeasible_problem, tmp_path):
         # the band extension exists (|sigma_1| < sigma_0) but wrapping it at

@@ -5,6 +5,7 @@ import time
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circmaxent import (
     NoConvergence,
@@ -13,7 +14,6 @@ from circmaxent import (
     band_cliques,
     bron_kerbosch,
     circulant_average,
-    given_entry_matrix,
     ips_solve,
     random_feasible_band,
     sk1_solve,
@@ -71,6 +71,35 @@ class TestPatternGraph:
             assert g.adj[u] & comp[u] == 0
 
 
+@st.composite
+def patterns(draw):
+    """(m, n, N) with N at least 2n+2, the smallest size the band fits."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    return m, n, draw(st.integers(2 * n + 2, 20))
+
+
+@settings(deadline=None)
+@given(patterns())
+def test_pattern_graph_properties(pattern):
+    m, n, N = pattern
+    g = PatternGraph.banded(m, n, N)
+    comp = g.complement_adjacency()
+    dim = m * N
+    for u in range(dim):
+        for v in range(dim):
+            dist = min((u // m - v // m) % N, (v // m - u // m) % N)
+            assert bool(g.adj[u] >> v & 1) == (u != v and dist <= n)
+        # the graph and its complement split the off-diagonal pairs
+        assert g.adj[u] & comp[u] == 0
+        assert g.adj[u] | comp[u] == ((1 << dim) - 1) & ~(1 << u)
+    for window in band_cliques(N, n, m).cliques:
+        assert all(g.adj[u] >> v & 1 for u in window for v in window if u != v)
+    with pytest.raises(BandTooWide):
+        PatternGraph.banded(m, n, 2 * n + 1)
+    with pytest.raises(BandTooWide):
+        band_cliques(2 * n + 1, n, m)
+
+
 class TestBandCliques:
     def test_table_sizes_n2(self):
         cs = band_cliques(30, 2, 1)
@@ -94,7 +123,7 @@ class TestBandCliques:
     def test_windows_equal_bron_kerbosch(self):
         for N, n, m in [(8, 1, 2), (12, 2, 1), (10, 1, 1), (30, 3, 1), (9, 2, 2)]:
             g = PatternGraph.banded(m, n, N)
-            assert bron_kerbosch(g).as_set() == band_cliques(N, n, m).as_set()
+            assert bron_kerbosch(g.adj).as_set() == band_cliques(N, n, m).as_set()
 
     def test_band_too_wide(self):
         with pytest.raises(BandTooWide):
@@ -178,7 +207,7 @@ class TestIpsSolve:
         rng = np.random.default_rng(63)
         band = random_feasible_band(2, 1, 8, rng)
         res = ips_solve(band, 8, tol=1e-11)
-        r = given_entry_matrix(band, 8)
+        r = band.embed_circulant(8).to_dense()
         mask = r != 0
         assert np.abs((res.sigma - r)[mask]).max() < 1e-9
 

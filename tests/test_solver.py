@@ -318,10 +318,11 @@ class TestSolve:
         # eta above the objective's noise floor: every step is Armijo-checked
         rng = np.random.default_rng(45)
         band = random_feasible_band(2, 1, 10, rng)
-        res = solve(band, 10, SolverConfig(eta=1e-5), init="identity")
+        sink = io.StringIO()
+        res = solve(band, 10, SolverConfig(eta=1e-5, trace=sink), init="identity")
         assert res.converged
-        trace = res.objective_trace
-        assert len(trace) == res.iterations + 1
+        trace = [float(line.split(",")[1]) for line in sink.getvalue().splitlines()[1:]]
+        assert len(trace) == res.iterations + 1 and trace[-1] == res.objective
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
     def test_gradient_norm_at_solution(self):
@@ -392,8 +393,12 @@ class TestSolve:
             float(fields[1]), float(fields[2]), float(fields[3])
 
     def test_config_validation(self):
-        with pytest.raises(BadInput):
-            SolverConfig(max_iter=-1)
+        # no gradient norm meets a negative or NaN eta, so GD would run out
+        # its whole budget; any start, however far off, meets an infinite one
+        for kwargs in ({"max_iter": -1}, {"eta": -1e-8}, {"eta": math.nan}, {"eta": math.inf}):
+            with pytest.raises(BadInput):
+                SolverConfig(**kwargs)
+        assert SolverConfig(eta=0.0).eta == 0.0
 
     def test_unrepresentable_scale_rejected(self):
         # the band (1, 0.3) s at s = 1e200 has a squared norm that overflows
