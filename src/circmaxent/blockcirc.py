@@ -41,6 +41,12 @@ def _hermitize(psi: np.ndarray) -> np.ndarray:
     return 0.5 * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 
 
+def _check_width(n: int, N: int) -> None:
+    """The band of n+1 blocks and its circulant mirror must not overlap."""
+    if N < 2 * n + 2:
+        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+
+
 def _band_row(band: np.ndarray, N: int) -> np.ndarray:
     """First block row of the symmetric block-circulant with band blocks
     ``band`` (n+1, m, m): row[d] = band[d], row[N-d] = band[d]^T, zeros
@@ -233,8 +239,7 @@ class BandData:
 
     def embed_circulant(self, N: int) -> BlockCirculant:
         """Banded block-circulant with this band and zeros elsewhere."""
-        if N < 2 * self.n + 2:
-            raise BandTooWide(f"N={N} < 2n+2={2 * self.n + 2}")
+        _check_width(self.n, N)
         return BlockCirculant(self.m, N, _band_row(np.swapaxes(self.blocks, 1, 2), N))
 
 
@@ -281,8 +286,7 @@ def _dual_band(lam: np.ndarray, m: int, n: int, N: int) -> np.ndarray:
     """The band K_0..K_n (n+1, m, m) of ``project_band_gram(lam, m, n, N)``:
     K_d = (1/N) sum_i lam[i, i+d] for a bordered dual matrix ``lam``, or
     ``lam`` itself when it is given as that band."""
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    _check_width(n, N)
     lam = np.asarray(lam, dtype=float)
     size = (n + 1) * m
     if lam.shape == (size, size):

@@ -13,12 +13,12 @@ verify every method through ``_run_method``, which projects a baseline's
 dense iterate onto circulants; ``compare`` measures distances between
 circulant first rows, so no mN x mN matrix is built for any result.
 
-Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by
-a solve's certificate or up front (``solve`` and ``compare`` decide a scalar
-bandwidth-1 band by its closed form, and reject any band whose block-Toeplitz
-matrix is not positive definite, as ``extend`` does), 3 iteration or cycle
-budget exhausted or no further progress, including a baseline that cannot
-start.  Diagnostics never change exit codes.
+Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by a
+solve's certificate or up front (the closed form for a scalar bandwidth-1
+band with sigma_0 > 0, else the block-Toeplitz test, which ``extend`` reads
+off its AR fit), 3 iteration or cycle budget exhausted or no further
+progress, including a baseline of ``solve``, ``compare`` or ``bench`` that
+cannot start.  Diagnostics never change exit codes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, circulant_average
+from .blockcirc import BandData, BlockCirculant, _check_width, circulant_average
 from .errors import BadInput, CircMaxentError, NoConvergence, NotPositiveDefinite, RequiresFullR
 from .feasibility import eig_affine_forms, scalar_bw1_feasible
 from .generate import random_feasible_band
@@ -63,13 +63,15 @@ def _load_problem(path):
         raw = json.load(fh)
     try:
         m, n, N = (_size(raw[key]) for key in ("m", "n", "N"))
+        # JSON numbers only: numpy would also read a bool or a numeric string
+        if not all(type(x) in (int, float) for row in raw["blocks"] for x in row):
+            raise ValueError("blocks must hold numbers")
         blocks = np.asarray(raw["blocks"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"problem file {path}: missing or malformed field ({exc})") from exc
-    if m < 1 or n < 0 or N < 2:
-        raise BadInput(f"problem file {path}: m={m}, n={n}, N={N} out of range")
-    if N < 2 * n + 2:
-        raise BadInput(f"problem file {path}: N={N} < 2n+2={2 * n + 2}")
+    if m < 1 or n < 0:
+        raise BadInput(f"problem file {path}: m={m}, n={n} out of range")
+    _check_width(n, N)
     if blocks.shape != (n + 1, m * m):
         raise BadInput(f"problem file {path}: blocks have shape {blocks.shape}, expected {(n + 1, m * m)}")
     return BandData(m, n, blocks.reshape(n + 1, m, m)), N
@@ -101,27 +103,22 @@ _TOEPLITZ_NOT_PD = ("the band's block-Toeplitz matrix, a principal submatrix of 
                     "completion, is not positive definite")
 
 
-def _toeplitz_pd(band: BandData) -> bool:
-    """Whether the (n+1)-block Toeplitz matrix of the band is positive
-    definite; if it is not, no completion is."""
+def _upfront_verdict(band: BandData, N: int) -> tuple:
+    """(feasible, reason, verdict) as decided before any solve: the closed
+    form ``verdict`` for a scalar bandwidth-1 band with sigma_0 > 0, its
+    domain, else the block-Toeplitz test.  ``feasible`` is None, with no
+    reason or verdict, when the solve has to decide."""
+    if band.m == band.n == 1 and band.blocks[0, 0, 0] > 0:
+        sigma0, sigma1 = band.blocks[:, 0, 0]
+        verdict = scalar_bw1_feasible(sigma0, sigma1, N)
+        reason = None if verdict.feasible else (
+            f"sigma_1={float(sigma1)!r} outside ({verdict.lower!r}, {verdict.upper!r}) for N={N}")
+        return verdict.feasible, reason, verdict
     try:
         np.linalg.cholesky(band.toeplitz())
     except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _infeasible_reason(band: BandData, N: int) -> str | None:
-    """Why the band has no completion of size N, when that is decided up
-    front: the closed form for scalar bandwidth 1, else the block-Toeplitz
-    test.  None means the solve has to decide."""
-    if band.m == 1 and band.n == 1:
-        verdict = scalar_bw1_feasible(band.blocks[0, 0, 0], band.blocks[1, 0, 0], N)
-        if verdict.feasible:
-            return None
-        return (f"sigma_1={float(band.blocks[1, 0, 0])!r} outside "
-                f"({verdict.lower!r}, {verdict.upper!r}) for N={N}")
-    return None if _toeplitz_pd(band) else _TOEPLITZ_NOT_PD
+        return False, _TOEPLITZ_NOT_PD, None
+    return None, None, None
 
 
 def _run_method(band, N, method, init, args, trace=None):
@@ -167,19 +164,14 @@ def _run_method(band, N, method, init, args, trace=None):
 
 def cmd_solve(args) -> int:
     band, N = _load_problem(args.input)
-    reason = _infeasible_reason(band, N)
+    reason = _upfront_verdict(band, N)[1]
     if reason is not None:
         print(f"infeasible: {reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
     # the baselines write no trace
     traced = args.trace and args.method in ("newton", "gd")
     with open(args.trace, "w") if traced else contextlib.nullcontext() as trace:
-        try:
-            sigma, K, diagnostics, _ = _run_method(band, N, args.method, args.init, args, trace)
-        except (NoConvergence, RequiresFullR) as exc:
-            # a baseline that runs out of cycles or cannot start proves nothing
-            print(f"no further progress: {exc}", file=sys.stderr)
-            return EXIT_MAXITER
+        sigma, K, diagnostics, _ = _run_method(band, N, args.method, args.init, args, trace)
     _emit(_solution_payload(sigma, diagnostics, K), args.output)
     return _STATUS_EXIT[diagnostics["status"]]
 
@@ -187,11 +179,12 @@ def cmd_solve(args) -> int:
 def cmd_extend(args) -> int:
     band, n_file = _load_problem(args.input)
     N = n_file if args.N is None else args.N
-    # the band extension needs the AR fit, which needs a PD Toeplitz matrix
-    if not _toeplitz_pd(band):
+    # the band extension's AR fit factors the block-Toeplitz matrix
+    try:
+        approx = circulant_approx(band, N)
+    except NotPositiveDefinite:
         print(f"infeasible: {_TOEPLITZ_NOT_PD}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    approx = circulant_approx(band, N)
     try:
         pd, offband = True, verify_solution(approx, band).dempster_residual
     except NotPositiveDefinite:
@@ -203,12 +196,12 @@ def cmd_extend(args) -> int:
 
 def cmd_feas(args) -> int:
     band, N = _load_problem(args.input)
-    payload = {"N": N, "m": band.m, "n": band.n, "feasible": None, "margin": None, "bounds": None}
-    if band.m == 1 and band.n == 1:
-        verdict = scalar_bw1_feasible(band.blocks[0, 0, 0], band.blocks[1, 0, 0], N)
-        payload.update(feasible=verdict.feasible, margin=verdict.margin, bounds=[verdict.lower, verdict.upper])
-    elif not _toeplitz_pd(band):
-        payload.update(feasible=False, reason=_TOEPLITZ_NOT_PD)
+    feasible, reason, verdict = _upfront_verdict(band, N)
+    payload = {"N": N, "m": band.m, "n": band.n, "feasible": feasible, "margin": None, "bounds": None}
+    if verdict is not None:
+        payload.update(margin=verdict.margin, bounds=[verdict.lower, verdict.upper])
+    elif reason is not None:
+        payload["reason"] = reason
     else:
         result = solve(band, N, SolverConfig(max_iter=args.budget), method="newton")
         # K is the witness of a converged solve, the certificate of an infeasible one
@@ -235,7 +228,7 @@ def cmd_feas(args) -> int:
 
 def cmd_compare(args) -> int:
     band, N = _load_problem(args.input)
-    reason = _infeasible_reason(band, N)
+    reason = _upfront_verdict(band, N)[1]
     if reason is not None:
         print(f"infeasible: {reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -337,6 +330,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NoConvergence, RequiresFullR) as exc:
+        # a baseline that runs out of cycles or cannot start proves nothing
+        print(f"no further progress: {exc}", file=sys.stderr)
+        return EXIT_MAXITER
     except (OSError, json.JSONDecodeError, CircMaxentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

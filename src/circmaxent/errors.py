@@ -13,8 +13,8 @@ class NotPositiveDefinite(CircMaxentError):
     """A matrix required to be positive definite failed factorization."""
 
 
-class BandTooWide(CircMaxentError):
-    """The band and its circulant mirror overlap; requires N >= 2n + 2."""
+class BandTooWide(BadInput):
+    """The band and its circulant mirror overlap: N < 2n + 2 (``blockcirc._check_width``)."""
 
 
 class Unstable(CircMaxentError):

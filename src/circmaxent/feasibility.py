@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData
-from .errors import BadInput, BandTooWide
+from .blockcirc import BandData, _check_width
+from .errors import BadInput
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,9 @@ def scalar_bw1_feasible(sigma0: float, sigma1: float, N: int) -> FeasibilityVerd
     Raises
     ------
     BadInput
-        For N < 4 or sigma0 <= 0.
+        For N < 4 (as BandTooWide) or sigma0 <= 0.
     """
-    if N < 4:
-        raise BadInput(f"N={N} < 4")
+    _check_width(1, N)
     if sigma0 <= 0:
         raise BadInput(f"sigma0={sigma0} must be positive")
     if N % 2 == 0:
@@ -85,8 +84,7 @@ def eig_affine_forms(band: BandData, N: int) -> list:
     if band.m != 1:
         raise BadInput("affine eigenvalue forms exist only for scalar data")
     n = band.n
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    _check_width(n, N)
     sig = band.blocks[:, 0, 0]
     distances = np.arange(n + 1, N // 2 + 1)
     forms = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _hermitize, _sym, circ_inverse
+from .blockcirc import BandData, BlockCirculant, _band_row, _check_width, _hermitize, _sym, circ_inverse
 from .errors import BadInput
 from .toeplitz import _companion, band_from_ar, spectral_radius
 
@@ -22,8 +22,9 @@ _MARGIN = 0.3
 
 def random_feasible_band(m: int, n: int, N: int, rng) -> BandData:
     """Band of the inverse of a random banded circulant precision."""
-    if N < 2 * n + 2:
-        raise BadInput(f"N={N} < 2n+2={2 * n + 2}")
+    if m < 1 or n < 0:
+        raise BadInput(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    _check_width(n, N)
     band = np.zeros((n + 1, m, m))
     band[0] = np.eye(m) + 0.3 * _sym(rng.standard_normal((m, m)))
     for d in range(1, n + 1):

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _sym
-from .errors import BandTooWide, NoConvergence, RequiresFullR
+from .blockcirc import BandData, BlockCirculant, _band_row, _check_width, _sym
+from .errors import NoConvergence, RequiresFullR
+from .solver import SolverConfig
 from .toeplitz import circulant_approx
 
 
@@ -28,8 +29,7 @@ def _band_mask(m: int, n: int, N: int) -> np.ndarray:
     """Which entries of the mN x mN matrix a band of n+1 blocks of size m
     gives: the nonzero pattern of its banded block-circulant, written by the
     same ``_band_row`` that embeds the data.  Its diagonal is given."""
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    _check_width(n, N)
     return BlockCirculant(m, N, _band_row(np.ones((n + 1, m, m)), N)).to_dense() != 0
 
 
@@ -96,8 +96,7 @@ def band_cliques(N: int, n: int, m: int) -> CliqueSet:
     {i, ..., i+n} (mod N), of size m(n+1); for N >= 2n+2 these windows are
     exactly the maximal cliques.
     """
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    _check_width(n, N)
     windows = []
     for i in range(N):
         w = []
@@ -163,6 +162,7 @@ def ips_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
     NoConvergence
         After ``max_cycles`` full cycles (infeasibility suspected).
     """
+    SolverConfig(eta=tol, max_iter=max_cycles)  # the solver's budget check
     m, n = band.m, band.n
     cliques = [np.array(c) for c in band_cliques(N, n, m).cliques]
     given = band.embed_circulant(N).to_dense()
@@ -202,6 +202,7 @@ def sk1_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
     NoConvergence
         After ``max_cycles`` cycles.
     """
+    SolverConfig(eta=tol, max_iter=max_cycles)  # the solver's budget check
     m, n = band.m, band.n
     compl = [np.array(c) for c in bron_kerbosch(PatternGraph.banded(m, n, N).complement_adjacency()).cliques]
     sigma = circulant_approx(band, N).to_dense()

@@ -59,6 +59,7 @@ from .blockcirc import (
     _band_norm,
     _band_spectrum,
     _block_toeplitz,
+    _check_width,
     _cholesky_blocks,
     _dual_band,
     _factored,
@@ -66,7 +67,7 @@ from .blockcirc import (
     _hessian_lags,
     _sym,
 )
-from .errors import BadInput, BandTooWide, NotPositiveDefinite
+from .errors import BadInput, NotPositiveDefinite
 from .toeplitz import phi_inverse_coeffs, solve_yule_walker
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -130,9 +131,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iter < 0:
-            raise BadInput(f"max_iter={self.max_iter} is negative")
+            raise BadInput(f"budget of {self.max_iter} steps is negative")
         if self.eta is not None and not 0 <= self.eta < math.inf:
-            raise BadInput(f"eta={self.eta!r} is not a finite non-negative number")
+            raise BadInput(f"tolerance {self.eta!r} is not a finite non-negative number")
 
 
 @dataclass
@@ -300,8 +301,7 @@ def _start(band: BandData, N: int, mode: str) -> np.ndarray:
     in the dual domain is not checked here; ``solve`` checks its start.
     """
     m, n = band.m, band.n
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    _check_width(n, N)
     if mode == "identity":
         K = np.zeros((n + 1, m, m))
         K[0] = (n + 1) / N * np.eye(m)
@@ -500,8 +500,7 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     m, n, N = band.m, band.n, sigma.N
     if sigma.m != m:
         raise BadInput(f"completion blocks are {sigma.m} x {sigma.m}, band blocks {m} x {m}")
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+    _check_width(n, N)
     data = np.swapaxes(band.blocks, 1, 2)
     # both ratios are taken on arrays scaled to a largest |entry| of 1, so
     # their squared norms neither under- nor overflow at any data scale

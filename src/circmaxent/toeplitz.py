@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _cholesky_blocks, _sym
-from .errors import BadInput, BandTooWide, Unstable
+from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _check_width, _cholesky_blocks, _sym
+from .errors import BadInput, Unstable
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -140,8 +140,7 @@ def circulant_approx(band: BandData, N: int) -> BlockCirculant:
     NotPositiveDefinite
         If the band's block-Toeplitz matrix is not positive definite.
     """
-    if N < 2 * band.n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * band.n + 2}")
+    _check_width(band.n, N)
     lags = np.concatenate([band.blocks, extend_covariances(band, N // 2)])
     return BlockCirculant(band.m, N, _band_row(np.swapaxes(lags, 1, 2), N))
 

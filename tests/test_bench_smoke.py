@@ -12,8 +12,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from circmaxent import random_feasible_band
+from circmaxent import BadInput, random_feasible_band
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 600
@@ -50,3 +51,13 @@ def test_instance_generator_is_pinned():
                 if N >= 2 * n + 2:
                     digest.update(random_feasible_band(m, n, N, rng).blocks.tobytes())
     assert digest.hexdigest() == "016747615d98b9f844d1eddc2de938be77c62a23187d49b441cee130546f938a"
+
+
+def test_instance_generator_rejects_sizes_before_drawing():
+    # m = 0 failed inside numpy, n = -1 with an IndexError
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    for m, n in ((0, 1), (1, -1)):
+        with pytest.raises(BadInput):
+            random_feasible_band(m, n, 8, rng)
+    assert rng.bit_generator.state == state

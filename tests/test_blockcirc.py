@@ -9,11 +9,21 @@ from circmaxent import (
     BandTooWide,
     BlockCirculant,
     NotPositiveDefinite,
+    PatternGraph,
+    band_cliques,
     circ_inverse,
     circ_logdet,
+    circulant_approx,
     circulant_average,
+    eig_affine_forms,
+    init_lambda,
+    ips_solve,
     leading_inverse_band,
     project_band_gram,
+    random_feasible_band,
+    scalar_bw1_feasible,
+    sk1_solve,
+    solve,
     verify_solution,
 )
 from helpers import (
@@ -376,3 +386,42 @@ class TestContainers:
             BandData(1, 0, np.array([[[np.nan]]]))
         with pytest.raises(BadInput):
             BandData(0, 1, np.zeros((2, 0, 0)))
+
+
+def _width_entries():
+    """Every public entry that takes a bandwidth n and a size N, as
+    (n, call of N); the bands are feasible at N = 2n + 2."""
+    band = BandData(1, 2, np.array([1.0, 0.3, 0.1]).reshape(3, 1, 1))
+
+    def identity(N):
+        row = np.zeros((N, 1, 1))
+        row[0] = 1.0
+        return BlockCirculant(1, N, row)
+
+    return {
+        "embed_circulant": (2, band.embed_circulant),
+        "project_band_gram": (2, lambda N: project_band_gram(band.blocks, 1, 2, N)),
+        "scalar_bw1_feasible": (1, lambda N: scalar_bw1_feasible(1.0, 0.3, N)),
+        "eig_affine_forms": (2, lambda N: eig_affine_forms(band, N)),
+        "random_feasible_band": (2, lambda N: random_feasible_band(1, 2, N, np.random.default_rng(0))),
+        "PatternGraph.banded": (2, lambda N: PatternGraph.banded(1, 2, N)),
+        "band_cliques": (2, lambda N: band_cliques(N, 2, 1)),
+        "ips_solve": (2, lambda N: ips_solve(band, N)),
+        "sk1_solve": (2, lambda N: sk1_solve(band, N)),
+        "solve": (2, lambda N: solve(band, N, method="newton")),
+        "init_lambda": (2, lambda N: init_lambda(band, N)),
+        "verify_solution": (2, lambda N: verify_solution(identity(N), band)),
+        "circulant_approx": (2, lambda N: circulant_approx(band, N)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_width_entries()))
+def test_width_rule_has_one_owner(entry):
+    # N >= 2n + 2 keeps the band apart from its circulant mirror; every
+    # entry refuses a smaller N with the same error, which is a BadInput
+    n, call = _width_entries()[entry]
+    for N in (2 * n, 2 * n + 1):
+        with pytest.raises(BandTooWide) as exc:
+            call(N)
+        assert isinstance(exc.value, BadInput)
+    call(2 * n + 2)

@@ -74,6 +74,9 @@ class TestSolveCommand:
         ("blocks", 5),
         ("blocks", [["a"], [0.3]]),
         ("blocks", [{"a": 1.0}, [0.3]]),
+        ("blocks", [[True], [0.3]]),
+        ("blocks", [["1.0"], [0.3]]),
+        ("blocks", [[10 ** 400], [0.3]]),
         ("m", 1.7),
         ("m", True),
     ])
@@ -154,27 +157,37 @@ class TestSolveCommand:
     def test_toeplitz_not_pd_exits_2(self, tmp_path, capsys):
         # the (n+1)-block Toeplitz matrix of (I, diag(-1.02, 0.3)) has an
         # eigenvalue 1 - 1.02 < 0 and is a principal submatrix of every
-        # completion; the Yule-Walker start raised here (exit 1)
-        blocks = [[1.0, 0.0, 0.0, 1.0], [-1.02, 0.0, 0.0, 0.3]]
-        prob = write_problem(tmp_path / "np.json", 2, 1, 8, blocks)
-        runs = [["solve", prob, "--method", method] for method in ("newton", "gd", "ips")]
-        errs = set()
-        for argv in runs + [["extend", prob], ["compare", prob]]:
-            assert main(argv) == 2
-            errs.add(capsys.readouterr().err)
-        assert len(errs) == 1 and errs.pop().startswith("infeasible: ")
-        out = tmp_path / "feas.json"
-        assert main(["feas", prob, "-o", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["feasible"] is False and "positive definite" in payload["reason"]
+        # completion; the Yule-Walker start raised here (exit 1).  A scalar
+        # band with sigma_0 <= 0 lies outside the closed form's domain, which
+        # raised there (exit 1), and gets the same test
+        bands = [(2, [[1.0, 0.0, 0.0, 1.0], [-1.02, 0.0, 0.0, 0.3]]), (1, [[-1.0], [0.3]]), (1, [[0.0], [0.3]])]
+        for m, blocks in bands:
+            prob = write_problem(tmp_path / "np.json", m, 1, 8, blocks)
+            runs = [["solve", prob, "--method", method] for method in ("newton", "gd", "ips")]
+            errs = set()
+            for argv in runs + [["extend", prob], ["compare", prob]]:
+                assert main(argv) == 2
+                errs.add(capsys.readouterr().err)
+            assert len(errs) == 1 and errs.pop().startswith("infeasible: ")
+            out = tmp_path / "feas.json"
+            assert main(["feas", prob, "-o", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["feasible"] is False and "positive definite" in payload["reason"]
 
     def test_baseline_without_answer_exits_3(self, tmp_path, capsys):
         # (1, -0.91) at N = 9 is feasible (the bound is -0.9397): a baseline
         # out of cycles, or without a PD starting completion, proves nothing
         # about the band
         prob = write_problem(tmp_path / "nb.json", 1, 1, 9, [[1.0], [-0.91]])
-        for extra in (["--method", "ips", "--max-cycles", "3"], ["--method", "sk1"]):
-            assert main(["solve", prob, *extra, "-o", str(tmp_path / "out.json")]) == 3
+        out = str(tmp_path / "out.json")
+        # compare and bench run IPS after GD, which is quick on (1, 0.3)
+        quick = write_problem(tmp_path / "q.json", 1, 1, 8, [[1.0], [0.3]])
+        runs = [["solve", prob, "--method", "ips", "--max-cycles", "3", "-o", out],
+                ["solve", prob, "--method", "sk1", "-o", out],
+                ["compare", quick, "--max-cycles", "1"],
+                ["bench", "--m", "2", "--n", "2", "--N", "8", "--method", "ips", "--max-cycles", "1"]]
+        for argv in runs:
+            assert main(argv) == 3
             assert capsys.readouterr().err.startswith("no further progress: ")
 
     def test_precision_band(self, tmp_path):

@@ -1,5 +1,6 @@
 """Pattern graph, clique enumeration, and the scaling baselines."""
 
+import math
 import time
 
 import networkx as nx
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circmaxent import (
+    BadInput,
     NoConvergence,
     PatternGraph,
     RequiresFullR,
@@ -215,6 +217,18 @@ class TestIpsSolve:
         band = scalar_band([1.0, -0.91])
         with pytest.raises(NoConvergence):
             ips_solve(band, 7, tol=1e-9, max_cycles=50)
+
+
+@pytest.mark.parametrize("runner", [ips_solve, sk1_solve])
+def test_budget_is_checked(runner):
+    # no deviation meets a negative or NaN tol, so the run used all its
+    # cycles; any meets an infinite one.  A budget of zero is legal.
+    band = scalar_band([1.0, 0.3])
+    for tol, max_cycles in ((-1.0, 10), (math.nan, 10), (math.inf, 10), (1e-9, -1)):
+        with pytest.raises(BadInput):
+            runner(band, 8, tol=tol, max_cycles=max_cycles)
+    with pytest.raises(NoConvergence):
+        runner(band, 8, tol=0.0, max_cycles=0)
 
 
 class TestSk1Solve:
