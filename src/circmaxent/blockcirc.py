@@ -8,7 +8,11 @@ the positive-definiteness test all reduce to work on Hermitian m x m
 frequency blocks.  A real symmetric matrix has Psi_{N-l} = conj(Psi_l), so
 only the floor(N/2)+1 blocks Psi_0..Psi_{N/2} are ever formed: from the
 first row with a real FFT, or, for a matrix banded to distance n, straight
-from its n+1 band blocks.  Dense mN x mN matrices are only materialized by
+from its n+1 band blocks.  Likewise the first row itself has only
+floor(N/2)+1 distinct blocks, row[N-d] = row[d]^T; ``_mirror`` owns that
+symmetry and makes every first row the package computes (an inverse FFT,
+an average) exactly mirrored, so that a writer can format each distinct
+block once.  Dense mN x mN matrices are only materialized by
 ``to_dense`` (oracles and baselines), never on the solver path.  A full
 bordered dual matrix enters only through ``_dual_band``, which reduces it to
 its band.
@@ -42,7 +46,10 @@ def _hermitize(psi: np.ndarray) -> np.ndarray:
 
 
 def _check_width(n: int, N: int) -> None:
-    """The band of n+1 blocks and its circulant mirror must not overlap."""
+    """The band of n+1 blocks, n >= 0, and its circulant mirror must not
+    overlap."""
+    if n < 0:
+        raise BadInput(f"bandwidth n={n} is negative")
     if N < 2 * n + 2:
         raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
 
@@ -56,6 +63,21 @@ def _band_row(band: np.ndarray, N: int) -> np.ndarray:
     row = np.zeros((N,) + band.shape[1:])
     row[: n + 1] = band
     row[N - n:] += np.swapaxes(band[:0:-1], 1, 2)
+    return row
+
+
+def _mirror(row: np.ndarray) -> np.ndarray:
+    """Make a first block row (N, m, m) that of a symmetric block-circulant
+    to the last bit, in place, and return it: row[N-d] = row[d]^T for
+    0 < d < N/2, keeping the lower half (so band blocks 1..n keep their
+    bits), and blocks 0 and N/2 (even N) symmetrized.  Allocates no
+    full-size array."""
+    N = len(row)
+    h = (N - 1) // 2
+    row[N - h:] = np.swapaxes(row[h:0:-1], 1, 2)
+    row[0] = _sym(row[0])
+    if N % 2 == 0:
+        row[N // 2] = _sym(row[N // 2])
     return row
 
 
@@ -185,7 +207,10 @@ def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockCirculant:
-    """Symmetric block-circulant matrix stored as its first block row."""
+    """Symmetric block-circulant matrix stored as its first block row.
+
+    Every row the package computes is mirrored exactly by ``_mirror``;
+    the class itself takes any row and does not check it."""
 
     m: int
     N: int
@@ -261,7 +286,8 @@ def circ_inverse(c: BlockCirculant) -> BlockCirculant:
     """Inverse of a symmetric positive definite block-circulant.
 
     Inverts the frequency blocks Psi_0..Psi_{N/2} and transforms back with
-    the real inverse FFT, whose output is real by construction.
+    the real inverse FFT, whose output is real by construction and is
+    mirrored exactly (``_mirror``).
 
     Raises
     ------
@@ -269,7 +295,7 @@ def circ_inverse(c: BlockCirculant) -> BlockCirculant:
         If any frequency block fails Cholesky factorization.
     """
     head = _factored(c, "circ_inverse")[0]
-    return BlockCirculant(c.m, c.N, np.fft.irfft(np.linalg.inv(head), n=c.N, axis=0))
+    return BlockCirculant(c.m, c.N, _mirror(np.fft.irfft(np.linalg.inv(head), n=c.N, axis=0)))
 
 
 def circ_logdet(c: BlockCirculant) -> float:
@@ -328,8 +354,10 @@ def leading_inverse_band(c: BlockCirculant, n: int) -> np.ndarray:
 def circulant_average(dense: np.ndarray, m: int) -> BlockCirculant:
     """Orthogonal projection of a dense symmetric matrix onto block-circulants.
 
-    Averages the m x m blocks along each circulant block diagonal.  Used to
-    read a circulant out of baseline iterates; the solver never calls it.
+    Averages the m x m blocks along each circulant block diagonal, and
+    mirrors the averages exactly (``_mirror``): block diagonal N-d of a
+    symmetric matrix holds the transposes of diagonal d.  Used to read a
+    circulant out of baseline iterates; the solver never calls it.
     """
     dense = np.asarray(dense, dtype=float)
     if dense.shape[0] != dense.shape[1] or dense.shape[0] % m:
@@ -338,4 +366,4 @@ def circulant_average(dense: np.ndarray, m: int) -> BlockCirculant:
     blocks = dense.reshape(N, m, N, m).transpose(0, 2, 1, 3)  # (i, j, m, m)
     i = np.arange(N)
     j = (i[:, None] + i[None, :]) % N  # j[i, k] = (i + k) mod N
-    return BlockCirculant(m, N, blocks[i[:, None], j].mean(axis=0))
+    return BlockCirculant(m, N, _mirror(blocks[i[:, None], j].mean(axis=0)))

@@ -5,13 +5,18 @@ scalars row-major (Sigma_0 first).  Solution files carry the first block row
 of the completion plus diagnostics, and Newton and GD solutions the
 precision band K_0..K_n, the first-row blocks of the completion's banded
 inverse, as compact one-line JSON.  Floats are serialized with Python's
-shortest round-trip representation, which reparses bit-exactly.  ``solve``
+shortest round-trip representation, which reparses bit-exactly.  Every
+completion's first row is mirrored exactly, row[N-d] = row[d]^T
+(``blockcirc._mirror``), so ``_emit_solution`` formats each of its
+floor(N/2)+1 distinct blocks once and writes block N-d as block d's strings
+in transposed order; the text is the one ``json.dumps`` writes.  ``solve``
 runs damped Newton on the precision band by default (``--method gd`` is the
 paper's gradient descent), and ``feas`` decides the generic case with the
-same Newton solve.  ``solve``, ``compare`` and ``bench`` run, time and
-verify every method through ``_run_method``, which projects a baseline's
-dense iterate onto circulants; ``compare`` measures distances between
-circulant first rows, so no mN x mN matrix is built for any result.
+same Newton solve.  ``solve``, ``compare`` and ``bench`` take their methods
+from the one list ``METHODS``, and run, time and verify every method
+through ``_run_method``, which projects a baseline's dense iterate onto
+circulants; ``compare`` measures distances between circulant first rows,
+so no mN x mN matrix is built for any result.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by a
 solve's certificate or up front (the closed form for a scalar bandwidth-1
@@ -46,6 +51,10 @@ EXIT_INFEASIBLE = 2
 EXIT_MAXITER = 3
 # exit code of a solve that ran, by its status
 _STATUS_EXIT = {"converged": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER, "stalled": EXIT_MAXITER}
+# the methods of solve, compare and bench: the dual solves, which take a
+# start and return a precision band, then the dense scaling baselines
+METHODS = ("newton", "gd", "ips", "sk1")
+_DUAL = ("newton", "gd")
 
 
 def _size(value) -> int:
@@ -77,26 +86,50 @@ def _load_problem(path):
     return BandData(m, n, blocks.reshape(n + 1, m, m)), N
 
 
-def _solution_payload(sigma: BlockCirculant, diagnostics: dict, K=None) -> dict:
-    payload = {
-        "m": sigma.m,
-        "N": sigma.N,
-        "first_block_row": [blk.reshape(-1).tolist() for blk in sigma.first_row],
-        "diagnostics": diagnostics,
-    }
-    if K is not None:
-        payload["precision_band"] = [blk.reshape(-1).tolist() for blk in K]
-    return payload
+def _flat(blocks) -> list:
+    """A stack of blocks as lists of their entries, row-major."""
+    return [blk.reshape(-1).tolist() for blk in blocks]
+
+
+def _sink(out: str):
+    return contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w")
 
 
 def _emit(payload: dict, out: str) -> None:
     # compact: with an indent CPython falls back to its pure-Python encoder
-    text = json.dumps(payload)
-    if out == "-":
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    with _sink(out) as fh:
+        fh.write(json.dumps(payload) + "\n")
+
+
+def _row_chunks(row: np.ndarray):
+    """The text ``json.dumps(_flat(row))`` of a mirrored first block row,
+    row[N-d] = row[d]^T, in pieces: each distinct block d = 0..floor(N/2)
+    is formatted once, and block N-d is its strings in transposed order."""
+    N, m = row.shape[0], row.shape[1]
+    h = N // 2
+    mirrored = []
+    for d in range(h + 1):
+        # json's own float format (NaN, Infinity included)
+        v = json.dumps(row[d].ravel().tolist())[1:-1].split(", ")
+        yield ("[[" if d == 0 else "], [") + ", ".join(v)
+        if 0 < d < N - h:
+            mirrored.append(", ".join(", ".join(v[i::m]) for i in range(m)))
+    for text in reversed(mirrored):
+        yield "], [" + text
+    yield "]]"
+
+
+def _emit_solution(sigma: BlockCirculant, diagnostics: dict, out: str, K=None) -> None:
+    """Write a solution file: ``m``, ``N``, the completion's first block row,
+    streamed by ``_row_chunks``, ``diagnostics`` and, given K, its
+    ``precision_band``, as the one line ``_emit`` would write."""
+    tail = {"diagnostics": diagnostics}
+    if K is not None:
+        tail["precision_band"] = _flat(K)
+    with _sink(out) as fh:
+        fh.write(json.dumps({"m": sigma.m, "N": sigma.N})[:-1] + ', "first_block_row": ')
+        fh.writelines(_row_chunks(sigma.first_row))
+        fh.write(", " + json.dumps(tail)[1:] + "\n")
 
 
 _TOEPLITZ_NOT_PD = ("the band's block-Toeplitz matrix, a principal submatrix of every "
@@ -134,7 +167,7 @@ def _run_method(band, N, method, init, args, trace=None):
     verification.
     """
     t0 = time.perf_counter()
-    if method in ("newton", "gd"):
+    if method in _DUAL:
         cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter, trace=trace)
         result = solve(band, N, cfg, init=init, method=method)
         seconds = time.perf_counter() - t0
@@ -143,7 +176,7 @@ def _run_method(band, N, method, init, args, trace=None):
         status, init_mode = result.status, result.init_mode
     else:
         runner = ips_solve if method == "ips" else sk1_solve
-        scaled = runner(band, N, tol=1e-9 if args.tol is None else args.tol, max_cycles=args.max_cycles)
+        scaled = runner(band, N, tol=args.tol, max_cycles=args.max_cycles)
         seconds = time.perf_counter() - t0
         sigma = circulant_average(scaled.sigma, band.m)
         solution, K = sigma, None
@@ -169,10 +202,10 @@ def cmd_solve(args) -> int:
         print(f"infeasible: {reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
     # the baselines write no trace
-    traced = args.trace and args.method in ("newton", "gd")
+    traced = args.trace and args.method in _DUAL
     with open(args.trace, "w") if traced else contextlib.nullcontext() as trace:
         sigma, K, diagnostics, _ = _run_method(band, N, args.method, args.init, args, trace)
-    _emit(_solution_payload(sigma, diagnostics, K), args.output)
+    _emit_solution(sigma, diagnostics, args.output, K)
     return _STATUS_EXIT[diagnostics["status"]]
 
 
@@ -190,7 +223,7 @@ def cmd_extend(args) -> int:
     except NotPositiveDefinite:
         pd, offband = False, None
     diagnostics = {"pd": pd, "inverse_offband_norm": offband}
-    _emit(_solution_payload(approx, diagnostics), args.output)
+    _emit_solution(approx, diagnostics, args.output)
     return EXIT_OK
 
 
@@ -210,7 +243,7 @@ def cmd_feas(args) -> int:
             "status": result.status,
             "iterations": result.iterations,
             "grad_norm": result.final_grad_norm,
-            "precision_band": [blk.reshape(-1).tolist() for blk in result.K],
+            "precision_band": _flat(result.K),
         }
     if band.m == 1:
         payload["forms"] = [
@@ -226,21 +259,28 @@ def cmd_feas(args) -> int:
     return EXIT_OK
 
 
+def _runs(args) -> list:
+    """The (method, start) pairs ``compare`` and ``bench`` run: each dual
+    method from every start ``init`` names (compare: both), each baseline
+    once."""
+    starts = ("toeplitz", "identity") if args.init == "both" else (args.init,)
+    return [(method, start) for method in args.method for start in (starts if method in _DUAL else ("",))]
+
+
 def cmd_compare(args) -> int:
     band, N = _load_problem(args.input)
     reason = _upfront_verdict(band, N)[1]
     if reason is not None:
         print(f"infeasible: {reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    rows = [(method, init, *_run_method(band, N, method, init, args))
-            for method, init in (("gd", "toeplitz"), ("gd", "identity"), ("ips", ""))]
+    rows = [(method, init, *_run_method(band, N, method, init, args)) for method, init in _runs(args)]
     # the same ratio as between the dense circulants
     ref = rows[0][2].first_row
     ref_norm = np.linalg.norm(ref)
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["method", "init", "iterations", "seconds", "band_residual",
-         "dempster_residual", "rel_dist_to_gd_toeplitz"]
+         "dempster_residual", "rel_dist_to_first"]
     )
     for method, init, sigma, _, diag, seconds in rows:
         dist = float(np.linalg.norm(sigma.first_row - ref) / ref_norm)
@@ -259,15 +299,13 @@ def cmd_bench(args) -> int:
         ["N", "m", "n", "method", "init", "iterations", "seconds",
          "band_residual", "dempster_residual"]
     )
-    gd_inits = ["toeplitz", "identity"] if args.init == "both" else [args.init]
     for N in args.N:
-        for method in args.method:
-            for init in gd_inits if method == "gd" else [""]:
-                _, _, diag, seconds = _run_method(band, N, method, init, args)
-                writer.writerow(
-                    [N, args.m, args.n, method, init, diag["iterations"], f"{seconds:.6f}",
-                     repr(diag["band_residual"]), repr(diag["dempster_residual"])]
-                )
+        for method, init in _runs(args):
+            _, _, diag, seconds = _run_method(band, N, method, init, args)
+            writer.writerow(
+                [N, args.m, args.n, method, init, diag["iterations"], f"{seconds:.6f}",
+                 repr(diag["band_residual"]), repr(diag["dempster_residual"])]
+            )
     return EXIT_OK
 
 
@@ -282,14 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="problem file (JSON)")
         p.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
 
+    def add_budget(p):
+        p.add_argument("--tol", type=float, default=None,
+                       help="newton, gd: gradient-norm stop (newton: an extra stop); "
+                            "ips, sk1: clique or off-pattern tolerance (default 1e-9)")
+        p.add_argument("--max-iter", type=int, default=1_000_000, help="newton, gd: step budget")
+        p.add_argument("--max-cycles", type=int, default=2000, help="ips, sk1: cycle budget")
+
     p = sub.add_parser("solve", help="compute the maximum-entropy completion")
     add_common(p)
     p.add_argument("--init", choices=["toeplitz", "identity"], default="toeplitz")
-    p.add_argument("--method", choices=["newton", "gd", "ips", "sk1"], default="newton")
-    p.add_argument("--tol", type=float, default=None,
-                   help="gradient-norm stopping threshold (newton: an extra stop)")
-    p.add_argument("--max-iter", type=int, default=1_000_000)
-    p.add_argument("--max-cycles", type=int, default=2000)
+    p.add_argument("--method", choices=METHODS, default="newton")
+    add_budget(p)
     p.add_argument("--trace", default=None, help="per-iteration CSV trace file")
     p.set_defaults(func=cmd_solve)
 
@@ -303,23 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000, help="solver iterations for the generic case")
     p.set_defaults(func=cmd_feas)
 
-    p = sub.add_parser("compare", help="run GD (both inits) and IPS on one problem")
+    p = sub.add_parser("compare", help="run several methods on one problem, CSV to stdout")
     p.add_argument("input", help="problem file (JSON)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=1_000_000)
-    p.add_argument("--max-cycles", type=int, default=2000)
-    p.set_defaults(func=cmd_compare)
+    p.add_argument("--method", nargs="+", choices=METHODS, default=["gd", "newton", "ips"])
+    add_budget(p)
+    p.set_defaults(func=cmd_compare, init="both")
 
     p = sub.add_parser("bench", help="random-instance sweep, CSV to stdout")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, nargs="+", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", nargs="+", choices=["gd", "ips", "sk1"], default=["gd"])
-    p.add_argument("--init", choices=["toeplitz", "identity", "both"], default="both")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=1_000_000)
-    p.add_argument("--max-cycles", type=int, default=2000)
+    p.add_argument("--method", nargs="+", choices=METHODS, default=["gd"])
+    p.add_argument("--init", choices=["toeplitz", "identity", "both"], default="both",
+                   help="start of the newton and gd runs")
+    add_budget(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -22,8 +22,8 @@ _MARGIN = 0.3
 
 def random_feasible_band(m: int, n: int, N: int, rng) -> BandData:
     """Band of the inverse of a random banded circulant precision."""
-    if m < 1 or n < 0:
-        raise BadInput(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    if m < 1:
+        raise BadInput(f"need m >= 1, got m={m}")
     _check_width(n, N)
     band = np.zeros((n + 1, m, m))
     band[0] = np.eye(m) + 0.3 * _sym(rng.standard_normal((m, m)))

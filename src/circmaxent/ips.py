@@ -16,6 +16,7 @@ the pattern graph and the off-pattern mask cannot disagree with the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -148,21 +149,30 @@ class ScalingResult:
     cycles: int
 
 
-def ips_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000) -> ScalingResult:
+def _checked_tol(tol: Optional[float], max_cycles: int) -> float:
+    """The baselines' tolerance, 1e-9 for None, after the solver's check of
+    a tolerance and a budget."""
+    tol = 1e-9 if tol is None else tol
+    SolverConfig(eta=tol, max_iter=max_cycles)
+    return tol
+
+
+def ips_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: int = 2000) -> ScalingResult:
     """Iterative proportional scaling over the band cliques.
 
     Starting from the identity precision, each step adds to the precision on
     the current clique the difference between the inverse of the target
     clique marginal and the inverse of the current one; the precision stays
     exactly zero off the banded circulant pattern throughout.  Cycles until
-    every clique marginal matches the data to ``tol`` in Frobenius norm.
+    every clique marginal matches the data to ``tol`` (None: 1e-9) in
+    Frobenius norm.
 
     Raises
     ------
     NoConvergence
         After ``max_cycles`` full cycles (infeasibility suspected).
     """
-    SolverConfig(eta=tol, max_iter=max_cycles)  # the solver's budget check
+    tol = _checked_tol(tol, max_cycles)
     m, n = band.m, band.n
     cliques = [np.array(c) for c in band_cliques(N, n, m).cliques]
     given = band.embed_circulant(N).to_dense()
@@ -186,14 +196,16 @@ def ips_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
     raise NoConvergence(f"clique marginal deviation {deviation:.3e} > {tol:.3e} after {max_cycles} cycles")
 
 
-def sk1_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000) -> ScalingResult:
+def sk1_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: int = 2000) -> ScalingResult:
     """Covariance-side scaling over the complement-graph cliques.
 
     Each step replaces the conditional covariance of the current complement
     clique (given the rest) by its diagonal, which zeroes the corresponding
     off-diagonal precision entries while leaving every specified entry of
     the covariance untouched.  Starts from the circulant approximant of the
-    band extension, a completion that already agrees with the band.
+    band extension, a completion that already agrees with the band, and
+    stops when the off-pattern precision is below ``tol`` (None: 1e-9)
+    relative to the whole.
 
     Raises
     ------
@@ -202,7 +214,7 @@ def sk1_solve(band: BandData, N: int, tol: float = 1e-9, max_cycles: int = 2000)
     NoConvergence
         After ``max_cycles`` cycles.
     """
-    SolverConfig(eta=tol, max_iter=max_cycles)  # the solver's budget check
+    tol = _checked_tol(tol, max_cycles)
     m, n = band.m, band.n
     compl = [np.array(c) for c in bron_kerbosch(PatternGraph.banded(m, n, N).complement_adjacency()).cliques]
     sigma = circulant_approx(band, N).to_dense()

@@ -37,10 +37,12 @@ inverse lags back through the conjugate table, the Newton step reuses the
 inverse blocks, and the line search's noise floor reuses the linear term;
 a rejected trial costs one spectrum and one Cholesky.  That is
 O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse FFT
-builds the completion at exit.  ``verify_solution`` checks a result against
-the band it returns: one spectrum and one Cholesky of K, one real FFT of the
-completion and two batched block products, O(m^3 N + m^2 N log N) with no
-inverse.  No mN x mN dense matrix is ever formed.
+builds the completion at exit, and ``blockcirc._mirror`` makes its first
+row exactly that of a symmetric matrix, row[N-d] = row[d]^T to the bit.
+``verify_solution`` checks a result against the band it returns: one
+spectrum and one Cholesky of K, one real FFT of the completion and two
+batched block products, O(m^3 N + m^2 N log N) with no inverse.  No mN x mN
+dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .blockcirc import (
     _factored,
     _half_logdet,
     _hessian_lags,
+    _mirror,
     _sym,
 )
 from .errors import BadInput, NotPositiveDefinite
@@ -340,8 +343,9 @@ def solve(
     iterate is the band K, started from ``init``, "toeplitz" or "identity"
     (see ``_start``).  Returns the final band ``K`` and the
     completion ``sigma`` = inverse of the final band projection: its
-    inverse is banded block-circulant by construction and its band matches
-    the data to a tolerance tied to ``eta``.
+    inverse is banded block-circulant by construction, its band matches
+    the data to a tolerance tied to ``eta``, and its first row is mirrored
+    exactly, row[N-d] = row[d]^T.
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult), and "converged" requires a finite stopping value.
@@ -459,7 +463,7 @@ def solve(
 
     return SolverResult(
         K=K,
-        sigma=BlockCirculant(m, N, np.fft.irfft(inv, n=N, axis=0)),
+        sigma=BlockCirculant(m, N, _mirror(np.fft.irfft(inv, n=N, axis=0))),
         iterations=iterations,
         final_grad_norm=gnorm,
         objective=f,

@@ -41,6 +41,13 @@ def is_symmetric(c, rtol=1e-12):
     return float(np.abs(c.first_row - mirror).max()) <= rtol * scale
 
 
+def is_mirrored(row):
+    """True when a first block row (N, m, m) is exactly that of a symmetric
+    matrix: row[d] equals row[-d mod N]^T to the bit, for every d."""
+    N = len(row)
+    return all(np.array_equal(row[d], row[-d % N].T) for d in range(N))
+
+
 def random_symmetric_circulant(m, N, rng, scale=1.0):
     """Random symmetric block-circulant via its first row."""
     row = np.zeros((N, m, m))

@@ -35,6 +35,7 @@ from helpers import (
     identity_circulant,
     is_banded,
     is_hermitian,
+    is_mirrored,
     is_symmetric,
     random_spd_circulant,
     random_symmetric_circulant,
@@ -425,3 +426,38 @@ def test_width_rule_has_one_owner(entry):
             call(N)
         assert isinstance(exc.value, BadInput)
     call(2 * n + 2)
+
+
+def test_negative_bandwidth_is_bad_input():
+    # n = -1 gave 8 empty cliques and a zero circulant
+    with pytest.raises(BadInput):
+        band_cliques(8, -1, 1)
+    with pytest.raises(BadInput):
+        project_band_gram(np.zeros((0, 1, 1)), 1, -1, 8)
+    with pytest.raises(BadInput):
+        PatternGraph.banded(1, -1, 8)
+
+
+def _completions():
+    """Every way the package returns a completion, as (name, call of N)
+    on a feasible (2, 2) band; N = 6 is 2n + 2."""
+    band = random_feasible_band(2, 2, 9, np.random.default_rng(44))
+    spd = {N: random_spd_circulant(2, N, np.random.default_rng(N)) for N in (6, 9, 10)}
+    return {
+        "newton": lambda N: solve(band, N, method="newton").sigma,
+        "gd": lambda N: solve(band, N, method="gd").sigma,
+        "circ_inverse": lambda N: circ_inverse(spd[N]),
+        "ips": lambda N: circulant_average(ips_solve(band, N).sigma, 2),
+        "sk1": lambda N: circulant_average(sk1_solve(band, N).sigma, 2),
+        "extend": lambda N: circulant_approx(band, N),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_completions()))
+def test_every_completion_is_mirrored(entry):
+    # a symmetric block-circulant has row[N-d] = row[d]^T; the package's
+    # rows hold it to the bit (the solve's inverse FFT left none of the
+    # mirror pairs of a (10, 2, 2048) completion bit-equal)
+    call = _completions()[entry]
+    for N in (6, 9, 10):
+        assert is_mirrored(call(N).first_row), N

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from circmaxent.cli import main
-from circmaxent import BandData, BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible
-from helpers import certificate_holds, channel_band, completion_residuals, is_symmetric
+from circmaxent.cli import _emit_solution, main
+from circmaxent import BandData, BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible, solve
+from helpers import certificate_holds, channel_band, completion_residuals, is_mirrored, random_symmetric_circulant
 
 
 def write_problem(path, m, n, N, blocks):
@@ -101,8 +101,7 @@ class TestSolveCommand:
         payload = json.loads(out.read_text())
         N, m = payload["N"], payload["m"]
         row = np.array(payload["first_block_row"], dtype=float).reshape(N, m, m)
-        circ = BlockCirculant(m, N, row)
-        assert is_symmetric(circ, 1e-9)
+        assert is_mirrored(row)
         # floats reparse bit-exactly
         assert json.loads(json.dumps(payload)) == payload
         # re-solving on the embedded band reproduces the same completion
@@ -284,6 +283,55 @@ class TestSolveCommand:
         assert abs(row[2] - x_star) < 1e-6
 
 
+class TestSolutionWriter:
+    # the writer formats each distinct block of a mirrored row once; its
+    # text is the one json.dumps writes for the whole payload
+    @staticmethod
+    def old_text(sigma, diagnostics, K=None):
+        payload = {"m": sigma.m, "N": sigma.N,
+                   "first_block_row": [blk.reshape(-1).tolist() for blk in sigma.first_row],
+                   "diagnostics": diagnostics}
+        if K is not None:
+            payload["precision_band"] = [blk.reshape(-1).tolist() for blk in K]
+        return json.dumps(payload) + "\n"
+
+    @pytest.mark.parametrize("m, N", [(1, 2), (2, 2), (1, 7), (3, 7), (2, 8)])
+    def test_matches_json_dumps(self, m, N, tmp_path, capsys):
+        rng = np.random.default_rng(10 * m + N)
+        sigma = random_symmetric_circulant(m, N, rng)
+        row = sigma.first_row
+        # awkward floats: signed zero, subnormal, huge, non-finite
+        row[N // 2, 0, 0] = -0.0
+        if N > 2:
+            row[1, -1, 0], row[1, 0, -1] = 5e-324, -1.7976931348623157e308
+            row[(N - 1) // 2, 0, 0] = float("inf")
+        for d in range(1, (N + 1) // 2):
+            row[N - d] = row[d].T
+        assert is_mirrored(row)
+        row[0, 0, 0] = float("nan")
+        diagnostics = {"iterations": 3, "status": "converged", "grad_norm": None, "entropy": 0.1}
+        out = tmp_path / "sol.json"
+        for K in (None, rng.standard_normal((2, m, m))):
+            expect = self.old_text(sigma, diagnostics, K)
+            _emit_solution(sigma, diagnostics, str(out), K)
+            assert out.read_text() == expect
+            _emit_solution(sigma, diagnostics, "-", K)
+            assert capsys.readouterr().out == expect
+
+    @pytest.mark.parametrize("m, n, N", [(1, 0, 2), (2, 1, 7), (2, 1, 8)])
+    def test_solve_writes_json_dumps_text(self, m, n, N, tmp_path, capsys):
+        blocks = random_feasible_band(m, n, N, np.random.default_rng(N)).blocks
+        prob = write_problem(tmp_path / "p.json", m, n, N, [b.reshape(-1).tolist() for b in blocks])
+        row = solve(BandData(m, n, blocks), N, method="newton").sigma.first_row
+        out = tmp_path / "sol.json"
+        assert main(["solve", prob, "-o", str(out)]) == 0
+        assert main(["solve", prob]) == 0
+        for text in (out.read_text(), capsys.readouterr().out):
+            payload = json.loads(text)
+            assert json.dumps(payload) + "\n" == text
+            assert payload["first_block_row"] == [blk.reshape(-1).tolist() for blk in row]
+
+
 class TestExtendCommand:
     def test_ar1_geometric_row(self, tmp_path):
         prob = write_problem(tmp_path / "ar.json", 1, 1, 9, [[1.0], [0.4]])
@@ -391,9 +439,10 @@ class TestCompareCommand:
     def test_methods_agree(self, n4_problem, capsys):
         assert main(["compare", n4_problem]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert [r["method"] for r in rows] == ["gd", "gd", "ips"]
+        assert [(r["method"], r["init"]) for r in rows] == [
+            ("gd", "toeplitz"), ("gd", "identity"), ("newton", "toeplitz"), ("newton", "identity"), ("ips", "")]
         for r in rows:
-            assert float(r["rel_dist_to_gd_toeplitz"]) <= 1e-5
+            assert float(r["rel_dist_to_first"]) <= 1e-5
             assert float(r["band_residual"]) <= 1e-6
 
     def test_builds_no_dense_matrix(self, n4_problem, monkeypatch, capsys):
@@ -409,7 +458,7 @@ class TestCompareCommand:
         monkeypatch.setattr(BlockCirculant, "to_dense", refuse_from_cli)
         assert main(["compare", n4_problem]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert [r["method"] for r in rows] == ["gd", "gd", "ips"]
+        assert [r["method"] for r in rows] == ["gd", "gd", "newton", "newton", "ips"]
 
 
 class TestBenchCommand:
@@ -427,6 +476,18 @@ class TestBenchCommand:
         }
         for r in rows:
             assert float(r["band_residual"]) < 1e-5
+
+    def test_methods_are_solves(self, n4_problem, capsys):
+        # solve, compare and bench read one method list: bench takes newton,
+        # compare takes a method list
+        assert main(["bench", "--m", "1", "--n", "1", "--N", "8", "--method", "newton", "sk1"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["method"], r["init"]) for r in rows] == [
+            ("newton", "toeplitz"), ("newton", "identity"), ("sk1", "")]
+        assert main(["compare", n4_problem, "--method", "sk1", "newton"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["method"], r["init"]) for r in rows] == [("sk1", ""), ("newton", "toeplitz"), ("newton", "identity")]
+        assert max(float(r["rel_dist_to_first"]) for r in rows) <= 1e-5
 
     def test_builds_no_dense_matrix(self, monkeypatch, capsys):
         def refuse(self):

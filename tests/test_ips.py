@@ -131,6 +131,11 @@ class TestBandCliques:
         with pytest.raises(BandTooWide):
             band_cliques(5, 2, 1)
 
+    def test_negative_bandwidth(self):
+        # n = -1 gave N empty cliques
+        with pytest.raises(BadInput):
+            band_cliques(8, -1, 1)
+
 
 class TestBronKerbosch:
     def test_complete_graph(self):
@@ -229,6 +234,15 @@ def test_budget_is_checked(runner):
             runner(band, 8, tol=tol, max_cycles=max_cycles)
     with pytest.raises(NoConvergence):
         runner(band, 8, tol=0.0, max_cycles=0)
+
+
+@pytest.mark.parametrize("runner", [ips_solve, sk1_solve])
+def test_default_tolerance(runner):
+    # None reads as the baselines' default, 1e-9; it raised TypeError
+    band = scalar_band([1.0, 0.3])
+    default, explicit = runner(band, 8, tol=None), runner(band, 8, tol=1e-9)
+    assert default.cycles == explicit.cycles
+    assert np.array_equal(default.sigma, explicit.sigma)
 
 
 class TestSk1Solve:
