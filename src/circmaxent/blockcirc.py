@@ -58,11 +58,16 @@ def _band_row(band: np.ndarray, N: int) -> np.ndarray:
     """First block row of the symmetric block-circulant with band blocks
     ``band`` (n+1, m, m): row[d] = band[d], row[N-d] = band[d]^T, zeros
     elsewhere.  Where the band meets its mirror (the central block of an
-    even N = 2n) the two are summed."""
+    even N = 2n) the two are summed; elsewhere the mirror is copied, so the
+    row is mirrored to the bit, signed zeros included."""
     n = band.shape[0] - 1
     row = np.zeros((N,) + band.shape[1:])
     row[: n + 1] = band
-    row[N - n:] += np.swapaxes(band[:0:-1], 1, 2)
+    mirror = np.swapaxes(band[:0:-1], 1, 2)  # blocks N-n..N-1
+    if N == 2 * n:
+        row[n] += mirror[0]
+        mirror = mirror[1:]
+    row[N - len(mirror):] = mirror
     return row
 
 

@@ -12,11 +12,12 @@ floor(N/2)+1 distinct blocks once and writes block N-d as block d's strings
 in transposed order; the text is the one ``json.dumps`` writes.  ``solve``
 runs damped Newton on the precision band by default (``--method gd`` is the
 paper's gradient descent), and ``feas`` decides the generic case with the
-same Newton solve.  ``solve``, ``compare`` and ``bench`` take their methods
-from the one list ``METHODS``, and run, time and verify every method
-through ``_run_method``, which projects a baseline's dense iterate onto
-circulants; ``compare`` measures distances between circulant first rows,
-so no mN x mN matrix is built for any result.
+same Newton solve.  ``solve`` and ``bench`` take their methods from the one
+list ``METHODS``, and ``compare`` runs the fixed rows ``_COMPARE_RUNS`` of
+it; all three run, time and verify every method through ``_run_method``,
+which projects a baseline's dense iterate onto circulants.  ``compare``
+measures distances between circulant first rows, so no mN x mN matrix is
+built for any result.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by a
 solve's certificate or up front (the closed form for a scalar bandwidth-1
@@ -55,6 +56,8 @@ _STATUS_EXIT = {"converged": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "max_iter":
 # start and return a precision band, then the dense scaling baselines
 METHODS = ("newton", "gd", "ips", "sk1")
 _DUAL = ("newton", "gd")
+# compare's (method, start) rows; the first is the reference of its distances
+_COMPARE_RUNS = (("gd", "toeplitz"), ("gd", "identity"), ("newton", "toeplitz"), ("ips", ""))
 
 
 def _size(value) -> int:
@@ -122,7 +125,15 @@ def _row_chunks(row: np.ndarray):
 def _emit_solution(sigma: BlockCirculant, diagnostics: dict, out: str, K=None) -> None:
     """Write a solution file: ``m``, ``N``, the completion's first block row,
     streamed by ``_row_chunks``, ``diagnostics`` and, given K, its
-    ``precision_band``, as the one line ``_emit`` would write."""
+    ``precision_band``, as the one line ``_emit`` would write.
+
+    Raises ValueError, before it writes anything, if the row is not
+    mirrored to the bit: ``_row_chunks`` would write another matrix."""
+    bits = sigma.first_row.view(np.int64)
+    h = sigma.N // 2
+    if not (np.array_equal(bits[0], bits[0].T)
+            and np.array_equal(bits[sigma.N - h:], np.swapaxes(bits[h:0:-1], 1, 2))):
+        raise ValueError("first block row is not mirrored: row[N-d] != row[d]^T")
     tail = {"diagnostics": diagnostics}
     if K is not None:
         tail["precision_band"] = _flat(K)
@@ -259,28 +270,20 @@ def cmd_feas(args) -> int:
     return EXIT_OK
 
 
-def _runs(args) -> list:
-    """The (method, start) pairs ``compare`` and ``bench`` run: each dual
-    method from every start ``init`` names (compare: both), each baseline
-    once."""
-    starts = ("toeplitz", "identity") if args.init == "both" else (args.init,)
-    return [(method, start) for method in args.method for start in (starts if method in _DUAL else ("",))]
-
-
 def cmd_compare(args) -> int:
     band, N = _load_problem(args.input)
     reason = _upfront_verdict(band, N)[1]
     if reason is not None:
         print(f"infeasible: {reason}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    rows = [(method, init, *_run_method(band, N, method, init, args)) for method, init in _runs(args)]
+    rows = [(method, init, *_run_method(band, N, method, init, args)) for method, init in _COMPARE_RUNS]
     # the same ratio as between the dense circulants
     ref = rows[0][2].first_row
     ref_norm = np.linalg.norm(ref)
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["method", "init", "iterations", "seconds", "band_residual",
-         "dempster_residual", "rel_dist_to_first"]
+         "dempster_residual", "rel_dist_to_gd_toeplitz"]
     )
     for method, init, sigma, _, diag, seconds in rows:
         dist = float(np.linalg.norm(sigma.first_row - ref) / ref_norm)
@@ -299,13 +302,15 @@ def cmd_bench(args) -> int:
         ["N", "m", "n", "method", "init", "iterations", "seconds",
          "band_residual", "dempster_residual"]
     )
+    starts = ["toeplitz", "identity"] if args.init == "both" else [args.init]
     for N in args.N:
-        for method, init in _runs(args):
-            _, _, diag, seconds = _run_method(band, N, method, init, args)
-            writer.writerow(
-                [N, args.m, args.n, method, init, diag["iterations"], f"{seconds:.6f}",
-                 repr(diag["band_residual"]), repr(diag["dempster_residual"])]
-            )
+        for method in args.method:
+            for init in starts if method in _DUAL else [""]:
+                _, _, diag, seconds = _run_method(band, N, method, init, args)
+                writer.writerow(
+                    [N, args.m, args.n, method, init, diag["iterations"], f"{seconds:.6f}",
+                     repr(diag["band_residual"]), repr(diag["dempster_residual"])]
+                )
     return EXIT_OK
 
 
@@ -345,11 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000, help="solver iterations for the generic case")
     p.set_defaults(func=cmd_feas)
 
-    p = sub.add_parser("compare", help="run several methods on one problem, CSV to stdout")
+    p = sub.add_parser("compare", help="run GD (both inits), Newton and IPS on one problem")
     p.add_argument("input", help="problem file (JSON)")
-    p.add_argument("--method", nargs="+", choices=METHODS, default=["gd", "newton", "ips"])
     add_budget(p)
-    p.set_defaults(func=cmd_compare, init="both")
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="random-instance sweep, CSV to stdout")
     p.add_argument("--m", type=int, required=True)

@@ -43,9 +43,11 @@ def is_symmetric(c, rtol=1e-12):
 
 def is_mirrored(row):
     """True when a first block row (N, m, m) is exactly that of a symmetric
-    matrix: row[d] equals row[-d mod N]^T to the bit, for every d."""
-    N = len(row)
-    return all(np.array_equal(row[d], row[-d % N].T) for d in range(N))
+    matrix: row[d] equals row[-d mod N]^T to the bit, signed zeros
+    included, for every d."""
+    bits = np.asarray(row, dtype=float).view(np.int64)
+    N = len(bits)
+    return all(np.array_equal(bits[d], bits[-d % N].T) for d in range(N))
 
 
 def random_symmetric_circulant(m, N, rng, scale=1.0):

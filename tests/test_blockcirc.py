@@ -443,6 +443,8 @@ def _completions():
     on a feasible (2, 2) band; N = 6 is 2n + 2."""
     band = random_feasible_band(2, 2, 9, np.random.default_rng(44))
     spd = {N: random_spd_circulant(2, N, np.random.default_rng(N)) for N in (6, 9, 10)}
+    # white noise: its extended lags are -0.0, which the mirror must keep
+    white = BandData(2, 2, np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]))
     return {
         "newton": lambda N: solve(band, N, method="newton").sigma,
         "gd": lambda N: solve(band, N, method="gd").sigma,
@@ -450,6 +452,7 @@ def _completions():
         "ips": lambda N: circulant_average(ips_solve(band, N).sigma, 2),
         "sk1": lambda N: circulant_average(sk1_solve(band, N).sigma, 2),
         "extend": lambda N: circulant_approx(band, N),
+        "extend_white": lambda N: circulant_approx(white, N),
     }
 
 
