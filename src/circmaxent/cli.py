@@ -22,9 +22,9 @@ built for any result.
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by a
 solve's certificate or up front (the closed form for a scalar bandwidth-1
 band with sigma_0 > 0, else the block-Toeplitz test, which ``extend`` reads
-off its AR fit), 3 iteration or cycle budget exhausted or no further
-progress, including a baseline of ``solve``, ``compare`` or ``bench`` that
-cannot start.  Diagnostics never change exit codes.
+off its AR fit), 3 budget exhausted, no further progress or a band on the
+boundary (status "boundary"), or a baseline of ``solve``, ``compare`` or
+``bench`` that cannot start.  Diagnostics never change exit codes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_MAXITER = 3
 # exit code of a solve that ran, by its status
-_STATUS_EXIT = {"converged": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER, "stalled": EXIT_MAXITER}
+_STATUS_EXIT = {"converged": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER,
+                "stalled": EXIT_MAXITER, "boundary": EXIT_MAXITER}
 # the methods of solve, compare and bench: the dual solves, which take a
 # start and return a precision band, then the dense scaling baselines
 METHODS = ("newton", "gd", "ips", "sk1")

@@ -82,9 +82,10 @@ _BETA = 0.5
 _NOISE_EPS = 16.0 * float(np.finfo(float).eps)
 # Initial line-search step, reset every iteration.
 _STEP0 = 1.0
-# A budget guard on N max|K| max|data|, not a verdict: data on the boundary
-# of the feasible set have no strict certificate, and their K grows unbounded.
-_LAMBDA_CAP = 1e10
+# Tr(K D) < this |N tr(K_0 Sigma_0)| ends a solve (see ``solve``): every whitened
+# completion then has condition number > 1e8 ~ 1/sqrt(eps), half its digits lost.
+# No division, so a Sigma_0 that is not PD is "infeasible" only on Tr(K D) < 0.
+_DELTA_TOL = 1e-8
 # Newton stops when half its squared decrement, a bound on f - f* near the
 # optimum, falls to this.
 _DECREMENT_TOL = 1e-20
@@ -143,14 +144,14 @@ class SolverConfig:
 class SolverResult:
     """Outcome of one dual descent run.
 
-    ``status`` is one of "converged", "max_iter", "infeasible" (K certifies
-    that the data have no completion; see ``solve``) or "stalled" (progress
-    fell below floating-point resolution, the Newton system was singular or
-    not finite, or K passed the cap).  ``K`` is the final iterate, the
-    precision band K_0..K_n (n+1, m, m), and ``sigma`` the completion it
-    implies, the inverse of K's banded block-circulant C(K).  ``objective``
-    is the dual objective f at K; a ``SolverConfig.trace`` sink receives f at
-    every iterate.
+    ``status`` is one of "converged", "max_iter", "infeasible" or "boundary"
+    (K certifies that no completion exists, or that every whitened one is
+    singular to within 1e-8; see ``solve``) or "stalled" (progress fell
+    below rounding, or the Newton system was singular or not finite).
+    ``K`` is the final iterate, the precision band K_0..K_n (n+1, m, m), and
+    ``sigma`` the completion it implies, the inverse of K's banded
+    block-circulant C(K).  ``objective`` is the dual objective f at K; a
+    ``SolverConfig.trace`` sink receives f at every iterate.
     """
 
     K: np.ndarray
@@ -349,16 +350,16 @@ def solve(
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult), and "converged" requires a finite stopping value.
-    C(K) is PD at every iterate, so Tr(K D) = Tr(C(K) Sigma) > 0 for any
-    completion Sigma, and Tr(K D) < 0 beyond rounding at the start or an
-    accepted iterate ends the solve as "infeasible" with K the certificate.
-    A singular Newton system, or K past a cap relative to the data, ends
-    it as "stalled".  When the toeplitz start cannot be formed (the band's
-    block-Toeplitz matrix is not positive definite) or lies outside the
-    dual domain, the solve starts from the identity, which always lies
-    inside, and reports "identity (fallback from toeplitz)" as its
-    ``init_mode``.  So every band gets a result: the completion, a
-    certificate that there is none, or a status saying why neither.
+    C(K) is PD at every iterate, so delta = Tr(K D) / |N tr(K_0 Sigma_0)|
+    bounds from above the smallest eigenvalue of every completion whitened
+    by Sigma_0 (weak duality), at any scale or block congruence of the
+    data.  At the start and each accepted iterate, delta < -1e-8 ends the
+    solve "infeasible" and any other delta < 1e-8 "boundary", with K the
+    certificate; a singular Newton system ends it "stalled".  When the
+    toeplitz start cannot be formed (the band's block-Toeplitz matrix is
+    not positive definite) or lies outside the dual domain, the solve
+    starts from the identity, which always lies inside, and reports
+    "identity (fallback from toeplitz)" as its ``init_mode``.
     """
     cfg = config if config is not None else SolverConfig()
     if method not in ("gd", "newton"):
@@ -373,7 +374,6 @@ def solve(
     D = 2.0 * N * data
     D[0] *= 0.5
     eta = cfg.eta if cfg.eta is not None else 1e-8 * _band_norm(data)
-    data_max = float(np.abs(data).max())
 
     init_mode = init
     try:
@@ -401,9 +401,11 @@ def solve(
         cfg.trace.write(f"0,{f!r},{gnorm!r},0.0\n")
 
     while True:
-        # 1e-12 vdot(|K|, |D|) bounds lin's rounding; lin < 0 first: a feasible solve pays one test
-        if lin < 0 and lin < -1e-12 * float(np.vdot(np.abs(K), np.abs(D))):
-            status = "infeasible"
+        bound = _DELTA_TOL * abs(float(np.vdot(K[0], D[0])))
+        if lin < bound:
+            status = "boundary"
+            if lin < -bound:
+                status = "infeasible"
             break
         if newton:
             step, lam2 = _newton_step(G, inv, N)
@@ -433,9 +435,6 @@ def solve(
             break
         if iterations >= cfg.max_iter:
             status = "max_iter"
-            break
-        if N * float(np.abs(K).max()) * data_max > _LAMBDA_CAP:
-            status = "stalled"
             break
         t = _STEP0 if armijo else t_acc
         trial = K - t * step

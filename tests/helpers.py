@@ -246,9 +246,30 @@ def certificate_holds(K, band, N):
     for every completion Sigma since C(K) is banded, is negative.  A PD
     C(K) pairs positively with every PD Sigma, so no completion exists
     (theorem of alternatives)."""
+    C, lin, _ = dual_pairing(K, band, N)
+    return bool(np.linalg.eigvalsh(C).min() > 0 and lin < 0)
+
+
+def dual_pairing(K, band, N):
+    """(C, lin, lin0) on dense matrices: the banded block-circulant C =
+    C(K), its pairing lin = Tr(C Sigma) with the data, the same for every
+    completion Sigma since C is banded, and lin0 = Tr(C (I_N x Sigma_0)) =
+    N tr(K_0 Sigma_0).  With Sigma_0 = L L^T and C PD, lin / lin0 bounds the
+    smallest eigenvalue of every whitened completion (I_N x L^-1) Sigma
+    (I_N x L^-T) from above."""
     C = project_band_gram(np.asarray(K, dtype=float), band.m, band.n, N).to_dense()
-    return bool(np.linalg.eigvalsh(C).min() > 0
-                and np.trace(C @ band.embed_circulant(N).to_dense()) < 0)
+    lin = float(np.trace(C @ band.embed_circulant(N).to_dense()))
+    lin0 = float(np.trace(C @ np.kron(np.eye(N), band.blocks[0])))
+    return C, lin, lin0
+
+
+def boundary_holds(K, band, N, tol=1e-8):
+    """Dense oracle for a boundary certificate: C(K) is positive definite
+    and |Tr(C(K) Sigma)| < tol |N tr(K_0 Sigma_0)|, so every completion,
+    whitened by Sigma_0, has a smallest eigenvalue below tol (see
+    ``dual_pairing``)."""
+    C, lin, lin0 = dual_pairing(K, band, N)
+    return bool(np.linalg.eigvalsh(C).min() > 0 and abs(lin) < tol * abs(lin0))
 
 
 def channel_band(rng, rhos):

@@ -153,6 +153,19 @@ class TestSolveCommand:
         assert main(["solve", white_problem, "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
 
+    def test_boundary_band_exits_3(self, tmp_path):
+        # a two-channel band with one channel on the odd-N bound has only
+        # singular completions: solve ends "boundary" and exits like an
+        # exhausted budget, and feas cannot answer either way
+        blocks = [[1.0, 0.0, 0.0, 1.0], [math.cos(6 * math.pi / 7), 0.0, 0.0, 0.3]]
+        prob = write_problem(tmp_path / "edge.json", 2, 1, 7, blocks)
+        out = tmp_path / "out.json"
+        assert main(["solve", prob, "-o", str(out)]) == 3
+        assert json.loads(out.read_text())["diagnostics"]["status"] == "boundary"
+        assert main(["feas", prob, "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["feasible"] is None and payload["evidence"]["status"] == "boundary"
+
     def test_toeplitz_not_pd_exits_2(self, tmp_path, capsys):
         # the (n+1)-block Toeplitz matrix of (I, diag(-1.02, 0.3)) has an
         # eigenvalue 1 - 1.02 < 0 and is a principal submatrix of every

@@ -3,10 +3,10 @@
 import dataclasses
 import io
 import math
-import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circmaxent import (
     BadInput,
@@ -26,11 +26,13 @@ from circmaxent import (
     solve,
     verify_solution,
 )
-from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _hessian_lags
+from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _dual_band, _hessian_lags
 from circmaxent.solver import LOG_2PI, _gradient, _lift, _newton_step, _objective, _start
 from helpers import (
+    boundary_holds,
     certificate_holds,
     completion_residuals,
+    dual_pairing,
     in_dual_domain,
     is_banded,
     random_feasible_dual,
@@ -411,9 +413,9 @@ class TestSolve:
                       SolverConfig(max_iter=20000))
 
     def test_small_feasible_band_not_infeasible(self):
-        # a feasible band at a small scale has a large K, which neither the
-        # certificate test nor the cap may take for infeasibility: both are
-        # relative to the data
+        # a feasible band at a small scale has a large K, which the test on
+        # delta = Tr(K D) / |N tr(K_0 Sigma_0)| may not take for
+        # infeasibility or the boundary: delta is invariant under rescaling
         for s in (1e-10, 1e-12):
             band = BandData(1, 1, s * np.array([1.0, 0.3]).reshape(2, 1, 1))
             res = solve(band, 8, SolverConfig(eta=1e-30, max_iter=50))
@@ -507,6 +509,16 @@ def _two_sided(E):
     return np.concatenate([np.swapaxes(E[:0:-1], 1, 2), E]).reshape(-1)
 
 
+# data on the boundary of the feasible set: (1, cos 6pi/7) and (1, cos 8pi/9)
+# at the odd-N bound, (1, +-1), and a two-channel band with one channel at
+# the bound
+BOUNDARY_BANDS = [
+    (scalar_band([1.0, math.cos(6 * math.pi / 7)]), 7),
+    (scalar_band([1.0, math.cos(8 * math.pi / 9)]), 9),
+    (scalar_band([1.0, 1.0]), 8),
+    (scalar_band([1.0, -1.0]), 8),
+    (BandData(2, 1, np.array([np.eye(2), np.diag([math.cos(6 * math.pi / 7), 0.3])])), 7),
+]
 # odd N, even N and N = 2n+2, where the band meets its mirror
 NEWTON_CASES = [(2, 1, 7), (1, 2, 9), (3, 2, 8), (2, 1, 10), (2, 2, 6), (1, 3, 8), (3, 1, 4)]
 
@@ -565,16 +577,47 @@ class TestNewton:
         assert res.converged and res.iterations <= 20
         assert verify_solution(res, band).band_residual <= 1e-9
 
-    def test_boundary_band_stops_at_cap(self):
-        # data exactly on the odd-N bound have no completion and no strict
-        # certificate: the band grows without bound and lin stays positive.
-        # The cap is the budget guard that ends such a solve: without it
-        # Newton took 53,467 steps (8 s) before its decrement test stopped it
-        band = scalar_band([1.0, math.cos(6 * math.pi / 7)])
-        t0 = time.perf_counter()
-        res = solve(band, 7, method="newton")
-        assert time.perf_counter() - t0 < 1.0
-        assert res.status == "stalled" and not res.converged
+    def test_boundary_band_ends_with_certificate(self):
+        # data exactly on the boundary of the feasible set have only
+        # singular completions and no strict certificate of infeasibility:
+        # lin stays positive while delta = lin / |N tr(K_0 Sigma_0)| falls
+        # to 0.  The solve ends "boundary", with K certifying that every
+        # whitened completion has a smallest eigenvalue below 1e-8.  The
+        # budget cap this replaced ended (1, cos 6pi/7) at N = 7 "stalled"
+        # after 2,071 steps
+        for band, N in BOUNDARY_BANDS:
+            res = solve(band, N, SolverConfig(max_iter=100_000), method="newton")
+            assert res.status == "boundary" and res.iterations <= 100
+            assert boundary_holds(res.K, band, N)
+            gd = solve(band, N, SolverConfig(max_iter=2000))
+            assert gd.status != "converged"
+
+    def test_congruent_band_converges(self):
+        # a feasible band mapped by the block congruence diag(1/s, 1, s) Q:
+        # the budget cap on N max|K| max|data| this replaced ended the
+        # solve "stalled" after 0 iterations at s = 1e3 and 1e4
+        rng = np.random.default_rng(7)
+        band = random_feasible_band(3, 2, 12, rng)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        for s in (10.0, 1e3, 1e4):
+            M = np.diag([1 / s, 1.0, s]) @ Q
+            blocks = M @ band.blocks @ M.T
+            blocks[0] = sym(blocks[0])
+            mapped = BandData(3, 2, blocks)
+            res = solve(mapped, 12, method="newton")
+            assert res.converged and res.iterations <= 5
+            assert verify_solution(res, mapped).band_residual <= 1e-9
+
+    @pytest.mark.parametrize("method", ["gd", "newton"])
+    @pytest.mark.parametrize("d", [-0.5, -2.0, 0.0])
+    def test_sigma0_not_pd_infeasible(self, method, d):
+        # Sigma_0 = diag(1, d) is a diagonal block of every completion, so
+        # none exists; N tr(K_0 Sigma_0) may take any sign, and the solve
+        # still ends "infeasible" on Tr(K D) < 0 alone
+        band = BandData(2, 1, np.array([np.diag([1.0, d]), 0.1 * np.eye(2)]))
+        res = solve(band, 8, method=method)
+        assert res.status == "infeasible"
+        assert certificate_holds(res.K, band, 8)
 
     def test_full_step_trap_converges(self, monkeypatch):
         # a decrement whose rounding floor lies above the tolerance (forced
@@ -630,6 +673,35 @@ class TestNewton:
                 others.append(solve(band, N, SolverConfig(eta=1e-11)).sigma.first_row)
             for row in others:
                 assert np.linalg.norm(row - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_delta_bounds_whitened_eigenvalue(m, n, extra, seed):
+    # delta = Tr(C(K) Sigma) / |N tr(K_0 Sigma_0)|, the number that ends a
+    # solve as "boundary" or "infeasible", bounds the smallest eigenvalue of
+    # every whitened completion from above at every K in the dual domain,
+    # and it does not change when the band and K are mapped by a scale and
+    # a block congruence
+    N = 2 * n + 2 + extra
+    rng = np.random.default_rng(seed)
+    band = random_feasible_band(m, n, N, rng)
+    K = _dual_band(random_feasible_dual(band, N, rng).value, m, n, N)
+    _, lin, lin0 = dual_pairing(K, band, N)
+    delta = lin / abs(lin0)
+    res = solve(band, N, method="newton")
+    assert res.converged
+    Linv = np.kron(np.eye(N), np.linalg.inv(np.linalg.cholesky(band.blocks[0])))
+    white = Linv @ res.sigma.to_dense() @ Linv.T
+    assert delta >= np.linalg.eigvalsh(sym(white)).min() - 1e-12
+    s = 10.0 ** rng.uniform(-50, 50)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(2))
+    M = Q1 * rng.uniform(0.5, 2.0, m) @ Q2  # singular values in [0.5, 2]
+    Minv = np.linalg.inv(M)
+    blocks = s * (M @ band.blocks @ M.T)
+    blocks[0] = sym(blocks[0])
+    _, lin, lin0 = dual_pairing(Minv.T @ K @ Minv / s, BandData(m, n, blocks), N)
+    assert abs(lin / abs(lin0) - delta) <= 1e-12 * abs(delta)
 
 
 class TestVerifySolution:
