@@ -14,10 +14,11 @@ runs damped Newton on the precision band by default (``--method gd`` is the
 paper's gradient descent), and ``feas`` decides the generic case with the
 same Newton solve.  ``solve`` and ``bench`` take their methods from the one
 list ``METHODS``, and ``compare`` runs the fixed rows ``_COMPARE_RUNS`` of
-it; all three run, time and verify every method through ``_run_method``,
-which projects a baseline's dense iterate onto circulants.  ``compare``
-measures distances between circulant first rows, so no mN x mN matrix is
-built for any result.
+it; all four run, time and verify every solve through ``_run_method``
+(a baseline's dense iterate projected onto circulants), so ``feas`` answers
+true only for a verified witness, and ``_STATUS`` says what each status
+means to ``solve`` and ``feas``.  ``compare`` measures distances between
+circulant first rows, so no mN x mN matrix is built for any result.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by a
 solve's certificate or up front (the closed form for a scalar bandwidth-1
@@ -50,9 +51,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_MAXITER = 3
-# exit code of a solve that ran, by its status
-_STATUS_EXIT = {"converged": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "max_iter": EXIT_MAXITER,
-                "stalled": EXIT_MAXITER, "boundary": EXIT_MAXITER}
+# a solve status -> (the exit code of solve, the verdict of feas): K is the
+# witness of a converged solve and the certificate of an infeasible one
+_STATUS = {"converged": (EXIT_OK, True), "infeasible": (EXIT_INFEASIBLE, False),
+           **dict.fromkeys(("max_iter", "stalled", "boundary"), (EXIT_MAXITER, None))}
 # the methods of solve, compare and bench: the dual solves, which take a
 # start and return a precision band, then the dense scaling baselines
 METHODS = ("newton", "gd", "ips", "sk1")
@@ -148,6 +150,10 @@ _TOEPLITZ_NOT_PD = ("the band's block-Toeplitz matrix, a principal submatrix of 
                     "completion, is not positive definite")
 
 
+class _Infeasible(Exception):
+    """A band refused before any solve: it has no completion (exit 2)."""
+
+
 def _upfront_verdict(band: BandData, N: int) -> tuple:
     """(feasible, reason, verdict) as decided before any solve: the closed
     form ``verdict`` for a scalar bandwidth-1 band with sigma_0 > 0, its
@@ -166,21 +172,21 @@ def _upfront_verdict(band: BandData, N: int) -> tuple:
     return None, None, None
 
 
-def _run_method(band, N, method, init, args, trace=None):
+def _run_method(band, N, method, init, tol, max_iter, max_cycles, trace=None):
     """Run one method on the band, time it and verify its completion:
     a newton or gd solve against the precision band it returns, a baseline
     by factoring its circulant (see ``verify_solution``).
 
-    ``args`` supplies ``tol``, ``max_iter`` (newton, gd) and ``max_cycles``
-    (ips, sk1).  Returns (sigma, K, diagnostics, seconds): the completion as
-    a BlockCirculant, baseline iterates projected onto circulants; the
-    precision band, None for the baselines; the diagnostics a solution file
-    carries; and the seconds spent in the method alone, without the
-    verification.
+    ``tol`` is the method's tolerance, ``max_iter`` the step budget of
+    newton and gd, ``max_cycles`` the cycle budget of ips and sk1.  Returns
+    (sigma, K, diagnostics, seconds): the completion as a BlockCirculant,
+    baseline iterates projected onto circulants; the precision band, None
+    for the baselines; the diagnostics a solution file carries; and the
+    seconds spent in the method alone, without the verification.
     """
     t0 = time.perf_counter()
     if method in _DUAL:
-        cfg = SolverConfig(eta=args.tol, max_iter=args.max_iter, trace=trace)
+        cfg = SolverConfig(eta=tol, max_iter=max_iter, trace=trace)
         result = solve(band, N, cfg, init=init, method=method)
         seconds = time.perf_counter() - t0
         solution, sigma, K = result, result.sigma, result.K
@@ -188,37 +194,36 @@ def _run_method(band, N, method, init, args, trace=None):
         status, init_mode = result.status, result.init_mode
     else:
         runner = ips_solve if method == "ips" else sk1_solve
-        scaled = runner(band, N, tol=args.tol, max_cycles=args.max_cycles)
+        scaled = runner(band, N, tol=tol, max_cycles=max_cycles)
         seconds = time.perf_counter() - t0
         sigma = circulant_average(scaled.sigma, band.m)
         solution, K = sigma, None
         iterations, grad_norm, jbar, status, init_mode = scaled.cycles, None, None, "converged", method
     report = verify_solution(solution, band)
-    diagnostics = {
-        "iterations": iterations,
-        "grad_norm": grad_norm,
-        "jbar": jbar,
-        "band_residual": report.band_residual,
-        "dempster_residual": report.dempster_residual,
-        "entropy": report.entropy,
-        "status": status,
-        "init": init_mode,
-    }
+    diagnostics = {"iterations": iterations, "grad_norm": grad_norm, "jbar": jbar,
+                   "band_residual": report.band_residual, "dempster_residual": report.dempster_residual,
+                   "entropy": report.entropy, "status": status, "init": init_mode}
     return sigma, K, diagnostics, seconds
 
 
-def cmd_solve(args) -> int:
-    band, N = _load_problem(args.input)
+def _solvable_problem(path) -> tuple:
+    """The band and N of a problem file that the up-front test does not refuse."""
+    band, N = _load_problem(path)
     reason = _upfront_verdict(band, N)[1]
     if reason is not None:
-        print(f"infeasible: {reason}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise _Infeasible(reason)
+    return band, N
+
+
+def cmd_solve(args) -> int:
+    band, N = _solvable_problem(args.input)
     # the baselines write no trace
     traced = args.trace and args.method in _DUAL
     with open(args.trace, "w") if traced else contextlib.nullcontext() as trace:
-        sigma, K, diagnostics, _ = _run_method(band, N, args.method, args.init, args, trace)
+        sigma, K, diagnostics, _ = _run_method(band, N, args.method, args.init, args.tol,
+                                               args.max_iter, args.max_cycles, trace)
     _emit_solution(sigma, diagnostics, args.output, K)
-    return _STATUS_EXIT[diagnostics["status"]]
+    return _STATUS[diagnostics["status"]][0]
 
 
 def cmd_extend(args) -> int:
@@ -227,9 +232,8 @@ def cmd_extend(args) -> int:
     # the band extension's AR fit factors the block-Toeplitz matrix
     try:
         approx = circulant_approx(band, N)
-    except NotPositiveDefinite:
-        print(f"infeasible: {_TOEPLITZ_NOT_PD}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    except NotPositiveDefinite as exc:
+        raise _Infeasible(_TOEPLITZ_NOT_PD) from exc
     try:
         pd, offband = True, verify_solution(approx, band).dempster_residual
     except NotPositiveDefinite:
@@ -248,36 +252,21 @@ def cmd_feas(args) -> int:
     elif reason is not None:
         payload["reason"] = reason
     else:
-        result = solve(band, N, SolverConfig(max_iter=args.budget), method="newton")
-        # K is the witness of a converged solve, the certificate of an infeasible one
-        payload["feasible"] = {"converged": True, "infeasible": False}.get(result.status)
-        payload["evidence"] = {
-            "status": result.status,
-            "iterations": result.iterations,
-            "grad_norm": result.final_grad_norm,
-            "precision_band": _flat(result.K),
-        }
+        _, K, diagnostics, _ = _run_method(band, N, "newton", "toeplitz", tol=None,
+                                           max_iter=args.budget, max_cycles=None)
+        payload["feasible"] = _STATUS[diagnostics["status"]][1]
+        payload["evidence"] = {**diagnostics, "precision_band": _flat(K)}
     if band.m == 1:
-        payload["forms"] = [
-            {
-                "k": f.k,
-                "constant": f.constant,
-                "distances": f.distances.tolist(),
-                "coeffs": f.coeffs.tolist(),
-            }
-            for f in eig_affine_forms(band, N)
-        ]
+        payload["forms"] = [{"k": f.k, "constant": f.constant, "distances": f.distances.tolist(),
+                             "coeffs": f.coeffs.tolist()} for f in eig_affine_forms(band, N)]
     _emit(payload, args.output)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    band, N = _load_problem(args.input)
-    reason = _upfront_verdict(band, N)[1]
-    if reason is not None:
-        print(f"infeasible: {reason}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    rows = [(method, init, *_run_method(band, N, method, init, args)) for method, init in _COMPARE_RUNS]
+    band, N = _solvable_problem(args.input)
+    rows = [(method, init, *_run_method(band, N, method, init, args.tol, args.max_iter, args.max_cycles))
+            for method, init in _COMPARE_RUNS]
     # the same ratio as between the dense circulants
     ref = rows[0][2].first_row
     ref_norm = np.linalg.norm(ref)
@@ -307,7 +296,8 @@ def cmd_bench(args) -> int:
     for N in args.N:
         for method in args.method:
             for init in starts if method in _DUAL else [""]:
-                _, _, diag, seconds = _run_method(band, N, method, init, args)
+                _, _, diag, seconds = _run_method(band, N, method, init, args.tol,
+                                                  args.max_iter, args.max_cycles)
                 writer.writerow(
                     [N, args.m, args.n, method, init, diag["iterations"], f"{seconds:.6f}",
                      repr(diag["band_residual"]), repr(diag["dempster_residual"])]
@@ -338,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["toeplitz", "identity"], default="toeplitz")
     p.add_argument("--method", choices=METHODS, default="newton")
     add_budget(p)
-    p.add_argument("--trace", default=None, help="per-iteration CSV trace file")
+    p.add_argument("--trace", default=None, help="newton, gd: per-iteration CSV trace file; ips, sk1 write none")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("extend", help="circulant approximant from the band extension")
@@ -375,6 +365,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (NoConvergence, RequiresFullR) as exc:
         # a baseline that runs out of cycles or cannot start proves nothing
         print(f"no further progress: {exc}", file=sys.stderr)

@@ -355,7 +355,10 @@ def solve(
     by Sigma_0 (weak duality), at any scale or block congruence of the
     data.  At the start and each accepted iterate, delta < -1e-8 ends the
     solve "infeasible" and any other delta < 1e-8 "boundary", with K the
-    certificate; a singular Newton system ends it "stalled".  When the
+    certificate; a singular Newton system ends it "stalled".  GD in practice
+    never gets there: delta falls too slowly along its steps, and on
+    (1, cos 6pi/7) at N = 7 it ends "max_iter" after 300,000 steps, so use
+    newton where the data may lie on the boundary.  When the
     toeplitz start cannot be formed (the band's block-Toeplitz matrix is
     not positive definite) or lies outside the dual domain, the solve
     starts from the identity, which always lies inside, and reports

@@ -1,6 +1,6 @@
 """The public API holds only what code outside the unit tests uses, down to
 the fields and methods of its classes, no module imports a name it does not
-use, and every status ``solve`` sets has a CLI exit code.
+use, and every status ``solve`` sets has a CLI exit code and ``feas`` verdict.
 
 No linter is a dependency, so the checks read the sources with ``ast``.
 """
@@ -8,7 +8,7 @@ No linter is a dependency, so the checks read the sources with ``ast``.
 import ast
 import pathlib
 
-from circmaxent.cli import _STATUS_EXIT
+from circmaxent.cli import _STATUS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "circmaxent"
@@ -97,8 +97,8 @@ def test_no_unused_imports():
 
 
 def test_every_solve_status_has_an_exit_code():
-    # cmd_solve maps a status through _STATUS_EXIT, so a status missing
-    # there would surface as a KeyError
+    # cmd_solve and cmd_feas map a status through _STATUS, so a status
+    # missing there would surface as a KeyError
     solve = next(node for node in parse(PACKAGE / "solver.py").body
                  if isinstance(node, ast.FunctionDef) and node.name == "solve")
     statuses = {
@@ -107,4 +107,4 @@ def test_every_solve_status_has_an_exit_code():
         and any(isinstance(t, ast.Name) and t.id == "status" for t in node.targets)
         and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
     }
-    assert statuses == set(_STATUS_EXIT)
+    assert statuses == set(_STATUS)

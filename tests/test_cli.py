@@ -439,6 +439,47 @@ class TestFeasCommand:
         assert payload["feasible"] is True
         assert payload["evidence"]["status"] == "converged"
 
+    def test_unverified_witness_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a converged solve whose completion fails verification is no
+        # witness: feas fails loudly instead of answering true
+        import dataclasses
+
+        import circmaxent.cli as cli
+
+        real_solve = cli.solve
+
+        def negated(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            sigma = BlockCirculant(result.sigma.m, result.sigma.N, -result.sigma.first_row)
+            return dataclasses.replace(result, sigma=sigma)
+
+        monkeypatch.setattr(cli, "solve", negated)
+        prob = write_problem(tmp_path / "m2.json", 2, 1, 8, [[1.0, 0.0, 0.0, 1.0], [0.2, 0.0, 0.0, 0.2]])
+        out = tmp_path / "feas.json"
+        assert main(["feas", prob, "-o", str(out)]) == 1
+        assert "Dempster residual" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho, exit_code, feasible", [
+        (0.2, 0, True),
+        (-0.95, 2, False),
+        # CI's boundary band: one channel on the odd-N bound cos(6 pi / 7)
+        (math.cos(6 * math.pi / 7), 3, None),
+    ])
+    def test_evidence_is_the_solution_record(self, rho, exit_code, feasible, tmp_path):
+        # feas runs the solve of `solve --max-iter <budget>` and writes its
+        # diagnostics record plus the precision band
+        blocks = [[1.0, 0.0, 0.0, 1.0], [rho, 0.0, 0.0, 0.3]]
+        prob = write_problem(tmp_path / "p.json", 2, 1, 7, blocks)
+        sol_path, feas_path = tmp_path / "sol.json", tmp_path / "feas.json"
+        assert main(["solve", prob, "--max-iter", "500", "-o", str(sol_path)]) == exit_code
+        assert main(["feas", prob, "--budget", "500", "-o", str(feas_path)]) == 0
+        solution, payload = json.loads(sol_path.read_text()), json.loads(feas_path.read_text())
+        evidence = payload["evidence"]
+        assert payload["feasible"] is feasible
+        assert set(evidence) == set(solution["diagnostics"]) | {"precision_band"}
+        assert evidence == {**solution["diagnostics"], "precision_band": solution["precision_band"]}
+
 
     def test_two_channel_verdicts(self, tmp_path):
         # two independent channels in a rotated basis, one of them within
