@@ -45,7 +45,6 @@ from .solver import (
     verify_solution,
 )
 from .toeplitz import (
-    LevinsonSolution,
     band_from_ar,
     circulant_approx,
     extend_covariances,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -45,13 +46,19 @@ def _hermitize(psi: np.ndarray) -> np.ndarray:
     return 0.5 * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 
 
-def _check_width(n: int, N: int) -> None:
-    """The band of n+1 blocks, n >= 0, and its circulant mirror must not
-    overlap."""
-    if n < 0:
-        raise BadInput(f"bandwidth n={n} is negative")
-    if N < 2 * n + 2:
-        raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+def _check_sizes(m: int, n: int, N=None) -> None:
+    """The size rule: integer sizes (``operator.index``, so numpy integers
+    pass), m >= 1, n >= 0 and, when N is given, N >= 2n+2, so that the band
+    and its circulant mirror do not overlap.  Every entry that takes a size
+    calls it, the solver at each evaluation, so a pass is one test."""
+    try:
+        if index(m) >= 1 and index(n) >= 0 and (N is None or index(N) >= 2 * n + 2):
+            return
+    except TypeError:
+        raise BadInput(f"sizes m={m!r}, n={n!r}, N={N!r} are not all integers") from None
+    if m < 1 or n < 0:
+        raise BadInput(f"need m >= 1 and n >= 0, got m={m}, n={n}")
+    raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
 
 
 def _band_row(band: np.ndarray, N: int) -> np.ndarray:
@@ -222,9 +229,8 @@ class BlockCirculant:
     first_row: np.ndarray  # (N, m, m)
 
     def __post_init__(self):
+        _check_sizes(self.m, 0, self.N)
         row = np.asarray(self.first_row, dtype=float)
-        if self.N < 2:
-            raise BadInput(f"need at least 2 block rows, got N={self.N}")
         if row.shape != (self.N, self.m, self.m):
             raise BadInput(f"first_row shape {row.shape} != {(self.N, self.m, self.m)}")
         object.__setattr__(self, "first_row", row)
@@ -246,9 +252,8 @@ class BandData:
     blocks: np.ndarray  # (n+1, m, m)
 
     def __post_init__(self):
+        _check_sizes(self.m, self.n)
         blocks = np.asarray(self.blocks, dtype=float)
-        if self.m < 1 or self.n < 0:
-            raise BadInput(f"need m >= 1 and n >= 0, got m={self.m}, n={self.n}")
         if blocks.shape != (self.n + 1, self.m, self.m):
             raise BadInput(f"blocks shape {blocks.shape} != {(self.n + 1, self.m, self.m)}")
         if not np.all(np.isfinite(blocks)):
@@ -269,7 +274,7 @@ class BandData:
 
     def embed_circulant(self, N: int) -> BlockCirculant:
         """Banded block-circulant with this band and zeros elsewhere."""
-        _check_width(self.n, N)
+        _check_sizes(self.m, self.n, N)
         return BlockCirculant(self.m, N, _band_row(np.swapaxes(self.blocks, 1, 2), N))
 
 
@@ -317,7 +322,7 @@ def _dual_band(lam: np.ndarray, m: int, n: int, N: int) -> np.ndarray:
     """The band K_0..K_n (n+1, m, m) of ``project_band_gram(lam, m, n, N)``:
     K_d = (1/N) sum_i lam[i, i+d] for a bordered dual matrix ``lam``, or
     ``lam`` itself when it is given as that band."""
-    _check_width(n, N)
+    _check_sizes(m, n, N)
     lam = np.asarray(lam, dtype=float)
     size = (n + 1) * m
     if lam.shape == (size, size):
@@ -351,8 +356,7 @@ def leading_inverse_band(c: BlockCirculant, n: int) -> np.ndarray:
     """First n+1 block rows/columns of the inverse of a SPD block-circulant,
     assembled from the inverse's first row: block (i, j) = row[j - i] for
     j >= i."""
-    if n + 1 > c.N:
-        raise BadInput(f"n+1={n + 1} exceeds N={c.N}")
+    _check_sizes(c.m, n, c.N)
     return _sym(_block_toeplitz(circ_inverse(c).first_row[: n + 1]))
 
 
@@ -364,6 +368,7 @@ def circulant_average(dense: np.ndarray, m: int) -> BlockCirculant:
     symmetric matrix holds the transposes of diagonal d.  Used to read a
     circulant out of baseline iterates; the solver never calls it.
     """
+    _check_sizes(m, 0)
     dense = np.asarray(dense, dtype=float)
     if dense.shape[0] != dense.shape[1] or dense.shape[0] % m:
         raise BadInput(f"dense shape {dense.shape} is not square in m={m} blocks")

@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _check_width, circulant_average
+from .blockcirc import BandData, BlockCirculant, _check_sizes, circulant_average
 from .errors import BadInput, CircMaxentError, NoConvergence, NotPositiveDefinite, RequiresFullR
 from .feasibility import eig_affine_forms, scalar_bw1_feasible
 from .generate import random_feasible_band
@@ -84,9 +84,10 @@ def _load_problem(path):
         blocks = np.asarray(raw["blocks"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"problem file {path}: missing or malformed field ({exc})") from exc
-    if m < 1 or n < 0:
-        raise BadInput(f"problem file {path}: m={m}, n={n} out of range")
-    _check_width(n, N)
+    try:
+        _check_sizes(m, n, N)
+    except BadInput as exc:
+        raise type(exc)(f"problem file {path}: {exc}") from exc
     if blocks.shape != (n + 1, m * m):
         raise BadInput(f"problem file {path}: blocks have shape {blocks.shape}, expected {(n + 1, m * m)}")
     return BandData(m, n, blocks.reshape(n + 1, m, m)), N

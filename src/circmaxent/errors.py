@@ -14,7 +14,7 @@ class NotPositiveDefinite(CircMaxentError):
 
 
 class BandTooWide(BadInput):
-    """The band and its circulant mirror overlap: N < 2n + 2 (``blockcirc._check_width``)."""
+    """The band and its circulant mirror overlap: N < 2n + 2 (``blockcirc._check_sizes``)."""
 
 
 class Unstable(CircMaxentError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, _check_width
+from .blockcirc import BandData, _check_sizes
 from .errors import BadInput
 
 
@@ -53,11 +53,11 @@ def scalar_bw1_feasible(sigma0: float, sigma1: float, N: int) -> FeasibilityVerd
     Raises
     ------
     BadInput
-        For N < 4 (as BandTooWide) or sigma0 <= 0.
+        For N < 4 (as BandTooWide), sigma0 outside (0, inf) or a non-finite sigma1.
     """
-    _check_width(1, N)
-    if sigma0 <= 0:
-        raise BadInput(f"sigma0={sigma0} must be positive")
+    _check_sizes(1, 1, N)
+    if not (0 < sigma0 < math.inf and math.isfinite(sigma1)):
+        raise BadInput(f"need finite sigma1 and 0 < sigma0 < inf, got sigma0={sigma0}, sigma1={sigma1}")
     if N % 2 == 0:
         lower, upper = -float(sigma0), float(sigma0)
     else:
@@ -84,7 +84,7 @@ def eig_affine_forms(band: BandData, N: int) -> list:
     if band.m != 1:
         raise BadInput("affine eigenvalue forms exist only for scalar data")
     n = band.n
-    _check_width(n, N)
+    _check_sizes(band.m, n, N)
     sig = band.blocks[:, 0, 0]
     distances = np.arange(n + 1, N // 2 + 1)
     forms = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _check_width, _hermitize, _sym, circ_inverse
+from .blockcirc import BandData, BlockCirculant, _band_row, _check_sizes, _hermitize, _sym, circ_inverse
 from .errors import BadInput
 from .toeplitz import _companion, band_from_ar, spectral_radius
 
@@ -22,9 +22,7 @@ _MARGIN = 0.3
 
 def random_feasible_band(m: int, n: int, N: int, rng) -> BandData:
     """Band of the inverse of a random banded circulant precision."""
-    if m < 1:
-        raise BadInput(f"need m >= 1, got m={m}")
-    _check_width(n, N)
+    _check_sizes(m, n, N)
     band = np.zeros((n + 1, m, m))
     band[0] = np.eye(m) + 0.3 * _sym(rng.standard_normal((m, m)))
     for d in range(1, n + 1):
@@ -46,6 +44,7 @@ def random_stable_ar(m: int, n: int, rng, radius: float = 0.6):
     by s, so the radius is hit exactly (up to the eigenvalue computation).
     Returns (coeffs, innovation).
     """
+    _check_sizes(m, n)
     if not 0.0 < radius < 1.0:
         raise BadInput(f"radius={radius} outside (0, 1)")
     coeffs = np.zeros((n + 1, m, m))

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _check_width, _sym
+from .blockcirc import BandData, BlockCirculant, _band_row, _check_sizes, _sym
 from .errors import NoConvergence, RequiresFullR
 from .solver import SolverConfig
 from .toeplitz import circulant_approx
@@ -30,7 +30,7 @@ def _band_mask(m: int, n: int, N: int) -> np.ndarray:
     """Which entries of the mN x mN matrix a band of n+1 blocks of size m
     gives: the nonzero pattern of its banded block-circulant, written by the
     same ``_band_row`` that embeds the data.  Its diagonal is given."""
-    _check_width(n, N)
+    _check_sizes(m, n, N)
     return BlockCirculant(m, N, _band_row(np.ones((n + 1, m, m)), N)).to_dense() != 0
 
 
@@ -97,7 +97,7 @@ def band_cliques(N: int, n: int, m: int) -> CliqueSet:
     {i, ..., i+n} (mod N), of size m(n+1); for N >= 2n+2 these windows are
     exactly the maximal cliques.
     """
-    _check_width(n, N)
+    _check_sizes(m, n, N)
     windows = []
     for i in range(N):
         w = []

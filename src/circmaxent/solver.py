@@ -48,6 +48,7 @@ dense matrix is ever formed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Optional
@@ -61,7 +62,7 @@ from .blockcirc import (
     _band_norm,
     _band_spectrum,
     _block_toeplitz,
-    _check_width,
+    _check_sizes,
     _cholesky_blocks,
     _dual_band,
     _factored,
@@ -107,6 +108,7 @@ class DualVariable:
     value: np.ndarray
 
     def __post_init__(self):
+        _check_sizes(self.m, self.n)
         size = (self.n + 1) * self.m
         value = np.asarray(self.value, dtype=float)
         if value.shape != (size, size):
@@ -125,8 +127,8 @@ class SolverConfig:
     decrement and uses ``eta`` only when it is given, as an extra stop.
     The line-search step resets to 1 every iteration.  A negative or NaN
     ``eta``, which no gradient norm can meet, an infinite one, which any
-    start meets, and a negative ``max_iter`` raise BadInput; ``eta = 0`` is
-    legal.
+    start meets, and a ``max_iter`` that is not an integer >= 0 raise
+    BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
     """
 
     eta: Optional[float] = None
@@ -134,8 +136,8 @@ class SolverConfig:
     trace: Optional[IO[str]] = None
 
     def __post_init__(self):
-        if self.max_iter < 0:
-            raise BadInput(f"budget of {self.max_iter} steps is negative")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+            raise BadInput(f"budget of {self.max_iter!r} steps is not an integer >= 0")
         if self.eta is not None and not 0 <= self.eta < math.inf:
             raise BadInput(f"tolerance {self.eta!r} is not a finite non-negative number")
 
@@ -305,13 +307,13 @@ def _start(band: BandData, N: int, mode: str) -> np.ndarray:
     in the dual domain is not checked here; ``solve`` checks its start.
     """
     m, n = band.m, band.n
-    _check_width(n, N)
+    _check_sizes(m, n, N)
     if mode == "identity":
         K = np.zeros((n + 1, m, m))
         K[0] = (n + 1) / N * np.eye(m)
         return K
     if mode == "toeplitz":
-        return np.swapaxes(phi_inverse_coeffs(solve_yule_walker(band)), 1, 2)
+        return np.swapaxes(phi_inverse_coeffs(*solve_yule_walker(band)), 1, 2)
     raise BadInput(f"unknown init mode {mode!r}")
 
 
@@ -506,7 +508,7 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     m, n, N = band.m, band.n, sigma.N
     if sigma.m != m:
         raise BadInput(f"completion blocks are {sigma.m} x {sigma.m}, band blocks {m} x {m}")
-    _check_width(n, N)
+    _check_sizes(m, n, N)
     data = np.swapaxes(band.blocks, 1, 2)
     # both ratios are taken on arrays scaled to a largest |entry| of 1, so
     # their squared norms neither under- nor overflow at any data scale

@@ -9,11 +9,9 @@ and the solver warm start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _check_width, _cholesky_blocks, _sym
+from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _check_sizes, _cholesky_blocks, _sym
 from .errors import BadInput, Unstable
 
 
@@ -35,26 +33,14 @@ def _companion(coeffs: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LevinsonSolution:
-    """Matrix AR coefficients and innovation covariance from the band.
-
-    ``coeffs[k]`` is the k-th AR coefficient (coeffs[0] = I); they satisfy
-    [coeffs[0] .. coeffs[n]] @ T_n = [innovation, 0, ..., 0].
-    """
-
-    m: int
-    n: int
-    coeffs: np.ndarray      # (n+1, m, m), coeffs[0] = I
-    innovation: np.ndarray  # (m, m) symmetric positive definite
-
-
-def solve_yule_walker(band: BandData) -> LevinsonSolution:
-    """Fit the order-n matrix AR model to the band.
+def solve_yule_walker(band: BandData) -> tuple:
+    """Fit the order-n matrix AR model to the band: the pair (coeffs,
+    innovation) that ``band_from_ar`` takes.  ``coeffs`` (n+1, m, m) has
+    coeffs[0] = I and [coeffs[0] .. coeffs[n]] @ T_n = [innovation, 0, ...,
+    0], so ``innovation`` is the one-step prediction error covariance.
 
     Solved as one direct block linear system of size n*m (the bandwidths of
-    interest are small); the normalization coeffs[0] = I makes ``innovation``
-    the one-step prediction error covariance.
+    interest are small).
 
     Raises
     ------
@@ -80,22 +66,23 @@ def solve_yule_walker(band: BandData) -> LevinsonSolution:
         innovation += coeffs[k] @ band.blocks[k].T
     innovation = _sym(innovation)
     _cholesky_blocks(innovation, "innovation covariance")
-    return LevinsonSolution(m, n, coeffs, innovation)
+    return coeffs, innovation
 
 
-def phi_inverse_coeffs(ls: LevinsonSolution) -> np.ndarray:
+def phi_inverse_coeffs(coeffs: np.ndarray, innovation: np.ndarray) -> np.ndarray:
     """Laurent coefficients M_0..M_n (n+1, m, m) of the inverse spectral
-    density, M_j = sum_k coeffs[k]^T innovation^{-1} coeffs[k+j].
+    density of the AR model (coeffs, innovation) (see
+    ``solve_yule_walker``), M_j = sum_k coeffs[k]^T innovation^{-1} coeffs[k+j].
 
     The inverse of the extension's spectral density is
     M_0 + sum_j M_j z^j + sum_j M_j^T z^(-j); M_0 is symmetric.
     """
-    _cholesky_blocks(_sym(ls.innovation), "innovation covariance")
-    lam_inv = _sym(np.linalg.inv(ls.innovation))
-    M = np.zeros((ls.n + 1, ls.m, ls.m))
-    for j in range(ls.n + 1):
-        for k in range(ls.n + 1 - j):
-            M[j] += ls.coeffs[k].T @ lam_inv @ ls.coeffs[k + j]
+    _cholesky_blocks(_sym(innovation), "innovation covariance")
+    lam_inv = _sym(np.linalg.inv(innovation))
+    M = np.zeros(coeffs.shape)
+    for j in range(len(M)):
+        for k in range(len(M) - j):
+            M[j] += coeffs[k].T @ lam_inv @ coeffs[k + j]
     M[0] = _sym(M[0])
     return M
 
@@ -114,9 +101,11 @@ def extend_covariances(band: BandData, K: int) -> np.ndarray:
         If the band's block-Toeplitz matrix is not positive definite.
     """
     n = band.n
-    if K <= n:
-        raise BadInput(f"K={K} must exceed the bandwidth n={n}")
-    coeffs = solve_yule_walker(band).coeffs
+    try:  # K > n is the size rule for N = 2K, whose midpoint lag is K
+        _check_sizes(band.m, n, 2 * K)
+    except BadInput:
+        raise BadInput(f"K={K!r} is not an integer greater than n={n}") from None
+    coeffs = solve_yule_walker(band)[0]
     lags = np.concatenate([band.blocks, np.zeros((K - n, band.m, band.m))])
     for k in range(n + 1, K + 1):
         lags[k] = -sum(coeffs[j] @ lags[k - j] for j in range(1, n + 1))
@@ -140,7 +129,7 @@ def circulant_approx(band: BandData, N: int) -> BlockCirculant:
     NotPositiveDefinite
         If the band's block-Toeplitz matrix is not positive definite.
     """
-    _check_width(band.n, N)
+    _check_sizes(band.m, band.n, N)
     lags = np.concatenate([band.blocks, extend_covariances(band, N // 2)])
     return BlockCirculant(band.m, N, _band_row(np.swapaxes(lags, 1, 2), N))
 
@@ -166,6 +155,7 @@ def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
     m = coeffs.shape[1]
     if coeffs.shape != (n + 1, m, m):
         raise BadInput("coeffs must be a stack of n+1 square blocks")
+    _check_sizes(m, n)
     if np.abs(coeffs[0] - np.eye(m)).max() > 1e-12:
         raise BadInput("coeffs[0] must be the identity")
     rho = spectral_radius(_companion(coeffs))

@@ -8,19 +8,25 @@ from circmaxent import (
     BandData,
     BandTooWide,
     BlockCirculant,
+    DualVariable,
     NotPositiveDefinite,
     PatternGraph,
     band_cliques,
+    band_from_ar,
     circ_inverse,
     circ_logdet,
     circulant_approx,
     circulant_average,
+    dual_gradient,
     eig_affine_forms,
+    extend_covariances,
     init_lambda,
     ips_solve,
     leading_inverse_band,
     project_band_gram,
+    random_ar_band,
     random_feasible_band,
+    random_stable_ar,
     scalar_bw1_feasible,
     sk1_solve,
     solve,
@@ -389,43 +395,82 @@ class TestContainers:
             BandData(0, 1, np.zeros((2, 0, 0)))
 
 
-def _width_entries():
-    """Every public entry that takes a bandwidth n and a size N, as
-    (n, call of N); the bands are feasible at N = 2n + 2."""
+def _size_entries():
+    """Every public entry that takes a size, as (its smallest legal sizes,
+    call of them): m for m x m blocks, a bandwidth n, N block rows and the
+    K lags of ``extend_covariances``.  The band is scalar with n = 2, so
+    N = 2n + 2 = 6; ``scalar_bw1_feasible`` has n = 1 and ``BlockCirculant``
+    n = 0."""
     band = BandData(1, 2, np.array([1.0, 0.3, 0.1]).reshape(3, 1, 1))
+    lam = init_lambda(band, 6)
 
     def identity(N):
-        row = np.zeros((N, 1, 1))
+        row = np.zeros((int(N), 1, 1))
         row[0] = 1.0
         return BlockCirculant(1, N, row)
 
+    def ar_model(m, n):
+        coeffs = np.zeros((n + 1, m, m))
+        coeffs[:1] = np.eye(m)
+        return coeffs, np.eye(m)
+
+    def rng():
+        return np.random.default_rng(0)
+
+    mn, mnN, N6 = {"m": 1, "n": 2}, {"m": 1, "n": 2, "N": 6}, {"N": 6}
     return {
-        "embed_circulant": (2, band.embed_circulant),
-        "project_band_gram": (2, lambda N: project_band_gram(band.blocks, 1, 2, N)),
-        "scalar_bw1_feasible": (1, lambda N: scalar_bw1_feasible(1.0, 0.3, N)),
-        "eig_affine_forms": (2, lambda N: eig_affine_forms(band, N)),
-        "random_feasible_band": (2, lambda N: random_feasible_band(1, 2, N, np.random.default_rng(0))),
-        "PatternGraph.banded": (2, lambda N: PatternGraph.banded(1, 2, N)),
-        "band_cliques": (2, lambda N: band_cliques(N, 2, 1)),
-        "ips_solve": (2, lambda N: ips_solve(band, N)),
-        "sk1_solve": (2, lambda N: sk1_solve(band, N)),
-        "solve": (2, lambda N: solve(band, N, method="newton")),
-        "init_lambda": (2, lambda N: init_lambda(band, N)),
-        "verify_solution": (2, lambda N: verify_solution(identity(N), band)),
-        "circulant_approx": (2, lambda N: circulant_approx(band, N)),
+        "BandData": (mn, lambda m, n: BandData(m, n, band.blocks)),
+        "BlockCirculant": ({"m": 1, "N": 2}, lambda m, N: BlockCirculant(m, N, np.ones((2, 1, 1)))),
+        "DualVariable": (mn, lambda m, n: DualVariable(m, n, np.eye(3))),
+        "embed_circulant": (N6, band.embed_circulant),
+        "project_band_gram": (mnN, lambda m, n, N: project_band_gram(band.blocks, m, n, N)),
+        "leading_inverse_band": ({"n": 2}, lambda n: leading_inverse_band(identity(6), n)),
+        "circulant_average": ({"m": 1}, lambda m: circulant_average(np.eye(6), m)),
+        "scalar_bw1_feasible": ({"N": 4}, lambda N: scalar_bw1_feasible(1.0, 0.3, N)),
+        "eig_affine_forms": (N6, lambda N: eig_affine_forms(band, N)),
+        "random_feasible_band": (mnN, lambda m, n, N: random_feasible_band(m, n, N, rng())),
+        "random_stable_ar": (mn, lambda m, n: random_stable_ar(m, n, rng())),
+        "random_ar_band": (mn, lambda m, n: random_ar_band(m, n, rng())),
+        "band_from_ar": (mn, lambda m, n: band_from_ar(*ar_model(m, n))),
+        "PatternGraph.banded": (mnN, PatternGraph.banded),
+        "band_cliques": (mnN, lambda m, n, N: band_cliques(N, n, m)),
+        "ips_solve": (N6, lambda N: ips_solve(band, N)),
+        "sk1_solve": (N6, lambda N: sk1_solve(band, N)),
+        "solve": (N6, lambda N: solve(band, N, method="newton")),
+        "init_lambda": (N6, lambda N: init_lambda(band, N)),
+        "dual_gradient": (N6, lambda N: dual_gradient(lam, band, N)),
+        "verify_solution": (N6, lambda N: verify_solution(identity(N), band)),
+        "circulant_approx": (N6, lambda N: circulant_approx(band, N)),
+        "extend_covariances": ({"K": 3}, lambda K: extend_covariances(band, K)),
     }
 
 
-@pytest.mark.parametrize("entry", sorted(_width_entries()))
+@pytest.mark.parametrize("entry", sorted(_size_entries()))
+def test_size_rule_has_one_owner(entry):
+    # one blockcirc check refuses m = 0, n = -1, K <= n and any size that is
+    # not an integer with BadInput, where they used to raise TypeError,
+    # IndexError or ZeroDivisionError, or return an empty result
+    legal, call = _size_entries()[entry]
+    for size, value in legal.items():
+        refused = {"m": [0], "n": [-1], "N": [], "K": [value - 1]}[size]
+        if entry != "band_from_ar":  # it reads m and n off an array's shape
+            refused.append(float(value))
+        for bad in refused:
+            with pytest.raises(BadInput):
+                call(**{**legal, size: bad})
+    assert call(**legal) is not None
+
+
+@pytest.mark.parametrize("entry", sorted(e for e, (legal, _) in _size_entries().items() if "N" in legal))
 def test_width_rule_has_one_owner(entry):
     # N >= 2n + 2 keeps the band apart from its circulant mirror; every
     # entry refuses a smaller N with the same error, which is a BadInput
-    n, call = _width_entries()[entry]
-    for N in (2 * n, 2 * n + 1):
+    legal, call = _size_entries()[entry]
+    for N in (legal["N"] - 2, legal["N"] - 1):
         with pytest.raises(BandTooWide) as exc:
-            call(N)
+            call(**{**legal, "N": N})
         assert isinstance(exc.value, BadInput)
-    call(2 * n + 2)
+    call(**legal)
 
 
 def test_negative_bandwidth_is_bad_input():

@@ -79,6 +79,9 @@ class TestSolveCommand:
         ("blocks", [[10 ** 400], [0.3]]),
         ("m", 1.7),
         ("m", True),
+        ("m", 0),
+        ("n", -1),
+        ("N", 3),
     ])
     def test_malformed_problem_exits_1(self, command, field, value, tmp_path, capsys):
         payload = {"m": 1, "n": 1, "N": 8, "blocks": [[1.0], [0.3]], field: value}
@@ -152,6 +155,16 @@ class TestSolveCommand:
         out = tmp_path / "sol.json"
         assert main(["solve", white_problem, "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
+
+    def test_gd_stall_exits_3(self, tmp_path):
+        # GD cannot leave the toeplitz start of (1, 0.3) 1e10 (see
+        # test_gd_stalls_at_the_step_floor); Newton solves the same file
+        prob = write_problem(tmp_path / "big.json", 1, 1, 8, [[1e10], [1e10 * 0.3]])
+        out = tmp_path / "out.json"
+        assert main(["solve", prob, "--method", "gd", "-o", str(out)]) == 3
+        assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
+        assert main(["solve", prob, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["diagnostics"]["status"] == "converged"
 
     def test_boundary_band_exits_3(self, tmp_path):
         # a two-channel band with one channel on the odd-N bound has only

@@ -63,8 +63,11 @@ class TestScalarBw1:
     def test_bad_input(self):
         with pytest.raises(BadInput):
             scalar_bw1_feasible(1.0, 0.2, 3)
-        with pytest.raises(BadInput):
-            scalar_bw1_feasible(0.0, 0.2, 8)
+        # non-finite data answered feasible=False with margin nan, and True
+        # with margin inf
+        for sigma0, sigma1 in ((0.0, 0.2), (math.nan, 0.3), (1.0, math.nan), (math.inf, 0.3)):
+            with pytest.raises(BadInput):
+                scalar_bw1_feasible(sigma0, sigma1, 8)
 
 
 class TestAffineForms:

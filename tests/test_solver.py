@@ -244,7 +244,7 @@ class TestInitLambda:
 
         rng = np.random.default_rng(42)
         band = random_feasible_band(2, 2, 12, rng)
-        M = phi_inverse_coeffs(solve_yule_walker(band))
+        M = phi_inverse_coeffs(*solve_yule_walker(band))
         proj = project_band_gram(init_lambda(band, 12, "toeplitz").value, 2, 2, 12)
         assert np.abs(proj.first_row[0] - M[0]).max() < 1e-12
         for d in (1, 2):
@@ -394,13 +394,28 @@ class TestSolve:
             assert len(fields) == 4
             float(fields[1]), float(fields[2]), float(fields[3])
 
+    def test_gd_stalls_at_the_step_floor(self):
+        # at (1, 0.3) 1e10 every GD trial from the toeplitz start fails the
+        # Armijo test down to the step floor 1e-18 > 2^-60, so the solve ends
+        # "stalled" at its start, which is still a verified completion
+        band = BandData(1, 1, 1e10 * np.array([1.0, 0.3]).reshape(2, 1, 1))
+        result = solve(band, 8, method="gd")
+        assert (result.status, result.iterations, result.line_search_backtracks_total) == ("stalled", 0, 60)
+        assert result.init_mode == "toeplitz"
+        assert np.array_equal(result.K, _start(band, 8, "toeplitz"))
+        verify_solution(result, band)
+
     def test_config_validation(self):
         # no gradient norm meets a negative or NaN eta, so GD would run out
-        # its whole budget; any start, however far off, meets an infinite one
-        for kwargs in ({"max_iter": -1}, {"eta": -1e-8}, {"eta": math.nan}, {"eta": math.inf}):
+        # its whole budget; any start, however far off, meets an infinite one.
+        # With a NaN or infinite budget `iterations >= max_iter` never holds,
+        # so a GD solve that cannot converge would never stop.
+        for kwargs in ({"max_iter": -1}, {"max_iter": math.nan}, {"max_iter": math.inf}, {"max_iter": 2.5},
+                       {"eta": -1e-8}, {"eta": math.nan}, {"eta": math.inf}):
             with pytest.raises(BadInput):
                 SolverConfig(**kwargs)
         assert SolverConfig(eta=0.0).eta == 0.0
+        assert SolverConfig(max_iter=0).max_iter == 0
 
     def test_unrepresentable_scale_rejected(self):
         # the band (1, 0.3) s at s = 1e200 has a squared norm that overflows

@@ -25,46 +25,48 @@ def lag(band, d):
     return band.blocks[d] if d >= 0 else band.blocks[-d].T
 
 
-def ar_equation_residual(ls, band):
-    """max_j || sum_k A_k Sigma_{j-k} - delta_{j0} innovation || (definition)."""
+def ar_equation_residual(model, band):
+    """max_j || sum_k A_k Sigma_{j-k} - delta_{j0} innovation || (definition)
+    for the AR model (coeffs, innovation)."""
+    coeffs, innovation = model
     worst = 0.0
     for j in range(band.n + 1):
         acc = np.zeros((band.m, band.m))
         for k in range(band.n + 1):
-            acc += ls.coeffs[k] @ lag(band, j - k)
+            acc += coeffs[k] @ lag(band, j - k)
         if j == 0:
-            acc -= ls.innovation
+            acc -= innovation
         worst = max(worst, np.abs(acc).max())
     return worst
 
 
 class TestYuleWalker:
     def test_white_noise(self):
-        ls = solve_yule_walker(white_noise_band(2, 3))
-        assert np.abs(ls.coeffs[1:]).max() == 0.0
-        assert np.abs(ls.innovation - np.eye(2)).max() == 0.0
+        coeffs, innovation = solve_yule_walker(white_noise_band(2, 3))
+        assert np.abs(coeffs[1:]).max() == 0.0
+        assert np.abs(innovation - np.eye(2)).max() == 0.0
 
     def test_scalar_hand_case(self):
-        ls = solve_yule_walker(scalar_band([1.0, 0.5]))
-        assert abs(ls.coeffs[1, 0, 0] + 0.5) < 1e-14
-        assert abs(ls.innovation[0, 0] - 0.75) < 1e-14
+        coeffs, innovation = solve_yule_walker(scalar_band([1.0, 0.5]))
+        assert abs(coeffs[1, 0, 0] + 0.5) < 1e-14
+        assert abs(innovation[0, 0] - 0.75) < 1e-14
 
     def test_residual_random(self):
         rng = np.random.default_rng(21)
         coeffs, innov = random_stable_ar(2, 3, rng, radius=0.6)
         band = band_from_ar(coeffs, innov)
-        ls = solve_yule_walker(band)
+        model = solve_yule_walker(band)
         scale = max(1.0, np.abs(band.toeplitz()).max())
-        assert ar_equation_residual(ls, band) <= 1e-9 * scale
-        assert np.linalg.eigvalsh(ls.innovation).min() > 0
+        assert ar_equation_residual(model, band) <= 1e-9 * scale
+        assert np.linalg.eigvalsh(model[1]).min() > 0
 
     def test_round_trip_recovers_model(self):
         rng = np.random.default_rng(22)
         for m, n in [(1, 2), (2, 1), (2, 2), (3, 2)]:
             coeffs, innov = random_stable_ar(m, n, rng, radius=0.55)
-            ls = solve_yule_walker(band_from_ar(coeffs, innov))
-            assert np.abs(ls.coeffs - coeffs).max() < 1e-10
-            assert np.abs(ls.innovation - innov).max() < 1e-10
+            fit_coeffs, fit_innov = solve_yule_walker(band_from_ar(coeffs, innov))
+            assert np.abs(fit_coeffs - coeffs).max() < 1e-10
+            assert np.abs(fit_innov - innov).max() < 1e-10
 
     def test_indefinite_band_rejected(self):
         with pytest.raises(NotPositiveDefinite):
@@ -73,12 +75,12 @@ class TestYuleWalker:
 
 class TestPhiInverseCoeffs:
     def test_white_noise(self):
-        M = phi_inverse_coeffs(solve_yule_walker(white_noise_band(2, 2)))
+        M = phi_inverse_coeffs(*solve_yule_walker(white_noise_band(2, 2)))
         assert np.abs(M[0] - np.eye(2)).max() == 0.0
         assert np.abs(M[1:]).max() == 0.0
 
     def test_scalar_hand_case(self):
-        M = phi_inverse_coeffs(solve_yule_walker(scalar_band([1.0, 0.5])))
+        M = phi_inverse_coeffs(*solve_yule_walker(scalar_band([1.0, 0.5])))
         assert abs(M[0, 0, 0] - 5.0 / 3.0) < 1e-12
         assert abs(M[1, 0, 0] + 2.0 / 3.0) < 1e-12
 
@@ -87,16 +89,16 @@ class TestPhiInverseCoeffs:
         # numerical Fourier integration on a uniform grid
         rng = np.random.default_rng(23)
         coeffs, innov = random_stable_ar(2, 2, rng, radius=0.5)
-        ls = solve_yule_walker(band_from_ar(coeffs, innov))
-        M = phi_inverse_coeffs(ls)
+        fit_coeffs, fit_innov = solve_yule_walker(band_from_ar(coeffs, innov))
+        M = phi_inverse_coeffs(fit_coeffs, fit_innov)
         grid = 64
         thetas = 2 * np.pi * np.arange(grid) / grid
-        lam_inv = np.linalg.inv(ls.innovation)
-        acc = np.zeros((ls.n + 1, 2, 2), complex)
+        lam_inv = np.linalg.inv(fit_innov)
+        acc = np.zeros((len(fit_coeffs), 2, 2), complex)
         for theta in thetas:
-            l_val = sum(ls.coeffs[k] * np.exp(-1j * theta * k) for k in range(ls.n + 1))
+            l_val = sum(c * np.exp(-1j * theta * k) for k, c in enumerate(fit_coeffs))
             phi_inv = l_val.conj().T @ lam_inv @ l_val
-            for j in range(ls.n + 1):
+            for j in range(len(fit_coeffs)):
                 acc[j] += phi_inv * np.exp(1j * theta * j) / grid
         # coefficient of exp(-j theta j) is M_j
         assert np.abs(acc.real - M).max() < 1e-12
@@ -105,7 +107,7 @@ class TestPhiInverseCoeffs:
     def test_m0_symmetric(self):
         rng = np.random.default_rng(24)
         coeffs, innov = random_stable_ar(3, 2, rng)
-        M = phi_inverse_coeffs(solve_yule_walker(band_from_ar(coeffs, innov)))
+        M = phi_inverse_coeffs(*solve_yule_walker(band_from_ar(coeffs, innov)))
         assert np.abs(M[0] - M[0].T).max() < 1e-12
 
 
@@ -141,7 +143,7 @@ class TestExtendCovariances:
         # truncated lag transform matches L^-1 Lam L^-H on a frequency grid
         rng = np.random.default_rng(30)
         band = band_from_ar(*random_stable_ar(2, 1, rng, radius=0.5))
-        ls = solve_yule_walker(band)
+        coeffs, innovation = solve_yule_walker(band)
         K = 200
         ext = extend_covariances(band, K)
         lags = [band.blocks[k] for k in range(band.n + 1)] + list(ext)
@@ -150,9 +152,9 @@ class TestExtendCovariances:
             for d in range(1, K + 1):
                 phi_lags = phi_lags + lags[d] * np.exp(-1j * theta * d)
                 phi_lags = phi_lags + lags[d].T * np.exp(1j * theta * d)
-            l_val = sum(ls.coeffs[k] * np.exp(-1j * theta * k) for k in range(ls.n + 1))
+            l_val = sum(c * np.exp(-1j * theta * k) for k, c in enumerate(coeffs))
             l_inv = np.linalg.inv(l_val)
-            phi_fact = l_inv @ ls.innovation @ l_inv.conj().T
+            phi_fact = l_inv @ innovation @ l_inv.conj().T
             assert np.abs(phi_lags - phi_fact).max() < 1e-4
 
 
@@ -213,8 +215,7 @@ class TestZeroBandwidth:
     def test_degenerate_band_end_to_end(self):
         blocks = np.array([[[2.0, 0.3], [0.3, 1.5]]])
         band = BandData(2, 0, blocks)
-        ls = solve_yule_walker(band)
-        assert np.abs(ls.innovation - blocks[0]).max() == 0.0
+        assert np.abs(solve_yule_walker(band)[1] - blocks[0]).max() == 0.0
         assert np.abs(extend_covariances(band, 5)).max() == 0.0
         approx = circulant_approx(band, 6)
         expect = np.kron(np.eye(6), blocks[0])
