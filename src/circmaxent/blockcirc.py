@@ -48,10 +48,12 @@ def _hermitize(psi: np.ndarray) -> np.ndarray:
 
 def _check_sizes(m: int, n: int, N=None) -> None:
     """The size rule: integer sizes (``operator.index``, so numpy integers
-    pass), m >= 1, n >= 0 and, when N is given, N >= 2n+2, so that the band
-    and its circulant mirror do not overlap.  Every entry that takes a size
-    calls it, the solver at each evaluation, so a pass is one test."""
+    pass, bools do not), m >= 1, n >= 0 and, when N is given, N >= 2n+2, so
+    that the band and its circulant mirror do not overlap.  Every entry that
+    takes a size calls it, the solver at each evaluation."""
     try:
+        if type(m) is bool or type(n) is bool or type(N) is bool:
+            raise TypeError  # operator.index reads True and False as 1 and 0
         if index(m) >= 1 and index(n) >= 0 and (N is None or index(N) >= 2 * n + 2):
             return
     except TypeError:
@@ -59,6 +61,28 @@ def _check_sizes(m: int, n: int, N=None) -> None:
     if m < 1 or n < 0:
         raise BadInput(f"need m >= 1 and n >= 0, got m={m}, n={n}")
     raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+
+
+def _array(x, what: str, *shapes: tuple) -> np.ndarray:
+    """The array rule: ``x``, an array or nested lists, as a real float64
+    array of one of ``shapes``, where None is a length the caller does not
+    know.  A ragged, non-numeric (numeric strings too) or complex ``x``, or
+    one of another shape, raises BadInput.  Every entry that takes an array
+    calls it; a float64 ndarray of an exact shape passes after two tests."""
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        try:
+            x = np.asarray(x)
+        except ValueError:
+            raise BadInput(f"{what} is ragged, not an array") from None
+        if x.dtype.kind not in "biuf":
+            raise BadInput(f"{what} holds {x.dtype} entries, not real numbers")
+        x = x.astype(float, copy=False)
+    elif x.shape in shapes:
+        return x
+    for shape in shapes:
+        if len(shape) == x.ndim and all(k is None or k == size for k, size in zip(shape, x.shape)):
+            return x
+    raise BadInput(f"{what} shape {x.shape} != {' or '.join(str(s).replace('None', '*') for s in shapes)}")
 
 
 def _band_row(band: np.ndarray, N: int) -> np.ndarray:
@@ -230,10 +254,7 @@ class BlockCirculant:
 
     def __post_init__(self):
         _check_sizes(self.m, 0, self.N)
-        row = np.asarray(self.first_row, dtype=float)
-        if row.shape != (self.N, self.m, self.m):
-            raise BadInput(f"first_row shape {row.shape} != {(self.N, self.m, self.m)}")
-        object.__setattr__(self, "first_row", row)
+        object.__setattr__(self, "first_row", _array(self.first_row, "first_row", (self.N, self.m, self.m)))
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full mN x mN matrix (test/baseline use only)."""
@@ -253,9 +274,7 @@ class BandData:
 
     def __post_init__(self):
         _check_sizes(self.m, self.n)
-        blocks = np.asarray(self.blocks, dtype=float)
-        if blocks.shape != (self.n + 1, self.m, self.m):
-            raise BadInput(f"blocks shape {blocks.shape} != {(self.n + 1, self.m, self.m)}")
+        blocks = _array(self.blocks, "blocks", (self.n + 1, self.m, self.m))
         if not np.all(np.isfinite(blocks)):
             raise BadInput("band blocks must be finite")
         # a norm that under- or overflows leaves every relative tolerance
@@ -323,13 +342,10 @@ def _dual_band(lam: np.ndarray, m: int, n: int, N: int) -> np.ndarray:
     K_d = (1/N) sum_i lam[i, i+d] for a bordered dual matrix ``lam``, or
     ``lam`` itself when it is given as that band."""
     _check_sizes(m, n, N)
-    lam = np.asarray(lam, dtype=float)
-    size = (n + 1) * m
-    if lam.shape == (size, size):
+    lam = _array(lam, "dual matrix", (n + 1, m, m), ((n + 1) * m, (n + 1) * m))
+    if lam.ndim == 2:
         blocks = lam.reshape(n + 1, m, n + 1, m).swapaxes(1, 2)  # blocks[i, j] = block (i, j)
         return np.stack([blocks.diagonal(d).sum(-1) for d in range(n + 1)]) / N
-    if lam.shape != (n + 1, m, m):
-        raise BadInput(f"dual matrix shape {lam.shape} != {(size, size)} or band {(n + 1, m, m)}")
     return lam
 
 
@@ -369,10 +385,9 @@ def circulant_average(dense: np.ndarray, m: int) -> BlockCirculant:
     circulant out of baseline iterates; the solver never calls it.
     """
     _check_sizes(m, 0)
-    dense = np.asarray(dense, dtype=float)
-    if dense.shape[0] != dense.shape[1] or dense.shape[0] % m:
-        raise BadInput(f"dense shape {dense.shape} is not square in m={m} blocks")
-    N = dense.shape[0] // m
+    dense = _array(dense, "dense matrix", (None, None))
+    N = len(dense) // m
+    dense = _array(dense, f"dense matrix of {m} x {m} blocks", (N * m, N * m))
     blocks = dense.reshape(N, m, N, m).transpose(0, 2, 1, 3)  # (i, j, m, m)
     i = np.arange(N)
     j = (i[:, None] + i[None, :]) % N  # j[i, k] = (i + k) mod N

@@ -33,13 +33,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 import time
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _check_sizes, circulant_average
+from .blockcirc import BandData, BlockCirculant, _array, _check_sizes, circulant_average
 from .errors import BadInput, CircMaxentError, NoConvergence, NotPositiveDefinite, RequiresFullR
 from .feasibility import eig_affine_forms, scalar_bw1_feasible
 from .generate import random_feasible_band
@@ -63,33 +64,20 @@ _DUAL = ("newton", "gd")
 _COMPARE_RUNS = (("gd", "toeplitz"), ("gd", "identity"), ("newton", "toeplitz"), ("ips", ""))
 
 
-def _size(value) -> int:
-    """A size read from a problem file: a JSON integer, or a float with an
-    integral value.  Bools and fractions are malformed."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"size {value!r} is not an integer")
-
-
 def _load_problem(path):
     with open(path) as fh:
         raw = json.load(fh)
     try:
-        m, n, N = (_size(raw[key]) for key in ("m", "n", "N"))
-        # JSON numbers only: numpy would also read a bool or a numeric string
-        if not all(type(x) in (int, float) for row in raw["blocks"] for x in row):
-            raise ValueError("blocks must hold numbers")
-        blocks = np.asarray(raw["blocks"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise BadInput(f"problem file {path}: missing or malformed field ({exc})") from exc
-    try:
+        m, n, N, blocks = (raw[key] for key in ("m", "n", "N", "blocks"))
         _check_sizes(m, n, N)
+        # JSON numbers only: numpy would also read a bool as one
+        if not all(type(x) in (int, float) for row in blocks for x in row):
+            raise BadInput("blocks must hold numbers")
+        blocks = _array(blocks, "blocks", (n + 1, m * m))
+    except (KeyError, TypeError) as exc:
+        raise BadInput(f"problem file {path}: missing or malformed field ({exc})") from exc
     except BadInput as exc:
         raise type(exc)(f"problem file {path}: {exc}") from exc
-    if blocks.shape != (n + 1, m * m):
-        raise BadInput(f"problem file {path}: blocks have shape {blocks.shape}, expected {(n + 1, m * m)}")
     return BandData(m, n, blocks.reshape(n + 1, m, m)), N
 
 
@@ -306,7 +294,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once; ``main`` runs ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="circmaxent",
         description="Maximum-entropy completion of banded block-circulant covariances",
@@ -330,22 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="newton")
     add_budget(p)
     p.add_argument("--trace", default=None, help="newton, gd: per-iteration CSV trace file; ips, sk1 write none")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("extend", help="circulant approximant from the band extension")
     add_common(p)
     p.add_argument("--N", type=int, default=None, help="completion size (defaults to the file's N)")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("feas", help="feasibility analysis")
     add_common(p)
     p.add_argument("--budget", type=int, default=2000, help="solver iterations for the generic case")
-    p.set_defaults(func=cmd_feas)
 
     p = sub.add_parser("compare", help="run GD (both inits), Newton and IPS on one problem")
     p.add_argument("input", help="problem file (JSON)")
     add_budget(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="random-instance sweep, CSV to stdout")
     p.add_argument("--m", type=int, required=True)
@@ -356,16 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["toeplitz", "identity", "both"], default="both",
                    help="start of the newton and gd runs")
     add_budget(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name at each call, so a replaced module global runs
+        return globals()[f"cmd_{args.command}"](args)
     except _Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -86,17 +86,12 @@ def eig_affine_forms(band: BandData, N: int) -> list:
     n = band.n
     _check_sizes(band.m, n, N)
     sig = band.blocks[:, 0, 0]
-    distances = np.arange(n + 1, N // 2 + 1)
-    forms = []
-    for k in range(N // 2 + 1):
-        const = sig[0] + sum(
-            2.0 * math.cos(2.0 * math.pi * k * j / N) * sig[j] for j in range(1, n + 1)
-        )
-        coeffs = np.array(
-            [
-                (1.0 if 2 * d == N else 2.0) * math.cos(2.0 * math.pi * k * d / N)
-                for d in distances
-            ]
-        )
-        forms.append(AffineEigForm(k=k, constant=float(const), distances=distances, coeffs=coeffs))
-    return forms
+    k = np.arange(N // 2 + 1)
+    distances = k[n + 1:]
+    # cos(2 pi k d / N) for k, d = 0..floor(N/2); k d mod N in integers keeps
+    # every argument below 2 pi
+    cos = np.cos(2.0 * np.pi * (np.outer(k, k) % N) / N)
+    const = sig[0] + cos[:, 1:n + 1] @ (2.0 * sig[1:])
+    coeffs = np.where(2 * distances == N, 1.0, 2.0) * cos[:, n + 1:]
+    return [AffineEigForm(k=i, constant=float(const[i]), distances=distances, coeffs=coeffs[i])
+            for i in range(len(k))]

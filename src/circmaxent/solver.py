@@ -58,6 +58,7 @@ import numpy as np
 from .blockcirc import (
     BandData,
     BlockCirculant,
+    _array,
     _band_lags,
     _band_norm,
     _band_spectrum,
@@ -109,11 +110,7 @@ class DualVariable:
 
     def __post_init__(self):
         _check_sizes(self.m, self.n)
-        size = (self.n + 1) * self.m
-        value = np.asarray(self.value, dtype=float)
-        if value.shape != (size, size):
-            raise BadInput(f"dual matrix shape {value.shape} != {(size, size)}")
-        object.__setattr__(self, "value", _sym(value))
+        object.__setattr__(self, "value", _sym(_array(self.value, "dual matrix", ((self.n + 1) * self.m,) * 2)))
 
 
 @dataclass
@@ -371,6 +368,7 @@ def solve(
         raise BadInput(f"unknown method {method!r}")
     newton = method == "newton"
     m, n = band.m, band.n
+    _check_sizes(m, n, N)
     # The gradient step in Lambda moves the block sum N K_d by the w_d =
     # n+1-d gradient blocks on its diagonal, and Tr(Lambda T_n) = sum(K * D)
     # since block d of T_n sits once on the diagonal and twice off it.
@@ -506,8 +504,7 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     result = solution if isinstance(solution, SolverResult) else None
     sigma = solution.sigma if result is not None else solution
     m, n, N = band.m, band.n, sigma.N
-    if sigma.m != m:
-        raise BadInput(f"completion blocks are {sigma.m} x {sigma.m}, band blocks {m} x {m}")
+    _array(sigma.first_row, "completion", (N, m, m))
     _check_sizes(m, n, N)
     data = np.swapaxes(band.blocks, 1, 2)
     # both ratios are taken on arrays scaled to a largest |entry| of 1, so
@@ -522,9 +519,8 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
         ref = float(np.linalg.norm(kinv[0]))
         dempster = float(np.linalg.norm(off, axis=(1, 2)).max() / ref)
     else:
-        if np.shape(result.K) != (n + 1, m, m):
-            raise BadInput(f"precision band shape {np.shape(result.K)} != {(n + 1, m, m)}")
-        chol = _cholesky_blocks(_band_spectrum(result.K, N), "verify_solution")
+        K = _array(result.K, "precision band", (n + 1, m, m))
+        chol = _cholesky_blocks(_band_spectrum(K, N), "verify_solution")
         logdet = -_half_logdet(chol, N)
         # R is O(1) at any data scale; a completion far from K's inverse,
         # or not finite, reads inf or nan here and fails the test below

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _block_toeplitz, _check_sizes, _cholesky_blocks, _sym
+from .blockcirc import (BandData, BlockCirculant, _array, _band_row, _block_toeplitz, _check_sizes,
+                        _cholesky_blocks, _sym)
 from .errors import BadInput, Unstable
 
 
@@ -31,6 +32,15 @@ def _companion(coeffs: np.ndarray) -> np.ndarray:
     if n:
         a[-m:] = -np.hstack(coeffs[:0:-1])
     return a
+
+
+def _ar_model(coeffs, innovation) -> tuple:
+    """An AR model as the arrays (coeffs, innovation) (``blockcirc._array``):
+    n+1 square m x m blocks, n >= 0, and an m x m innovation."""
+    coeffs = _array(coeffs, "coeffs", (None, None, None))
+    m, n = coeffs.shape[2], len(coeffs) - 1
+    _check_sizes(m, n)
+    return _array(coeffs, "coeffs", (n + 1, m, m)), _array(innovation, "innovation", (m, m))
 
 
 def solve_yule_walker(band: BandData) -> tuple:
@@ -77,6 +87,7 @@ def phi_inverse_coeffs(coeffs: np.ndarray, innovation: np.ndarray) -> np.ndarray
     The inverse of the extension's spectral density is
     M_0 + sum_j M_j z^j + sum_j M_j^T z^(-j); M_0 is symmetric.
     """
+    coeffs, innovation = _ar_model(coeffs, innovation)
     _cholesky_blocks(_sym(innovation), "innovation covariance")
     lam_inv = _sym(np.linalg.inv(innovation))
     M = np.zeros(coeffs.shape)
@@ -150,12 +161,8 @@ def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
     NotPositiveDefinite
         If the innovation covariance is not positive definite.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[0] - 1
-    m = coeffs.shape[1]
-    if coeffs.shape != (n + 1, m, m):
-        raise BadInput("coeffs must be a stack of n+1 square blocks")
-    _check_sizes(m, n)
+    coeffs, innovation = _ar_model(coeffs, innovation)
+    n, m = len(coeffs) - 1, coeffs.shape[1]
     if np.abs(coeffs[0] - np.eye(m)).max() > 1e-12:
         raise BadInput("coeffs[0] must be the identity")
     rho = spectral_radius(_companion(coeffs))
@@ -169,7 +176,6 @@ def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
         for j in range(n + 1):
             a = np.kron(coeffs[j], np.eye(m))
             lhs[k, :, abs(k - j)] += a if k >= j else a @ swap
-    innovation = np.asarray(innovation, dtype=float)
     _cholesky_blocks(_sym(innovation), "innovation covariance")
     rhs = np.zeros((n + 1, mm))
     rhs[0] = _sym(innovation).ravel()

@@ -1,5 +1,8 @@
 """Block-circulant algebra against dense linear-algebra oracles."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from circmaxent import (
     init_lambda,
     ips_solve,
     leading_inverse_band,
+    phi_inverse_coeffs,
     project_band_gram,
     random_ar_band,
     random_feasible_band,
@@ -32,6 +36,7 @@ from circmaxent import (
     solve,
     verify_solution,
 )
+from circmaxent.solver import _objective
 from helpers import (
     band_spectrum_full,
     circ_matmul,
@@ -405,7 +410,7 @@ def _size_entries():
     lam = init_lambda(band, 6)
 
     def identity(N):
-        row = np.zeros((int(N), 1, 1))
+        row = np.zeros((max(int(N), 1), 1, 1))
         row[0] = 1.0
         return BlockCirculant(1, N, row)
 
@@ -448,13 +453,14 @@ def _size_entries():
 @pytest.mark.parametrize("entry", sorted(_size_entries()))
 def test_size_rule_has_one_owner(entry):
     # one blockcirc check refuses m = 0, n = -1, K <= n and any size that is
-    # not an integer with BadInput, where they used to raise TypeError,
-    # IndexError or ZeroDivisionError, or return an empty result
+    # not an integer, bools included, with BadInput, where they used to raise
+    # TypeError, IndexError or ZeroDivisionError, or return an empty result
     legal, call = _size_entries()[entry]
     for size, value in legal.items():
         refused = {"m": [0], "n": [-1], "N": [], "K": [value - 1]}[size]
         if entry != "band_from_ar":  # it reads m and n off an array's shape
-            refused.append(float(value))
+            # operator.index reads a bool as 0 or 1, so the rule refuses bools
+            refused += [float(value), True, False]
         for bad in refused:
             with pytest.raises(BadInput):
                 call(**{**legal, size: bad})
@@ -471,6 +477,54 @@ def test_width_rule_has_one_owner(entry):
             call(**{**legal, "N": N})
         assert isinstance(exc.value, BadInput)
     call(**legal)
+
+
+def _array_entries():
+    """Every public entry that takes an array, as (its smallest legal array,
+    call of it), the other arguments fixed: a scalar band with n = 1 at
+    N = 4, and the AR model with coefficients (1, 0.5) and innovation 1."""
+    band = BandData(1, 1, np.array([1.0, 0.3]).reshape(2, 1, 1))
+    coeffs, innovation = np.array([1.0, 0.5]).reshape(2, 1, 1), np.eye(1)
+    result = solve(band, 4, method="newton")
+    start = np.array([0.5, 0.0]).reshape(2, 1, 1)  # the identity start at N = 4
+    D = 2.0 * 4 * band.blocks
+    D[0] *= 0.5
+    return {
+        "BandData": (band.blocks, lambda x: BandData(1, 1, x)),
+        "BlockCirculant": (band.blocks, lambda x: BlockCirculant(1, 2, x)),
+        "DualVariable": (np.eye(2), lambda x: DualVariable(1, 1, x)),
+        "project_band_gram.band": (start, lambda x: project_band_gram(x, 1, 1, 4)),
+        "project_band_gram.matrix": (np.eye(2), lambda x: project_band_gram(x, 1, 1, 4)),
+        # it reads only the dual's value, which a DualVariable has checked
+        "dual_gradient": (np.eye(2), lambda x: dual_gradient(SimpleNamespace(value=x), band, 4)),
+        "_objective": (start, lambda x: _objective(x, D, 1, 1, 4)),
+        "circulant_average": (np.eye(2), lambda x: circulant_average(x, 1)),
+        "band_from_ar.coeffs": (coeffs, lambda x: band_from_ar(x, innovation)),
+        "band_from_ar.innovation": (innovation, lambda x: band_from_ar(coeffs, x)),
+        "phi_inverse_coeffs.coeffs": (coeffs, lambda x: phi_inverse_coeffs(x, innovation)),
+        "phi_inverse_coeffs.innovation": (innovation, lambda x: phi_inverse_coeffs(coeffs, x)),
+        "verify_solution.K": (result.K, lambda x: verify_solution(replace(result, K=x), band)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_array_entries()))
+def test_array_rule_has_one_owner(entry):
+    # one blockcirc function converts every array a caller passes in; these
+    # inputs raised ValueError, IndexError, AttributeError or ComplexWarning,
+    # or lost their imaginary part
+    legal, call = _array_entries()[entry]
+    refused = {
+        "ragged": [legal.tolist(), 0.0],
+        "strings": legal.astype(str).tolist(),  # numeric strings, which numpy would read
+        "complex": legal * (1 + 1j),
+        "1-D": legal.ravel(),
+        "wrong length": np.concatenate([legal, legal[..., :1]], axis=-1),
+    }
+    for bad in refused.values():
+        with pytest.raises(BadInput):
+            call(bad)
+    assert call(legal) is not None
+    assert call(legal.tolist()) is not None
 
 
 def test_negative_bandwidth_is_bad_input():

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from circmaxent import cli
 from circmaxent.cli import _emit_solution, main
 from circmaxent import BandData, BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible, solve
 from helpers import certificate_holds, channel_band, completion_residuals, is_mirrored, random_symmetric_circulant
@@ -77,18 +78,22 @@ class TestSolveCommand:
         ("blocks", [[True], [0.3]]),
         ("blocks", [["1.0"], [0.3]]),
         ("blocks", [[10 ** 400], [0.3]]),
+        ("blocks", [[1.0], [0.3], [0.1]]),
+        ("blocks", [[1.0, 0.0], [0.3, 0.0]]),
         ("m", 1.7),
         ("m", True),
+        ("n", True),
         ("m", 0),
         ("n", -1),
         ("N", 3),
+        ("N", 8.0),  # a JSON size is an integer
     ])
     def test_malformed_problem_exits_1(self, command, field, value, tmp_path, capsys):
         payload = {"m": 1, "n": 1, "N": 8, "blocks": [[1.0], [0.3]], field: value}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         assert main([command, str(path), "-o", str(tmp_path / "out.json")]) == 1
-        assert "error: problem file" in capsys.readouterr().err
+        assert f"error: problem file {path}" in capsys.readouterr().err
 
     def test_ips_tol_zero_is_not_the_default(self, n4_problem, tmp_path, capsys):
         # --tol 0 asks for an exact clique match, which rounding never gives,
@@ -577,3 +582,13 @@ class TestBenchCommand:
         assert main(["bench", "--m", "2", "--n", "1", "--N", "8", "12", "--seed", "3"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 4  # 2 sizes x 2 inits
+
+
+def test_parser_is_built_once_and_runs_commands_by_name(white_problem, monkeypatch):
+    # main looks cmd_<command> up at each call, so a replaced module global
+    # (a tracer's wrapper, say) is the one that runs
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_feas", lambda args: seen.append(args.input) or 0)
+    assert main(["feas", white_problem]) == 0
+    assert seen == [white_problem]

@@ -117,6 +117,22 @@ class TestAffineForms:
             for f in forms:
                 assert abs(f.constant + f.coeffs @ x - psi[f.k].real) < 1e-12
 
+    def test_matches_the_loop_definition(self):
+        # the forms as a loop over k and d, the arguments 2 pi (k d mod N) / N
+        # reduced in integers; the vectorized forms sum the constant in
+        # another order, so they agree to rounding
+        for sig, N in (([1.0], 6), ([1.0, -0.91], 7), ([2.0, 0.5, -0.2, 0.1], 64),
+                       ([1.0, 0.3, 0.1], 65), ([1.0, 0.4], 1001)):
+            n = len(sig) - 1
+            forms = eig_affine_forms(scalar_band(sig), N)
+            for f in forms:
+                cos = [math.cos(2.0 * math.pi * (f.k * d % N) / N) for d in range(N // 2 + 1)]
+                const = sig[0] + sum(2.0 * cos[j] * sig[j] for j in range(1, n + 1))
+                coeffs = [(1.0 if 2 * d == N else 2.0) * cos[d] for d in range(n + 1, N // 2 + 1)]
+                assert f.distances.tolist() == list(range(n + 1, N // 2 + 1))
+                assert abs(f.constant - const) <= 1e-14
+                assert np.abs(f.coeffs - coeffs).max() <= 1e-15
+
     def test_matrix_data_rejected(self):
         from helpers import white_noise_band
 

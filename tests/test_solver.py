@@ -719,6 +719,26 @@ def test_delta_bounds_whitened_eigenvalue(m, n, extra, seed):
     assert abs(lin / abs(lin0) - delta) <= 1e-12 * abs(delta)
 
 
+@settings(deadline=None, max_examples=20)
+@given(st.integers(2, 3), st.integers(1, 2), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_time_reversal(m, n, extra, seed):
+    # the time-reversed process has the lags Sigma_d^T, and its completion
+    # is the transposed one, row[d]^T.  Newton gets there in the same steps
+    # to rounding.  GD does only to its stopping tolerance: on 150 such
+    # instances 7 took other step counts (548 against 688 at worst), since
+    # a rounding-level difference flips its line search's noise-floor test.
+    N = 2 * n + 2 + extra
+    band = random_feasible_band(m, n, N, np.random.default_rng(seed))
+    reversed_band = BandData(m, n, np.swapaxes(band.blocks, 1, 2))
+    for method, tol in (("newton", 1e-12), ("gd", 1e-8)):
+        forward, backward = solve(band, N, method=method), solve(reversed_band, N, method=method)
+        assert forward.status == backward.status == "converged"
+        if method == "newton":
+            assert forward.iterations == backward.iterations
+        want = np.swapaxes(forward.sigma.first_row, 1, 2)
+        assert np.abs(backward.sigma.first_row - want).max() <= tol * np.abs(want).max()
+
+
 class TestVerifySolution:
     def test_white_noise_zero_residuals(self):
         band = white_noise_band(2, 1)
@@ -827,6 +847,16 @@ class TestVerifySolution:
         for solution in (bad, dataclasses.replace(res, sigma=bad)):
             with pytest.raises(NotPositiveDefinite):
                 verify_solution(solution, band)
+
+    def test_non_finite_precision_band_raises(self):
+        # a NaN in K reaches the Cholesky test as a non-finite frequency
+        # block, which is refused before any factorization
+        band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
+        res = solve(band, 16)
+        K = res.K.copy()
+        K[1, 0, 1] = np.nan
+        with pytest.raises(NotPositiveDefinite, match="non-finite"):
+            verify_solution(dataclasses.replace(res, K=K), band)
 
     def test_mismatched_input(self):
         band = random_feasible_band(2, 1, 16, np.random.default_rng(53))

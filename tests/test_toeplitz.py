@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from circmaxent import (
+    BadInput,
     BandData,
     BandTooWide,
     NotPositiveDefinite,
@@ -59,6 +60,12 @@ class TestYuleWalker:
         scale = max(1.0, np.abs(band.toeplitz()).max())
         assert ar_equation_residual(model, band) <= 1e-9 * scale
         assert np.linalg.eigvalsh(model[1]).min() > 0
+
+    def test_stable_ar_radius_must_lie_in_the_unit_interval(self):
+        rng = np.random.default_rng(23)
+        for radius in (0.0, 1.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(BadInput):
+                random_stable_ar(2, 1, rng, radius=radius)
 
     def test_round_trip_recovers_model(self):
         rng = np.random.default_rng(22)
