@@ -31,25 +31,27 @@ level of the final gradient norm.  Each point the loop visits is evaluated
 once: ``_objective`` forms the floor(N/2)+1 frequency blocks
 Psi_0..Psi_{N/2} straight from the n+1 band blocks through a cached phase
 table, factors them with one batched Cholesky for the log-determinant, and
-returns the blocks with the objective and its linear term Tr(K D).  At an
-accepted point the gradient inverts those same blocks and reads the n+1
-inverse lags back through the conjugate table, the Newton step reuses the
-inverse blocks, and the line search's noise floor reuses the linear term;
-a rejected trial costs one spectrum and one Cholesky.  That is
-O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse FFT
-builds the completion at exit, and ``blockcirc._mirror`` makes its first
-row exactly that of a symmetric matrix, row[N-d] = row[d]^T to the bit.
-``verify_solution`` checks a result against the band it returns: one
-spectrum and one Cholesky of K, one real FFT of the completion and two
-batched block products, O(m^3 N + m^2 N log N) with no inverse.  No mN x mN
-dense matrix is ever formed.
+returns the blocks and their factors with the objective and its linear term
+Tr(K D).  At an accepted point the gradient inverts those same blocks and
+reads the n+1 inverse lags back through the conjugate table, the Newton
+step reuses the inverse blocks, and the line search's noise floor reuses
+the linear term; a rejected trial costs one spectrum and one Cholesky.
+That is O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse
+FFT builds the completion at exit, and ``blockcirc._mirror`` makes its
+first row exactly that of a symmetric matrix, row[N-d] = row[d]^T to the
+bit.  ``verify_solution`` checks a result against the band it returns,
+with the Cholesky factors of K's frequency blocks that the solve's last
+evaluation computed: one real FFT of the completion and two batched block
+products, O(m^2 N log N + m^3 N) with no inverse; a result that does not
+carry its solve's factors costs one spectrum and one Cholesky of K more.
+No mN x mN dense matrix is ever formed.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import IO, Optional
 
@@ -124,8 +126,8 @@ class SolverConfig:
     decrement and uses ``eta`` only when it is given, as an extra stop.
     The line-search step resets to 1 every iteration.  A negative or NaN
     ``eta``, which no gradient norm can meet, an infinite one, which any
-    start meets, and a ``max_iter`` that is not an integer >= 0 raise
-    BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
+    start meets, and a ``max_iter`` that is not an integer >= 0 (a bool
+    included) raise BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
     """
 
     eta: Optional[float] = None
@@ -133,7 +135,8 @@ class SolverConfig:
     trace: Optional[IO[str]] = None
 
     def __post_init__(self):
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
+        # the size rule's bool test (``_check_sizes``): True is no count
+        if type(self.max_iter) is bool or not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
             raise BadInput(f"budget of {self.max_iter!r} steps is not an integer >= 0")
         if self.eta is not None and not 0 <= self.eta < math.inf:
             raise BadInput(f"tolerance {self.eta!r} is not a finite non-negative number")
@@ -147,10 +150,13 @@ class SolverResult:
     (K certifies that no completion exists, or that every whitened one is
     singular to within 1e-8; see ``solve``) or "stalled" (progress fell
     below rounding, or the Newton system was singular or not finite).
-    ``K`` is the final iterate, the precision band K_0..K_n (n+1, m, m), and
-    ``sigma`` the completion it implies, the inverse of K's banded
-    block-circulant C(K).  ``objective`` is the dual objective f at K; a
-    ``SolverConfig.trace`` sink receives f at every iterate.
+    ``K`` is the final iterate, the precision band K_0..K_n (n+1, m, m),
+    read-only, and ``sigma`` the completion it implies, the inverse of K's
+    banded block-circulant C(K).  ``objective`` is the dual objective f at
+    K; a ``SolverConfig.trace`` sink receives f at every iterate.  A solve's
+    own result also carries the Cholesky factors of K's frequency blocks,
+    which ``verify_solution`` reuses while ``K`` is that same read-only
+    array; a copy made by ``dataclasses.replace`` carries none.
     """
 
     K: np.ndarray
@@ -162,6 +168,8 @@ class SolverResult:
     converged: bool = False
     status: str = ""
     init_mode: str = ""
+    # (K, N, L): the factors L of K's floor(N/2)+1 frequency blocks
+    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -201,21 +209,25 @@ def _objective(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int, parts: 
     first; the log-determinant comes from the Cholesky factors of the band's
     floor(N/2)+1 frequency blocks.  +inf outside the dual domain.
 
-    With ``parts`` it returns (f, psi, lin): the objective, the frequency
-    blocks it factored (None outside the domain) and the linear term
-    Tr(Lambda T_n), which the gradient and the line search's noise floor
-    reuse, so that each point is evaluated once."""
+    With ``parts`` it returns (f, psi, chol, lin): the objective, the
+    frequency blocks it factored and their Cholesky factors (both None
+    outside the domain) and the linear term Tr(Lambda T_n).  The gradient
+    inverts the blocks, ``verify_solution`` reuses the factors of the point
+    a solve returns, and the line search's noise floor reuses the linear
+    term, so that each point is evaluated once."""
     K = _dual_band(value, m, n, N)
     # T is finite, so a non-finite entry of value makes lin NaN or infinite
     # (0 * inf is NaN): lin doubles as the finiteness test of K
-    f, psi, lin = math.inf, None, float(np.vdot(value, T))
+    f, psi, chol, lin = math.inf, None, None, float(np.vdot(value, T))
     if math.isfinite(lin):
         psi = _band_spectrum(K, N)
         try:
-            f = lin - _half_logdet(_cholesky_blocks(psi, "objective"), N)
+            chol = _cholesky_blocks(psi, "objective")
         except NotPositiveDefinite:
             psi = None
-    return (f, psi, lin) if parts else f
+        else:
+            f = lin - _half_logdet(chol, N)
+    return (f, psi, chol, lin) if parts else f
 
 
 def _gradient(psi: np.ndarray, data: np.ndarray, N: int):
@@ -359,9 +371,11 @@ def solve(
     (1, cos 6pi/7) at N = 7 it ends "max_iter" after 300,000 steps, so use
     newton where the data may lie on the boundary.  When the
     toeplitz start cannot be formed (the band's block-Toeplitz matrix is
-    not positive definite) or lies outside the dual domain, the solve
-    starts from the identity, which always lies inside, and reports
-    "identity (fallback from toeplitz)" as its ``init_mode``.
+    not positive definite), lies outside the dual domain, or gives a
+    singular Newton system (its frequency blocks can be too ill-conditioned
+    for the Hessian's Cholesky), the solve starts from the identity, which
+    always lies inside, and reports "identity (fallback from toeplitz)" as
+    its ``init_mode``; a trace then starts again at iteration 0.
     """
     cfg = config if config is not None else SolverConfig()
     if method not in ("gd", "newton"):
@@ -384,26 +398,31 @@ def solve(
     except NotPositiveDefinite:  # the toeplitz start needs a PD block-Toeplitz matrix
         f = math.inf
     else:
-        f, psi, lin = _objective(K, D, m, n, N, parts=True)
-    if not math.isfinite(f):
-        # only a toeplitz start gets here: the identity is always inside
-        K = _start(band, N, "identity")
-        init_mode = "identity (fallback from toeplitz)"
-        f, psi, lin = _objective(K, D, m, n, N, parts=True)
-    G, inv = _gradient(psi, data, N)
-    gnorm = _band_norm(G)
+        f, psi, chol, lin = _objective(K, D, m, n, N, parts=True)
     backtracks = 0
     iterations = 0
     status = None
+    t = 0.0
     # last Armijo-validated step; Newton's natural step is 1 throughout
     t_acc = _STEP0 if newton else None
     lam2_prev = math.inf
 
     if cfg.trace is not None:
         cfg.trace.write("iter,jbar,grad_norm,step\n")
-        cfg.trace.write(f"0,{f!r},{gnorm!r},0.0\n")
 
     while True:
+        if not math.isfinite(f):
+            # only a toeplitz start gets here, outside the domain or with a
+            # singular Newton system: the identity is always inside
+            K = _start(band, N, "identity")
+            init_mode = "identity (fallback from toeplitz)"
+            f, psi, chol, lin = _objective(K, D, m, n, N, parts=True)
+        # K is accepted: keep its factors, drop its blocks once inverted
+        G, inv = _gradient(psi, data, N)
+        psi = None
+        gnorm = _band_norm(G)
+        if cfg.trace is not None:
+            cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
         bound = _DELTA_TOL * abs(float(np.vdot(K[0], D[0])))
         if lin < bound:
             status = "boundary"
@@ -432,6 +451,9 @@ def solve(
             armijo = _ALPHA * _STEP0 * (-slope) >= noise or t_acc is None
             done = gnorm <= eta
         if not math.isfinite(slope):
+            if iterations == 0 and init_mode == "toeplitz":
+                f = math.inf  # restart from the identity
+                continue
             status = "stalled"
             break
         if done:
@@ -441,7 +463,7 @@ def solve(
             break
         t = _STEP0 if armijo else t_acc
         trial = K - t * step
-        f_new, psi, lin = _objective(trial, D, m, n, N, parts=True)
+        f_new, psi, chol_new, lin = _objective(trial, D, m, n, N, parts=True)
         while (f_new > f + _ALPHA * t * slope) if armijo else not math.isfinite(f_new):
             t *= _BETA
             backtracks += 1
@@ -449,21 +471,18 @@ def solve(
                 status = "stalled"
                 break
             trial = K - t * step
-            f_new, psi, lin = _objective(trial, D, m, n, N, parts=True)
+            f_new, psi, chol_new, lin = _objective(trial, D, m, n, N, parts=True)
         if status is not None:
             break
         if armijo and not newton:
             t_acc = t
-        K, f = trial, f_new
-        G, inv = _gradient(psi, data, N)
-        gnorm = _band_norm(G)
+        K, f, chol = trial, f_new, chol_new
         iterations += 1
-        if cfg.trace is not None:
-            cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
     if status is None:
         status = "converged"
 
-    return SolverResult(
+    K.setflags(write=False)
+    result = SolverResult(
         K=K,
         sigma=BlockCirculant(m, N, _mirror(np.fft.irfft(inv, n=N, axis=0))),
         iterations=iterations,
@@ -474,6 +493,8 @@ def solve(
         status=status,
         init_mode=init_mode,
     )
+    result._factors = (K, N, chol)
+    return result
 
 
 def verify_solution(solution, band: BandData) -> SolutionReport:
@@ -490,7 +511,11 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     residual is max_l ||L_l^H S_l L_l - I||_F, with S_l the frequency
     blocks of the completion.  That is a congruence, so a residual below 1
     proves the completion's symmetric part positive definite, and one of 1
-    or more raises NotPositiveDefinite.
+    or more raises NotPositiveDefinite.  The factors are those ``solve``
+    computed, when the result carries them for its own read-only K at the
+    completion's N; any other result (a ``dataclasses.replace`` copy, one
+    built by hand) has K's blocks formed and factored here, to the same
+    bits.  The completion always gets its own real FFT.
 
     A BlockCirculant is factored instead: its Dempster residual is the
     largest off-band block of its freshly computed inverse, relative to the
@@ -520,7 +545,11 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
         dempster = float(np.linalg.norm(off, axis=(1, 2)).max() / ref)
     else:
         K = _array(result.K, "precision band", (n + 1, m, m))
-        chol = _cholesky_blocks(_band_spectrum(K, N), "verify_solution")
+        kept = result._factors
+        if kept is not None and kept[0] is K and kept[1] == N and not K.flags.writeable:
+            chol = kept[2]  # the solve's own factorization of this K
+        else:
+            chol = _cholesky_blocks(_band_spectrum(K, N), "verify_solution")
         logdet = -_half_logdet(chol, N)
         # R is O(1) at any data scale; a completion far from K's inverse,
         # or not finite, reads inf or nan here and fails the test below

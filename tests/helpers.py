@@ -17,6 +17,7 @@ from circmaxent import (
     BlockCirculant,
     DualVariable,
     NotPositiveDefinite,
+    circ_inverse,
     circ_logdet,
     project_band_gram,
 )
@@ -281,3 +282,20 @@ def channel_band(rng, rhos):
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     d = rng.uniform(0.5, 2.0, m)
     return np.stack([q @ np.diag(d) @ q.T, q @ np.diag(d * np.asarray(rhos)) @ q.T])
+
+
+def known_answer_band(m, n, N, rng, margin):
+    """``random_feasible_band``'s construction with its margin as an
+    argument: a random banded circulant precision whose frequency blocks'
+    smallest eigenvalue is shifted to ``margin`` exactly, and the band of its
+    inverse.  That inverse has a banded inverse, so it is the band's maxent
+    completion.  Returns (band, completion, cond), cond the completion's
+    condition number."""
+    K = np.zeros((n + 1, m, m))
+    K[0] = np.eye(m) + 0.3 * sym(rng.standard_normal((m, m)))
+    for d in range(1, n + 1):
+        K[d] = rng.standard_normal((m, m)) * 0.4 / (d + 1)
+    K[0] += (margin - np.linalg.eigvalsh(_band_spectrum(K, N)).min()) * np.eye(m)
+    eigs = np.linalg.eigvalsh(_band_spectrum(K, N))
+    sigma = circ_inverse(project_band_gram(K, m, n, N))
+    return BandData(m, n, np.swapaxes(sigma.first_row[: n + 1], 1, 2)), sigma, eigs.max() / eigs.min()

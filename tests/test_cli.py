@@ -12,7 +12,14 @@ import pytest
 from circmaxent import cli
 from circmaxent.cli import _emit_solution, main
 from circmaxent import BandData, BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible, solve
-from helpers import certificate_holds, channel_band, completion_residuals, is_mirrored, random_symmetric_circulant
+from helpers import (
+    certificate_holds,
+    channel_band,
+    completion_residuals,
+    is_mirrored,
+    known_answer_band,
+    random_symmetric_circulant,
+)
 
 
 def write_problem(path, m, n, N, blocks):
@@ -239,6 +246,23 @@ class TestSolveCommand:
             row = np.array(payload["first_block_row"], dtype=float).reshape(N, m, m)
             dense = BlockCirculant(m, N, row).to_dense()
             assert np.linalg.norm(np.linalg.inv(precision) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_ill_conditioned_known_answers(self, tmp_path):
+        # Newton's system is singular at the toeplitz start of these bands
+        # (completion condition 1.6e6-3.4e6), which ended the solve
+        # "stalled" after 0 steps (exit 3); it restarts from the identity
+        eps = np.finfo(float).eps
+        m, n, N = 3, 2, 12
+        out = tmp_path / "sol.json"
+        for seed in range(8):
+            band, sigma, cond = known_answer_band(m, n, N, np.random.default_rng(seed), 1e-6)
+            prob = write_problem(tmp_path / "k.json", m, n, N, [b.reshape(-1).tolist() for b in band.blocks])
+            assert main(["solve", prob, "-o", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["diagnostics"]["init"] == "identity (fallback from toeplitz)"
+            row = np.array(payload["first_block_row"], dtype=float).reshape(N, m, m)
+            err = np.linalg.norm(row - sigma.first_row) / np.linalg.norm(sigma.first_row)
+            assert err <= 100 * cond * eps
 
     def test_near_boundary_budget_solve(self, tmp_path):
         # (1, -0.90) lies inside the odd-N bound cos(8 pi / 9) = -0.940;

@@ -35,6 +35,7 @@ from helpers import (
     dual_pairing,
     in_dual_domain,
     is_banded,
+    known_answer_band,
     random_feasible_dual,
     scalar_band,
     sym,
@@ -410,7 +411,9 @@ class TestSolve:
         # its whole budget; any start, however far off, meets an infinite one.
         # With a NaN or infinite budget `iterations >= max_iter` never holds,
         # so a GD solve that cannot converge would never stop.
+        # A bool is no count of steps (True was a budget of one).
         for kwargs in ({"max_iter": -1}, {"max_iter": math.nan}, {"max_iter": math.inf}, {"max_iter": 2.5},
+                       {"max_iter": True}, {"max_iter": False},
                        {"eta": -1e-8}, {"eta": math.nan}, {"eta": math.inf}):
             with pytest.raises(BadInput):
                 SolverConfig(**kwargs)
@@ -539,6 +542,22 @@ NEWTON_CASES = [(2, 1, 7), (1, 2, 9), (3, 2, 8), (2, 1, 10), (2, 2, 6), (1, 3, 8
 
 
 class TestNewton:
+    @pytest.mark.parametrize("margin", [1e-5, 1e-6])
+    def test_ill_conditioned_known_answers(self, margin):
+        # the toeplitz start of these bands has frequency blocks of condition
+        # ~1e11, where the Hessian's Cholesky can fail (it did on all eight
+        # (3, 2, 12) bands at margin 1e-6, which then ended "stalled" after
+        # 0 steps); the solve restarts from the identity instead
+        eps = np.finfo(float).eps
+        for m, n, N in ((1, 1, 8), (2, 1, 9), (3, 2, 12), (5, 3, 15), (10, 2, 64)):
+            for seed in range(8):
+                band, sigma, cond = known_answer_band(m, n, N, np.random.default_rng(seed), margin)
+                res = solve(band, N, method="newton")
+                err = np.linalg.norm(res.sigma.first_row - sigma.first_row) / np.linalg.norm(sigma.first_row)
+                assert res.converged and err <= 100 * cond * eps, (m, n, N, seed, res.status)
+                if margin == 1e-6 and (m, n, N) == (3, 2, 12):
+                    assert res.init_mode == "identity (fallback from toeplitz)"
+
     @pytest.mark.parametrize("m, n, N", NEWTON_CASES)
     def test_hessian_lags_finite_differences(self, m, n, N):
         # the lag-domain Hessian applied to a band direction is N times the
@@ -816,17 +835,23 @@ class TestVerifySolution:
         assert report.entropy == want
 
     def test_solver_result_factors_only_its_band(self, monkeypatch):
-        # a solve is checked against its precision band: one Cholesky of
-        # K's frequency blocks and one real FFT of the completion, with no
-        # inverse and no inverse FFT
+        # a solve is checked against its precision band: one real FFT of the
+        # completion, with no inverse and no inverse FFT, and the Cholesky
+        # factors of K's frequency blocks that the solve already has; a copy
+        # of the result factors K again and reads the same report
         band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
         res = solve(band, 64)
         want = 0.5 * circ_logdet(res.sigma) + 0.5 * (2 * 64) * (1.0 + LOG_2PI)
         calls = self._count_calls(monkeypatch, ("rfft", "irfft", "cholesky", "inv"))
         report = verify_solution(res, band)
-        assert sorted(calls) == ["cholesky", "rfft"]
+        assert sorted(calls) == ["rfft"]
         assert abs(report.entropy - want) <= 1e-13 * abs(want)
         assert report.dempster_residual <= 1e-13
+        calls.clear()
+        assert verify_solution(dataclasses.replace(res, K=res.K.copy()), band) == report
+        assert sorted(calls) == ["cholesky", "rfft"]
+        with pytest.raises(ValueError):
+            res.K[0, 0, 0] = 0.0
 
     def test_sees_a_corrupted_precision_band(self):
         band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
