@@ -85,6 +85,14 @@ def _array(x, what: str, *shapes: tuple) -> np.ndarray:
     raise BadInput(f"{what} shape {x.shape} != {' or '.join(str(s).replace('None', '*') for s in shapes)}")
 
 
+def _real(x, what: str) -> float:
+    """The number rule: ``x`` as a float; a bool (the size rule's test) or a
+    string or complex number (the array rule on a 0-d value) raises BadInput."""
+    if isinstance(x, (bool, np.bool_)):
+        raise BadInput(f"{what} {x!r} is a bool, not a number")
+    return float(_array(x, what, ()))
+
+
 def _band_row(band: np.ndarray, N: int) -> np.ndarray:
     """First block row of the symmetric block-circulant with band blocks
     ``band`` (n+1, m, m): row[d] = band[d], row[N-d] = band[d]^T, zeros

@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="newton, gd: gradient-norm stop (newton: an extra stop); "
+                       help="gd: gradient-norm stop (newton stops on its decrement and ignores it); "
                             "ips, sk1: clique or off-pattern tolerance (default 1e-9)")
         p.add_argument("--max-iter", type=int, default=1_000_000, help="newton, gd: step budget")
         p.add_argument("--max-cycles", type=int, default=2000, help="ips, sk1: cycle budget")

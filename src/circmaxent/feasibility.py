@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, _check_sizes
+from .blockcirc import BandData, _check_sizes, _real
 from .errors import BadInput
 
 
@@ -53,16 +53,18 @@ def scalar_bw1_feasible(sigma0: float, sigma1: float, N: int) -> FeasibilityVerd
     Raises
     ------
     BadInput
-        For N < 4 (as BandTooWide), sigma0 outside (0, inf) or a non-finite sigma1.
+        For N < 4 (as BandTooWide), a sigma that is not a real number,
+        sigma0 outside (0, inf) or a non-finite sigma1.
     """
     _check_sizes(1, 1, N)
+    sigma0, sigma1 = _real(sigma0, "sigma0"), _real(sigma1, "sigma1")
     if not (0 < sigma0 < math.inf and math.isfinite(sigma1)):
         raise BadInput(f"need finite sigma1 and 0 < sigma0 < inf, got sigma0={sigma0}, sigma1={sigma1}")
     if N % 2 == 0:
-        lower, upper = -float(sigma0), float(sigma0)
+        lower, upper = -sigma0, sigma0
     else:
-        lower, upper = math.cos((N - 1) * math.pi / N) * float(sigma0), float(sigma0)
-    margin = float(min(upper - sigma1, sigma1 - lower))
+        lower, upper = math.cos((N - 1) * math.pi / N) * sigma0, sigma0
+    margin = min(upper - sigma1, sigma1 - lower)
     return FeasibilityVerdict(feasible=margin > 0, margin=margin, lower=lower, upper=upper)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _check_sizes, _hermitize, _sym, circ_inverse
+from .blockcirc import BandData, BlockCirculant, _band_row, _check_sizes, _hermitize, _real, _sym, circ_inverse
 from .errors import BadInput
 from .toeplitz import _companion, band_from_ar, spectral_radius
 
@@ -45,7 +45,7 @@ def random_stable_ar(m: int, n: int, rng, radius: float = 0.6):
     Returns (coeffs, innovation).
     """
     _check_sizes(m, n)
-    if not 0.0 < radius < 1.0:
+    if not 0.0 < _real(radius, "radius") < 1.0:
         raise BadInput(f"radius={radius} outside (0, 1)")
     coeffs = np.zeros((n + 1, m, m))
     coeffs[0] = np.eye(m)

@@ -22,8 +22,8 @@ reduced to the band, stopped at a gradient norm ``eta``.  ``method="newton"``
 is damped Newton on the p = m(m+1)/2 + n m^2 band entries: the Hessian is
 assembled in the lag domain from the same inverse frequency blocks as the
 gradient, in O(n m^4 N), and factored by Cholesky; the solve stops on the
-squared Newton decrement, which is affine invariant, so the stopping rule
-and the step count do not depend on the scale of the data.
+squared Newton decrement alone, which is affine invariant, so the stopping
+rule and the step count do not depend on the scale of the data.
 
 The completion is the inverse of the projection, so its own inverse is
 banded block-circulant by construction and the band constraint holds at the
@@ -42,9 +42,9 @@ first row exactly that of a symmetric matrix, row[N-d] = row[d]^T to the
 bit.  ``verify_solution`` checks a result against the band it returns,
 with the Cholesky factors of K's frequency blocks that the solve's last
 evaluation computed: one real FFT of the completion and two batched block
-products, O(m^2 N log N + m^3 N) with no inverse; a result that does not
-carry its solve's factors costs one spectrum and one Cholesky of K more.
-No mN x mN dense matrix is ever formed.
+products, O(m^2 N log N + m^3 N) with no inverse; a result is frozen, so
+its factors serve while its K stays read-only, and any other costs one
+spectrum and one Cholesky of K more.  No mN x mN dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .blockcirc import (
     _half_logdet,
     _hessian_lags,
     _mirror,
+    _real,
     _sym,
 )
 from .errors import BadInput, NotPositiveDefinite
@@ -115,19 +116,19 @@ class DualVariable:
         object.__setattr__(self, "value", _sym(_array(self.value, "dual matrix", ((self.n + 1) * self.m,) * 2)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Backtracking descent parameters.
 
-    ``eta`` is the gradient-norm stopping threshold (Frobenius norm, a cheap
-    equivalent of the spectral norm up to dimension constants).  For
-    gradient descent it defaults, when None, to 1e-8 * ||T_n||_F at solve
-    time, relative at every scale of the data; Newton stops on its
-    decrement and uses ``eta`` only when it is given, as an extra stop.
-    The line-search step resets to 1 every iteration.  A negative or NaN
-    ``eta``, which no gradient norm can meet, an infinite one, which any
-    start meets, and a ``max_iter`` that is not an integer >= 0 (a bool
-    included) raise BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
+    ``eta`` is gradient descent's stop on the gradient's Frobenius norm (a
+    cheap equivalent of the spectral norm up to dimension constants),
+    1e-8 * ||T_n||_F at solve time when None, relative at every scale of
+    the data; Newton stops on its decrement and does not read it.  The
+    line-search step resets to 1 every iteration.  An ``eta`` that is not
+    a real number (bools included), a negative or NaN one, which no
+    gradient norm can meet, an infinite one, which any start meets, and a
+    ``max_iter`` that is not an integer >= 0 (a bool included) raise
+    BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
     """
 
     eta: Optional[float] = None
@@ -138,11 +139,11 @@ class SolverConfig:
         # the size rule's bool test (``_check_sizes``): True is no count
         if type(self.max_iter) is bool or not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
             raise BadInput(f"budget of {self.max_iter!r} steps is not an integer >= 0")
-        if self.eta is not None and not 0 <= self.eta < math.inf:
+        if self.eta is not None and not 0 <= _real(self.eta, "tolerance") < math.inf:
             raise BadInput(f"tolerance {self.eta!r} is not a finite non-negative number")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverResult:
     """Outcome of one dual descent run.
 
@@ -153,10 +154,10 @@ class SolverResult:
     ``K`` is the final iterate, the precision band K_0..K_n (n+1, m, m),
     read-only, and ``sigma`` the completion it implies, the inverse of K's
     banded block-circulant C(K).  ``objective`` is the dual objective f at
-    K; a ``SolverConfig.trace`` sink receives f at every iterate.  A solve's
-    own result also carries the Cholesky factors of K's frequency blocks,
-    which ``verify_solution`` reuses while ``K`` is that same read-only
-    array; a copy made by ``dataclasses.replace`` carries none.
+    K; a ``SolverConfig.trace`` sink receives f at every iterate.  The
+    record is frozen, and a solve's own result carries the Cholesky factors
+    of K's frequency blocks, which ``verify_solution`` reuses while ``K`` is
+    read-only: not after ``copy.deepcopy`` or ``dataclasses.replace``.
     """
 
     K: np.ndarray
@@ -168,8 +169,8 @@ class SolverResult:
     converged: bool = False
     status: str = ""
     init_mode: str = ""
-    # (K, N, L): the factors L of K's floor(N/2)+1 frequency blocks
-    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # the Cholesky factors of K's floor(N/2)+1 frequency blocks, set by solve
+    _factors: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -349,15 +350,15 @@ def solve(
     gradient's Frobenius norm drops to ``eta``.  ``method="newton"`` takes
     the Newton step on the band and stops when half the squared Newton
     decrement drops to 1e-20, or when the decrement stops falling in the
-    full-step regime, where rounding sets its floor; a given ``eta`` also
-    stops it.  Both backtrack on Armijo (the objective evaluates to +inf
+    full-step regime, where rounding sets its floor; it does not read
+    ``eta``.  Both backtrack on Armijo (the objective evaluates to +inf
     outside the domain, so the line search also enforces feasibility).  The
     iterate is the band K, started from ``init``, "toeplitz" or "identity"
     (see ``_start``).  Returns the final band ``K`` and the
     completion ``sigma`` = inverse of the final band projection: its
     inverse is banded block-circulant by construction, its band matches
-    the data to a tolerance tied to ``eta``, and its first row is mirrored
-    exactly, row[N-d] = row[d]^T.
+    the data to a tolerance tied to the stop, and its first row is mirrored
+    exactly, row[N-d] = row[d]^T; ``K`` is read-only (see SolverResult).
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult), and "converged" requires a finite stopping value.
@@ -437,7 +438,6 @@ def solve(
             # falling is at its rounding floor.
             armijo = lam2 > _FULL_STEP
             done = lam2 / 2 <= _DECREMENT_TOL or (not armijo and lam2 >= lam2_prev)
-            done = done or (cfg.eta is not None and gnorm <= eta)
             lam2_prev = lam2
         else:
             step = wN * G
@@ -493,7 +493,7 @@ def solve(
         status=status,
         init_mode=init_mode,
     )
-    result._factors = (K, N, chol)
+    object.__setattr__(result, "_factors", chol)
     return result
 
 
@@ -512,10 +512,10 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     blocks of the completion.  That is a congruence, so a residual below 1
     proves the completion's symmetric part positive definite, and one of 1
     or more raises NotPositiveDefinite.  The factors are those ``solve``
-    computed, when the result carries them for its own read-only K at the
-    completion's N; any other result (a ``dataclasses.replace`` copy, one
-    built by hand) has K's blocks formed and factored here, to the same
-    bits.  The completion always gets its own real FFT.
+    computed, which a frozen result carries for its own K and N, while K
+    is read-only; any other result (a ``copy.deepcopy``, one built by hand
+    or by ``dataclasses.replace``) has K's blocks formed and factored here,
+    to the same bits.  The completion always gets its own real FFT.
 
     A BlockCirculant is factored instead: its Dempster residual is the
     largest off-band block of its freshly computed inverse, relative to the
@@ -545,9 +545,8 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
         dempster = float(np.linalg.norm(off, axis=(1, 2)).max() / ref)
     else:
         K = _array(result.K, "precision band", (n + 1, m, m))
-        kept = result._factors
-        if kept is not None and kept[0] is K and kept[1] == N and not K.flags.writeable:
-            chol = kept[2]  # the solve's own factorization of this K
+        if result._factors is not None and not K.flags.writeable:
+            chol = result._factors  # the solve's own factorization of K
         else:
             chol = _cholesky_blocks(_band_spectrum(K, N), "verify_solution")
         logdet = -_half_logdet(chol, N)

@@ -113,6 +113,7 @@ def extend_covariances(band: BandData, K: int) -> np.ndarray:
     """
     n = band.n
     try:  # K > n is the size rule for N = 2K, whose midpoint lag is K
+        _check_sizes(band.m, K)  # 2 * True is an integer: the bool test needs K itself
         _check_sizes(band.m, n, 2 * K)
     except BadInput:
         raise BadInput(f"K={K!r} is not an integer greater than n={n}") from None

@@ -1,11 +1,13 @@
 """The public API holds only what code outside the unit tests uses, down to
 the fields and methods of its classes, no module imports a name it does not
 use, and every status ``solve`` sets has a CLI exit code and ``feas`` verdict.
+The acceptance criteria are pinned to their first version by a hash.
 
 No linter is a dependency, so the checks read the sources with ``ast``.
 """
 
 import ast
+import hashlib
 import pathlib
 
 from circmaxent.cli import _STATUS
@@ -108,3 +110,10 @@ def test_every_solve_status_has_an_exit_code():
         and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
     }
     assert statuses == set(_STATUS)
+
+
+def test_acceptance_criteria_are_unchanged():
+    # criteria 1-9 are the floor for reproducing the paper and are never
+    # loosened or re-pointed, so the file keeps its first version's bytes
+    digest = hashlib.sha256((ROOT / "tests" / "test_acceptance.py").read_bytes()).hexdigest()
+    assert digest == "d0364606bf4ffb7b8023d405ef592dbb6cc8e609d3a2df2d2aca485c65bb9ac7"

@@ -64,8 +64,10 @@ class TestScalarBw1:
         with pytest.raises(BadInput):
             scalar_bw1_feasible(1.0, 0.2, 3)
         # non-finite data answered feasible=False with margin nan, and True
-        # with margin inf
-        for sigma0, sigma1 in ((0.0, 0.2), (math.nan, 0.3), (1.0, math.nan), (math.inf, 0.3)):
+        # with margin inf; a string or complex value raised TypeError and a
+        # bool sigma1 was read as 1
+        for sigma0, sigma1 in ((0.0, 0.2), (math.nan, 0.3), (1.0, math.nan), (math.inf, 0.3),
+                               (1.0, "0.3"), ("1", 0.3), (1.0, 0.3 + 0j), (1.0, 1j), (1.0, True), (True, 0.3)):
             with pytest.raises(BadInput):
                 scalar_bw1_feasible(sigma0, sigma1, 8)
 

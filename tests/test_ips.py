@@ -229,8 +229,10 @@ def test_budget_is_checked(runner):
     # no deviation meets a negative or NaN tol, so the run used all its
     # cycles; any meets an infinite one.  A budget of zero is legal, one
     # that is not an integer, a bool included, is not (2.5 raised TypeError).
+    # A tol that is not a real number is refused too: True converged in one
+    # cycle at a tolerance of 1, "1" and 1j raised TypeError.
     band = scalar_band([1.0, 0.3])
-    for tol, max_cycles in ((-1.0, 10), (math.nan, 10), (math.inf, 10), (1e-9, -1),
+    for tol, max_cycles in ((-1.0, 10), (math.nan, 10), (math.inf, 10), (True, 10), ("1", 10), (1j, 10), (1e-9, -1),
                             (1e-9, math.nan), (1e-9, math.inf), (1e-9, 2.5), (1e-9, True), (1e-9, False)):
         with pytest.raises(BadInput):
             runner(band, 8, tol=tol, max_cycles=max_cycles)

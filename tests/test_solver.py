@@ -1,5 +1,6 @@
 """Dual gradient descent: objective, gradient, warm starts, convergence."""
 
+import copy
 import dataclasses
 import io
 import math
@@ -411,14 +412,20 @@ class TestSolve:
         # its whole budget; any start, however far off, meets an infinite one.
         # With a NaN or infinite budget `iterations >= max_iter` never holds,
         # so a GD solve that cannot converge would never stop.
-        # A bool is no count of steps (True was a budget of one).
+        # A bool is no count of steps (True was a budget of one), and no
+        # tolerance either (True was accepted); a string or a complex eta
+        # escaped as TypeError.
         for kwargs in ({"max_iter": -1}, {"max_iter": math.nan}, {"max_iter": math.inf}, {"max_iter": 2.5},
                        {"max_iter": True}, {"max_iter": False},
-                       {"eta": -1e-8}, {"eta": math.nan}, {"eta": math.inf}):
+                       {"eta": -1e-8}, {"eta": math.nan}, {"eta": math.inf},
+                       {"eta": True}, {"eta": False}, {"eta": "1"}, {"eta": 1j}):
             with pytest.raises(BadInput):
                 SolverConfig(**kwargs)
         assert SolverConfig(eta=0.0).eta == 0.0
+        assert SolverConfig(eta=np.float64(1e-6)).eta == 1e-6
         assert SolverConfig(max_iter=0).max_iter == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SolverConfig().eta = 1e-6
 
     def test_unrepresentable_scale_rejected(self):
         # the band (1, 0.3) s at s = 1e200 has a squared norm that overflows
@@ -603,6 +610,20 @@ class TestNewton:
     def test_unknown_method(self):
         with pytest.raises(BadInput):
             solve(white_noise_band(1, 1), 8, method="bfgs")
+
+    def test_does_not_read_eta(self):
+        # Newton stops on its affine-invariant decrement alone.  A given eta
+        # was an extra, absolute stop on the gradient norm, so the step count
+        # depended on the data's scale: (1, -0.91) at N = 9 stopped after 6
+        # steps with eta = 1e-6 and after 7 without it
+        near = scalar_band([1.0, -0.91]).blocks
+        cases = [(BandData(1, 1, s * near), 9) for s in (1e-3, 1.0, 1e3)]
+        cases.append((random_feasible_band(3, 2, 12, np.random.default_rng(7)), 12))
+        for band, N in cases:
+            given = solve(band, N, SolverConfig(eta=1e-6), method="newton")
+            default = solve(band, N, method="newton")
+            assert given.converged and given.iterations == default.iterations
+            assert np.array_equal(given.K, default.K)
 
     def test_near_boundary_in_few_steps(self):
         # plain GD needs 98,367 steps here
@@ -837,8 +858,10 @@ class TestVerifySolution:
     def test_solver_result_factors_only_its_band(self, monkeypatch):
         # a solve is checked against its precision band: one real FFT of the
         # completion, with no inverse and no inverse FFT, and the Cholesky
-        # factors of K's frequency blocks that the solve already has; a copy
-        # of the result factors K again and reads the same report
+        # factors of K's frequency blocks that the solve already has.  The
+        # result is frozen, so they belong to its K while K is read-only: a
+        # shallow copy reuses them, while a replaced K or a deep copy (whose
+        # K is writable) is factored again and reads the same report
         band = random_feasible_band(2, 1, 16, np.random.default_rng(53))
         res = solve(band, 64)
         want = 0.5 * circ_logdet(res.sigma) + 0.5 * (2 * 64) * (1.0 + LOG_2PI)
@@ -848,10 +871,17 @@ class TestVerifySolution:
         assert abs(report.entropy - want) <= 1e-13 * abs(want)
         assert report.dempster_residual <= 1e-13
         calls.clear()
-        assert verify_solution(dataclasses.replace(res, K=res.K.copy()), band) == report
-        assert sorted(calls) == ["cholesky", "rfft"]
+        assert verify_solution(copy.copy(res), band) == report
+        assert calls == ["rfft"]
+        for other in (dataclasses.replace(res, K=res.K.copy()), copy.deepcopy(res)):
+            calls.clear()
+            assert verify_solution(other, band) == report
+            assert sorted(calls) == ["cholesky", "rfft"]
         with pytest.raises(ValueError):
             res.K[0, 0, 0] = 0.0
+        for name, value in (("K", res.K.copy()), ("status", "stalled"), ("_factors", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(res, name, value)
 
     def test_sees_a_corrupted_precision_band(self):
         band = random_feasible_band(2, 1, 16, np.random.default_rng(53))

@@ -63,7 +63,9 @@ class TestYuleWalker:
 
     def test_stable_ar_radius_must_lie_in_the_unit_interval(self):
         rng = np.random.default_rng(23)
-        for radius in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        # a radius that is not a real number is refused too ("0.5" and 0.5j
+        # raised TypeError)
+        for radius in (0.0, 1.0, -0.5, 1.5, float("nan"), "0.5", True, 0.5j):
             with pytest.raises(BadInput):
                 random_stable_ar(2, 1, rng, radius=radius)
 
@@ -224,6 +226,11 @@ class TestZeroBandwidth:
         band = BandData(2, 0, blocks)
         assert np.abs(solve_yule_walker(band)[1] - blocks[0]).max() == 0.0
         assert np.abs(extend_covariances(band, 5)).max() == 0.0
+        # K > n is checked as the size rule for N = 2K, and 2 * True is an
+        # integer: a bool K gave one lag here
+        for K in (True, False, 1.0, "1", 1j):
+            with pytest.raises(BadInput):
+                extend_covariances(band, K)
         approx = circulant_approx(band, 6)
         expect = np.kron(np.eye(6), blocks[0])
         assert np.abs(approx.to_dense() - expect).max() == 0.0
