@@ -46,35 +46,43 @@ def _hermitize(psi: np.ndarray) -> np.ndarray:
     return 0.5 * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 
 
-def _check_sizes(m: int, n: int, N=None) -> None:
-    """The size rule: integer sizes (``operator.index``, so numpy integers
-    pass, bools do not), m >= 1, n >= 0 and, when N is given, N >= 2n+2, so
-    that the band and its circulant mirror do not overlap.  Every entry that
-    takes a size calls it, the solver at each evaluation."""
+def _count(x, what: str, low=0) -> int:
+    """The count rule: ``x`` as an integer >= ``low`` (``operator.index``;
+    not a bool), else BadInput naming ``what``.  Every count goes through it."""
     try:
-        if type(m) is bool or type(n) is bool or type(N) is bool:
+        if type(x) is bool:
             raise TypeError  # operator.index reads True and False as 1 and 0
-        if index(m) >= 1 and index(n) >= 0 and (N is None or index(N) >= 2 * n + 2):
-            return
+        x = index(x)
     except TypeError:
-        raise BadInput(f"sizes m={m!r}, n={n!r}, N={N!r} are not all integers") from None
-    if m < 1 or n < 0:
-        raise BadInput(f"need m >= 1 and n >= 0, got m={m}, n={n}")
-    raise BandTooWide(f"N={N} < 2n+2={2 * n + 2}")
+        raise BadInput(f"{what}={x!r} is not an integer") from None
+    if x < low:
+        raise BadInput(f"need {what} >= {low}, got {what}={x}")
+    return x
+
+
+def _check_sizes(m: int, n: int, *N: int) -> None:
+    """The size rule: counts m >= 1, n >= 0 and, given N, N >= 2n+2, so that
+    band and mirror do not overlap (a smaller N is BandTooWide).  Every entry
+    that takes a size calls it, the solver at each evaluation."""
+    _count(m, "m", 1)
+    _count(n, "n")
+    for size in N:
+        if _count(size, "N", -math.inf) < 2 * n + 2:
+            raise BandTooWide(f"N={size} < 2n+2={2 * n + 2}")
 
 
 def _array(x, what: str, *shapes: tuple) -> np.ndarray:
     """The array rule: ``x``, an array or nested lists, as a real float64
     array of one of ``shapes``, where None is a length the caller does not
-    know.  A ragged, non-numeric (numeric strings too) or complex ``x``, or
-    one of another shape, raises BadInput.  Every entry that takes an array
-    calls it; a float64 ndarray of an exact shape passes after two tests."""
+    know.  A ragged, bool, complex or non-numeric (numeric strings too)
+    ``x``, or one of another shape, raises BadInput.  Every entry that takes
+    an array calls it; a float64 ndarray of an exact shape passes two tests."""
     if type(x) is not np.ndarray or x.dtype != np.float64:
         try:
             x = np.asarray(x)
         except ValueError:
             raise BadInput(f"{what} is ragged, not an array") from None
-        if x.dtype.kind not in "biuf":
+        if x.dtype.kind not in "iuf":
             raise BadInput(f"{what} holds {x.dtype} entries, not real numbers")
         x = x.astype(float, copy=False)
     elif x.shape in shapes:
@@ -86,10 +94,8 @@ def _array(x, what: str, *shapes: tuple) -> np.ndarray:
 
 
 def _real(x, what: str) -> float:
-    """The number rule: ``x`` as a float; a bool (the size rule's test) or a
-    string or complex number (the array rule on a 0-d value) raises BadInput."""
-    if isinstance(x, (bool, np.bool_)):
-        raise BadInput(f"{what} {x!r} is a bool, not a number")
+    """The number rule: ``x`` as a float, the array rule on a 0-d value, so
+    a bool, a string or a complex number raises BadInput."""
     return float(_array(x, what, ()))
 
 
@@ -283,12 +289,10 @@ class BandData:
     def __post_init__(self):
         _check_sizes(self.m, self.n)
         blocks = _array(self.blocks, "blocks", (self.n + 1, self.m, self.m))
-        if not np.all(np.isfinite(blocks)):
-            raise BadInput("band blocks must be finite")
-        # a norm that under- or overflows leaves every relative tolerance
-        # of the solve and of its verification meaningless
+        # a non-finite block has a non-finite norm, and a norm that under- or
+        # overflows leaves every relative tolerance of the solve meaningless
         if not 0.0 < _band_norm(blocks) < math.inf:
-            raise BadInput("band norm is zero or not representable in floating point")
+            raise BadInput("band blocks must be finite, with a band norm that neither under- nor overflows")
         if np.abs(blocks[0] - blocks[0].T).max() > 1e-12 * float(np.abs(blocks[0]).max()):
             raise BadInput("Sigma_0 must be symmetric")
         blocks = blocks.copy()

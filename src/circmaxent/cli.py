@@ -22,8 +22,8 @@ circulant first rows, so no mN x mN matrix is built for any result.
 
 Exit codes: 0 converged/answered, 1 I/O or parse error, 2 infeasible, by a
 solve's certificate or up front (the closed form for a scalar bandwidth-1
-band with sigma_0 > 0, else the block-Toeplitz test, which ``extend`` reads
-off its AR fit), 3 budget exhausted, no further progress or a band on the
+band with sigma_0 > 0, else the block-Toeplitz test of the band's AR fit,
+which ``extend`` reads too), 3 budget exhausted, no further progress or a band on the
 boundary (status "boundary"), or a baseline of ``solve``, ``compare`` or
 ``bench`` that cannot start.  Diagnostics never change exit codes.
 """
@@ -46,7 +46,7 @@ from .feasibility import eig_affine_forms, scalar_bw1_feasible
 from .generate import random_feasible_band
 from .ips import ips_solve, sk1_solve
 from .solver import SolverConfig, solve, verify_solution
-from .toeplitz import circulant_approx
+from .toeplitz import circulant_approx, solve_yule_walker
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,7 +70,7 @@ def _load_problem(path):
     try:
         m, n, N, blocks = (raw[key] for key in ("m", "n", "N", "blocks"))
         _check_sizes(m, n, N)
-        # JSON numbers only: numpy would also read a bool as one
+        # JSON numbers only: numpy reads a bool among numbers as a number
         if not all(type(x) in (int, float) for row in blocks for x in row):
             raise BadInput("blocks must hold numbers")
         blocks = _array(blocks, "blocks", (n + 1, m * m))
@@ -146,8 +146,8 @@ class _Infeasible(Exception):
 def _upfront_verdict(band: BandData, N: int) -> tuple:
     """(feasible, reason, verdict) as decided before any solve: the closed
     form ``verdict`` for a scalar bandwidth-1 band with sigma_0 > 0, its
-    domain, else the block-Toeplitz test.  ``feasible`` is None, with no
-    reason or verdict, when the solve has to decide."""
+    domain, else the block-Toeplitz test of the AR fit (``solve_yule_walker``).
+    ``feasible`` is None, with no reason or verdict, if the solve must decide."""
     if band.m == band.n == 1 and band.blocks[0, 0, 0] > 0:
         sigma0, sigma1 = band.blocks[:, 0, 0]
         verdict = scalar_bw1_feasible(sigma0, sigma1, N)
@@ -155,8 +155,8 @@ def _upfront_verdict(band: BandData, N: int) -> tuple:
             f"sigma_1={float(sigma1)!r} outside ({verdict.lower!r}, {verdict.upper!r}) for N={N}")
         return verdict.feasible, reason, verdict
     try:
-        np.linalg.cholesky(band.toeplitz())
-    except np.linalg.LinAlgError:
+        solve_yule_walker(band)
+    except NotPositiveDefinite:
         return False, _TOEPLITZ_NOT_PD, None
     return None, None, None
 

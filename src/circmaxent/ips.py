@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _check_sizes, _sym
-from .errors import NoConvergence, RequiresFullR
+from .blockcirc import BandData, BlockCirculant, _band_row, _check_sizes, _cholesky_blocks, _count, _sym
+from .errors import NoConvergence, NotPositiveDefinite, RequiresFullR
 from .solver import SolverConfig
 from .toeplitz import circulant_approx
 
@@ -151,10 +151,9 @@ class ScalingResult:
 
 def _checked_tol(tol: Optional[float], max_cycles: int) -> float:
     """The baselines' tolerance, 1e-9 for None, after the solver's check of
-    a tolerance and a budget."""
-    tol = 1e-9 if tol is None else tol
-    SolverConfig(eta=tol, max_iter=max_cycles)
-    return tol
+    a tolerance and the count rule on the cycle budget."""
+    _count(max_cycles, "max_cycles")
+    return SolverConfig(eta=1e-9 if tol is None else tol).eta
 
 
 def ips_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: int = 2000) -> ScalingResult:
@@ -219,8 +218,8 @@ def sk1_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: i
     compl = [np.array(c) for c in bron_kerbosch(PatternGraph.banded(m, n, N).complement_adjacency()).cliques]
     sigma = circulant_approx(band, N).to_dense()
     try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
+        _cholesky_blocks(sigma, "circulant approximant")
+    except NotPositiveDefinite as exc:
         raise RequiresFullR("the circulant approximant is not a positive definite starting completion") from exc
     offband = ~_band_mask(m, n, N)  # the diagonal lies inside the band
     eye = np.eye(m * N)

@@ -50,7 +50,6 @@ spectrum and one Cholesky of K more.  No mN x mN dense matrix is formed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import IO, Optional
@@ -67,6 +66,7 @@ from .blockcirc import (
     _block_toeplitz,
     _check_sizes,
     _cholesky_blocks,
+    _count,
     _dual_band,
     _factored,
     _half_logdet,
@@ -125,10 +125,11 @@ class SolverConfig:
     1e-8 * ||T_n||_F at solve time when None, relative at every scale of
     the data; Newton stops on its decrement and does not read it.  The
     line-search step resets to 1 every iteration.  An ``eta`` that is not
-    a real number (bools included), a negative or NaN one, which no
-    gradient norm can meet, an infinite one, which any start meets, and a
-    ``max_iter`` that is not an integer >= 0 (a bool included) raise
-    BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
+    a real number (``blockcirc._real``), a negative or NaN one, which no
+    gradient norm can meet, an infinite one, which any start meets, a
+    ``max_iter`` that is not a count >= 0 (``blockcirc._count``) and a
+    ``trace`` with no ``write`` method raise BadInput; ``eta = 0`` and
+    ``max_iter = 0`` are legal.
     """
 
     eta: Optional[float] = None
@@ -136,11 +137,11 @@ class SolverConfig:
     trace: Optional[IO[str]] = None
 
     def __post_init__(self):
-        # the size rule's bool test (``_check_sizes``): True is no count
-        if type(self.max_iter) is bool or not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 0):
-            raise BadInput(f"budget of {self.max_iter!r} steps is not an integer >= 0")
+        _count(self.max_iter, "max_iter")
         if self.eta is not None and not 0 <= _real(self.eta, "tolerance") < math.inf:
             raise BadInput(f"tolerance {self.eta!r} is not a finite non-negative number")
+        if self.trace is not None and not callable(getattr(self.trace, "write", None)):
+            raise BadInput(f"trace {self.trace!r} has no write method")
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,14 @@ class SolverResult:
     singular to within 1e-8; see ``solve``) or "stalled" (progress fell
     below rounding, or the Newton system was singular or not finite).
     ``K`` is the final iterate, the precision band K_0..K_n (n+1, m, m),
-    read-only, and ``sigma`` the completion it implies, the inverse of K's
-    banded block-circulant C(K).  ``objective`` is the dual objective f at
-    K; a ``SolverConfig.trace`` sink receives f at every iterate.  The
-    record is frozen, and a solve's own result carries the Cholesky factors
-    of K's frequency blocks, which ``verify_solution`` reuses while ``K`` is
-    read-only: not after ``copy.deepcopy`` or ``dataclasses.replace``.
+    and ``sigma`` the completion it implies, the inverse of K's banded
+    block-circulant C(K).  ``objective`` is the dual objective f at K; a
+    ``SolverConfig.trace`` sink receives f at every iterate.  The record is
+    frozen, and a solve's own result carries the Cholesky factors of K's
+    frequency blocks, which ``verify_solution`` reuses while ``K`` is
+    read-only: not after ``copy.deepcopy`` or ``dataclasses.replace``.  A
+    solve's ``K`` is over an immutable buffer, so ``K.setflags(write=True)``
+    raises ValueError: the factors stay those of its entries.
     """
 
     K: np.ndarray
@@ -187,6 +190,11 @@ class SolutionReport:
     band_residual: float
     dempster_residual: float
     entropy: float
+
+
+def _check_type(x, cls: type, what: str) -> None:
+    if not isinstance(x, cls):
+        raise BadInput(f"{what} {x!r} is not a {cls.__name__}")
 
 
 def dual_gradient(lam: DualVariable, band: BandData, N: int) -> np.ndarray:
@@ -358,7 +366,7 @@ def solve(
     completion ``sigma`` = inverse of the final band projection: its
     inverse is banded block-circulant by construction, its band matches
     the data to a tolerance tied to the stop, and its first row is mirrored
-    exactly, row[N-d] = row[d]^T; ``K`` is read-only (see SolverResult).
+    exactly, row[N-d] = row[d]^T; ``K`` is immutable (see SolverResult).
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult), and "converged" requires a finite stopping value.
@@ -377,8 +385,13 @@ def solve(
     for the Hessian's Cholesky), the solve starts from the identity, which
     always lies inside, and reports "identity (fallback from toeplitz)" as
     its ``init_mode``; a trace then starts again at iteration 0.
+
+    Raises BadInput if ``band`` is no BandData, ``config`` no SolverConfig,
+    ``init`` or ``method`` unknown, or N not a size for the band.
     """
     cfg = config if config is not None else SolverConfig()
+    _check_type(band, BandData, "band")
+    _check_type(cfg, SolverConfig, "config")
     if method not in ("gd", "newton"):
         raise BadInput(f"unknown method {method!r}")
     newton = method == "newton"
@@ -481,9 +494,8 @@ def solve(
     if status is None:
         status = "converged"
 
-    K.setflags(write=False)
     result = SolverResult(
-        K=K,
+        K=np.frombuffer(K.tobytes()).reshape(K.shape),
         sigma=BlockCirculant(m, N, _mirror(np.fft.irfft(inv, n=N, axis=0))),
         iterations=iterations,
         final_grad_norm=gnorm,
@@ -513,9 +525,10 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     proves the completion's symmetric part positive definite, and one of 1
     or more raises NotPositiveDefinite.  The factors are those ``solve``
     computed, which a frozen result carries for its own K and N, while K
-    is read-only; any other result (a ``copy.deepcopy``, one built by hand
-    or by ``dataclasses.replace``) has K's blocks formed and factored here,
-    to the same bits.  The completion always gets its own real FFT.
+    is read-only, as a solve's own K always is; any other result (a
+    ``copy.deepcopy``, one built by hand or by ``dataclasses.replace``) has
+    K's blocks formed and factored here, to the same bits.  The completion
+    always gets its own real FFT.
 
     A BlockCirculant is factored instead: its Dempster residual is the
     largest off-band block of its freshly computed inverse, relative to the
@@ -523,11 +536,14 @@ def verify_solution(solution, band: BandData) -> SolutionReport:
     factorization of its frequency blocks, which raises NotPositiveDefinite
     if it is not PD.
 
-    Raises BadInput if the block sizes of the completion, the band or K
-    disagree, and BandTooWide if N < 2n + 2.
+    Raises BadInput if ``solution`` is neither record, or carries no
+    BlockCirculant, if ``band`` is no BandData, or if the block sizes of
+    the completion, the band or K disagree, and BandTooWide if N < 2n + 2.
     """
     result = solution if isinstance(solution, SolverResult) else None
     sigma = solution.sigma if result is not None else solution
+    _check_type(sigma, BlockCirculant, "completion")
+    _check_type(band, BandData, "band")
     m, n, N = band.m, band.n, sigma.N
     _array(sigma.first_row, "completion", (N, m, m))
     _check_sizes(m, n, N)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blockcirc import (BandData, BlockCirculant, _array, _band_row, _block_toeplitz, _check_sizes,
-                        _cholesky_blocks, _sym)
+                        _cholesky_blocks, _count, _sym)
 from .errors import BadInput, Unstable
 
 
@@ -104,7 +104,7 @@ def extend_covariances(band: BandData, K: int) -> np.ndarray:
     Fits the model (``solve_yule_walker``) and runs its recursion
     Sigma_k = -sum_j coeffs[j] Sigma_(k-j) for k > n, starting from the
     given lags: the AR equations of ``solve_yule_walker`` continued past
-    lag n, where the innovation term vanishes.
+    lag n, where the innovation term vanishes.  K is a count > n (``_count``).
 
     Raises
     ------
@@ -112,11 +112,7 @@ def extend_covariances(band: BandData, K: int) -> np.ndarray:
         If the band's block-Toeplitz matrix is not positive definite.
     """
     n = band.n
-    try:  # K > n is the size rule for N = 2K, whose midpoint lag is K
-        _check_sizes(band.m, K)  # 2 * True is an integer: the bool test needs K itself
-        _check_sizes(band.m, n, 2 * K)
-    except BadInput:
-        raise BadInput(f"K={K!r} is not an integer greater than n={n}") from None
+    K = _count(K, "K", n + 1)
     coeffs = solve_yule_walker(band)[0]
     lags = np.concatenate([band.blocks, np.zeros((K - n, band.m, band.m))])
     for k in range(n + 1, K + 1):

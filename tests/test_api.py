@@ -1,6 +1,7 @@
 """The public API holds only what code outside the unit tests uses, down to
 the fields and methods of its classes, no module imports a name it does not
-use, and every status ``solve`` sets has a CLI exit code and ``feas`` verdict.
+use, every status ``solve`` sets has a CLI exit code and ``feas`` verdict,
+and data are tested for positive definiteness in one place.
 The acceptance criteria are pinned to their first version by a hash.
 
 No linter is a dependency, so the checks read the sources with ``ast``.
@@ -110,6 +111,23 @@ def test_every_solve_status_has_an_exit_code():
         and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
     }
     assert statuses == set(_STATUS)
+
+
+def test_one_positive_definiteness_test():
+    # every PD test of data is blockcirc._cholesky_blocks; the Newton
+    # system's own factorization has its "stalled" contract.  The CLI's
+    # up-front verdict factored the band's block-Toeplitz matrix itself,
+    # the transpose of the one the AR fit of extend and the toeplitz start
+    # tests, and sk1_solve tested its start with its own Cholesky call
+    callers = set()
+    for path in modules():
+        for func in ast.walk(parse(path)):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "cholesky"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                    for node in ast.walk(func)):
+                callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"blockcirc._cholesky_blocks", "solver._newton_step"}
 
 
 def test_acceptance_criteria_are_unchanged():

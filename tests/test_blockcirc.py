@@ -14,6 +14,7 @@ from circmaxent import (
     DualVariable,
     NotPositiveDefinite,
     PatternGraph,
+    SolverConfig,
     band_cliques,
     band_from_ar,
     circ_inverse,
@@ -479,6 +480,32 @@ def test_width_rule_has_one_owner(entry):
     call(**legal)
 
 
+def _count_entries():
+    """Every count that is not a size, as (its name, its least value, a
+    legal value, call of it), on the scalar band (1, 0.3) with n = 1 at
+    N = 6, where K > n."""
+    band = BandData(1, 1, np.array([1.0, 0.3]).reshape(2, 1, 1))
+    return {
+        "SolverConfig.max_iter": ("max_iter", 0, 0, lambda x: SolverConfig(max_iter=x)),
+        "ips_solve.max_cycles": ("max_cycles", 0, 200, lambda x: ips_solve(band, 6, max_cycles=x)),
+        "sk1_solve.max_cycles": ("max_cycles", 0, 200, lambda x: sk1_solve(band, 6, max_cycles=x)),
+        "extend_covariances.K": ("K", 2, 2, lambda x: extend_covariances(band, x)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_count_entries()))
+def test_count_rule_has_one_owner(entry):
+    # the size rule's count test (blockcirc._count) checks every budget and
+    # lag count too, with a message that names the count: the baselines
+    # reported a "budget of -1 steps", and K = n was reported against n
+    what, low, legal, call = _count_entries()[entry]
+    for bad in (True, np.True_, 2.5, "3", None, -1, low - 1):
+        with pytest.raises(BadInput, match=rf"\b{what}="):
+            call(bad)
+    assert call(legal) is not None
+    assert call(np.int64(legal)) is not None
+
+
 def _array_entries():
     """Every public entry that takes an array, as (its smallest legal array,
     call of it), the other arguments fixed: a scalar band with n = 1 at
@@ -511,9 +538,11 @@ def _array_entries():
 def test_array_rule_has_one_owner(entry):
     # one blockcirc function converts every array a caller passes in; these
     # inputs raised ValueError, IndexError, AttributeError or ComplexWarning,
-    # or lost their imaginary part
+    # or lost their imaginary part, and a bool array was read as 0 and 1
     legal, call = _array_entries()[entry]
     refused = {
+        "bool": legal != 0,
+        "bool lists": (legal != 0).tolist(),
         "ragged": [legal.tolist(), 0.0],
         "strings": legal.astype(str).tolist(),  # numeric strings, which numpy would read
         "complex": legal * (1 + 1j),

@@ -414,11 +414,12 @@ class TestSolve:
         # so a GD solve that cannot converge would never stop.
         # A bool is no count of steps (True was a budget of one), and no
         # tolerance either (True was accepted); a string or a complex eta
-        # escaped as TypeError.
+        # escaped as TypeError, and a trace with no write method escaped
+        # from solve as AttributeError.
         for kwargs in ({"max_iter": -1}, {"max_iter": math.nan}, {"max_iter": math.inf}, {"max_iter": 2.5},
                        {"max_iter": True}, {"max_iter": False},
                        {"eta": -1e-8}, {"eta": math.nan}, {"eta": math.inf},
-                       {"eta": True}, {"eta": False}, {"eta": "1"}, {"eta": 1j}):
+                       {"eta": True}, {"eta": False}, {"eta": "1"}, {"eta": 1j}, {"trace": 3}):
             with pytest.raises(BadInput):
                 SolverConfig(**kwargs)
         assert SolverConfig(eta=0.0).eta == 0.0
@@ -870,6 +871,10 @@ class TestVerifySolution:
         assert sorted(calls) == ["rfft"]
         assert abs(report.entropy - want) <= 1e-13 * abs(want)
         assert report.dempster_residual <= 1e-13
+        # a solve's K reads an immutable buffer, so it cannot be made
+        # writable again, edited and frozen under the factors it keeps
+        with pytest.raises(ValueError):
+            res.K.setflags(write=True)
         calls.clear()
         assert verify_solution(copy.copy(res), band) == report
         assert calls == ["rfft"]
@@ -882,6 +887,21 @@ class TestVerifySolution:
         for name, value in (("K", res.K.copy()), ("status", "stalled"), ("_factors", None)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(res, name, value)
+
+    @pytest.mark.parametrize("call", [
+        lambda band, res: solve(None, 8),
+        lambda band, res: solve(band, 8, "x"),
+        lambda band, res: solve(band, 8, SolverConfig(trace=3)),
+        lambda band, res: verify_solution(42, band),
+        lambda band, res: verify_solution(res, "x"),
+        lambda band, res: verify_solution(res, None),
+    ], ids=["solve-band", "solve-config", "solve-trace", "verify-solution", "verify-band-str", "verify-band-none"])
+    def test_wrong_types_are_bad_input(self, call):
+        # each escaped as AttributeError; only package errors leave solve
+        # and verify_solution
+        band = scalar_band([1.0, 0.3])
+        with pytest.raises(BadInput):
+            call(band, solve(band, 8))
 
     def test_sees_a_corrupted_precision_band(self):
         band = random_feasible_band(2, 1, 16, np.random.default_rng(53))

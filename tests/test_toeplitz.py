@@ -250,6 +250,10 @@ class TestBandFromAr:
     def test_unstable_rejected(self):
         with pytest.raises(Unstable):
             band_from_ar([[[1.0]], [[-1.01]]], [[1.0]])
+        # the model is monic, coeffs[0] = I, which the companion matrix's
+        # root test does not read
+        with pytest.raises(BadInput, match="identity"):
+            band_from_ar([[[2.0]], [[0.5]]], [[1.0]])
 
     def test_indefinite_innovation_rejected(self):
         with pytest.raises(NotPositiveDefinite):
