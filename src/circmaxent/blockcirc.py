@@ -74,17 +74,20 @@ def _check_sizes(m: int, n: int, *N: int) -> None:
 def _array(x, what: str, *shapes: tuple) -> np.ndarray:
     """The array rule: ``x``, an array or nested lists, as a real float64
     array of one of ``shapes``, where None is a length the caller does not
-    know.  A ragged, bool, complex or non-numeric (numeric strings too)
-    ``x``, or one of another shape, raises BadInput.  Every entry that takes
-    an array calls it; a float64 ndarray of an exact shape passes two tests."""
+    know.  A ragged, complex or non-numeric (numeric strings too) ``x``, one
+    with a bool anywhere (numpy reads a bool among numbers as a number), or
+    one of another shape, raises BadInput.  Every entry that takes an array
+    calls it; a float64 ndarray of an exact shape passes two tests."""
     if type(x) is not np.ndarray or x.dtype != np.float64:
         try:
-            x = np.asarray(x)
+            a = np.asarray(x)
         except ValueError:
             raise BadInput(f"{what} is ragged, not an array") from None
-        if x.dtype.kind not in "iuf":
-            raise BadInput(f"{what} holds {x.dtype} entries, not real numbers")
-        x = x.astype(float, copy=False)
+        if a.dtype.kind not in "iuf":
+            raise BadInput(f"{what} holds {a.dtype} entries, not real numbers")
+        if type(x) is not np.ndarray and any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, object).flat):
+            raise BadInput(f"{what} holds a bool among its numbers")
+        x = a.astype(float, copy=False)
     elif x.shape in shapes:
         return x
     for shape in shapes:
@@ -97,6 +100,21 @@ def _real(x, what: str) -> float:
     """The number rule: ``x`` as a float, the array rule on a 0-d value, so
     a bool, a string or a complex number raises BadInput."""
     return float(_array(x, what, ()))
+
+
+def _tolerance(x, what: str) -> float:
+    """The tolerance rule: ``x`` as a real number (``_real``) in [0, inf),
+    since no residual meets a negative or NaN one and any meets inf."""
+    if not 0 <= (x := _real(x, what)) < math.inf:
+        raise BadInput(f"{what}={x!r} is not a finite non-negative number")
+    return x
+
+
+def _check_type(x, cls: type, what: str) -> None:
+    """The type rule, at every public entry that takes a record: BadInput
+    naming ``what`` unless ``x`` is a ``cls``, never an AttributeError."""
+    if not isinstance(x, cls):
+        raise BadInput(f"{what} {x!r} is not a {cls.__name__}")
 
 
 def _band_row(band: np.ndarray, N: int) -> np.ndarray:
@@ -233,28 +251,6 @@ def _band_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
     return (back @ inv.reshape(-1, m * m)).real.reshape(n + 1, m, m)
 
 
-def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
-    """Blocks V_0..V_2n (2n+1, m^2, m^2) of the Hessian of -log det C(K) in
-    the two-sided band lags, from the inverse frequency blocks
-    G_l = Psi_l^{-1} (``inv``, (h+1, m, m)):
-
-        V_s = sum_{l=0}^{N-1} exp(+2j pi l s / N) conj(G_l) (x) G_l,
-
-    real since G_{N-l} = conj(G_l).  The second derivative along a band
-    direction E is sum_{j,k} vec(E_j) . V_{k-j} vec(E_k) over lags
-    j, k = -n..n, with E_{-d} = E_d^T, V_{-s} = V_s^T and row-major vec.
-    One real product of a (2n+1) m^2 x 2(h+1) and a 2(h+1) x m^2 matrix:
-    O(n m^4 N) time and O(n m^2 N) memory, with no per-unknown frequency
-    blocks."""
-    h1, m = inv.shape[0], inv.shape[1]
-    At = np.ascontiguousarray(inv.reshape(h1, m * m).T.conj())  # conj(G_l)[a, c] at [(a, c), l]
-    left = (N * _phase_tables(2 * n, N)[1])[:, None, :] * At  # (2n+1, m^2, h+1)
-    # Re(x y) = [Re x, Im x] . [Re y, -Im y], read off the interleaved float views
-    M = left.view(float).reshape(-1, 2 * h1) @ At.view(float).T
-    # M[s] is indexed ((a, c), (b, e)) for conj(G)[a, c] G[b, e]
-    return M.reshape(2 * n + 1, m, m, m, m).transpose(0, 1, 3, 2, 4).reshape(2 * n + 1, m * m, m * m)
-
-
 @dataclass(frozen=True)
 class BlockCirculant:
     """Symmetric block-circulant matrix stored as its first block row.
@@ -335,6 +331,7 @@ def circ_inverse(c: BlockCirculant) -> BlockCirculant:
     NotPositiveDefinite
         If any frequency block fails Cholesky factorization.
     """
+    _check_type(c, BlockCirculant, "matrix")
     head = _factored(c, "circ_inverse")[0]
     return BlockCirculant(c.m, c.N, _mirror(np.fft.irfft(np.linalg.inv(head), n=c.N, axis=0)))
 
@@ -346,6 +343,7 @@ def circ_logdet(c: BlockCirculant) -> float:
     conjugate of Psi_l, so only Psi_0..Psi_{N/2} are factored, by batched
     Cholesky, and weighted by their multiplicity.  Real by construction.
     """
+    _check_type(c, BlockCirculant, "matrix")
     return _factored(c, "circ_logdet")[1]
 
 
@@ -384,6 +382,7 @@ def leading_inverse_band(c: BlockCirculant, n: int) -> np.ndarray:
     """First n+1 block rows/columns of the inverse of a SPD block-circulant,
     assembled from the inverse's first row: block (i, j) = row[j - i] for
     j >= i."""
+    _check_type(c, BlockCirculant, "matrix")
     _check_sizes(c.m, n, c.N)
     return _sym(_block_toeplitz(circ_inverse(c).first_row[: n + 1]))
 

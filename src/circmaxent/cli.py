@@ -70,9 +70,6 @@ def _load_problem(path):
     try:
         m, n, N, blocks = (raw[key] for key in ("m", "n", "N", "blocks"))
         _check_sizes(m, n, N)
-        # JSON numbers only: numpy reads a bool among numbers as a number
-        if not all(type(x) in (int, float) for row in blocks for x in row):
-            raise BadInput("blocks must hold numbers")
         blocks = _array(blocks, "blocks", (n + 1, m * m))
     except (KeyError, TypeError) as exc:
         raise BadInput(f"problem file {path}: missing or malformed field ({exc})") from exc

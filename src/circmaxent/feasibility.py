@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockcirc import BandData, _check_sizes, _real
+from .blockcirc import BandData, _check_sizes, _check_type, _real
 from .errors import BadInput
 
 
@@ -83,6 +83,7 @@ def eig_affine_forms(band: BandData, N: int) -> list:
         For matrix-valued data (m > 1), where eigenvalues are not affine in
         the unknowns.
     """
+    _check_type(band, BandData, "band")
     if band.m != 1:
         raise BadInput("affine eigenvalue forms exist only for scalar data")
     n = band.n

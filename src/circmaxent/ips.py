@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .blockcirc import BandData, BlockCirculant, _band_row, _check_sizes, _cholesky_blocks, _count, _sym
+from .blockcirc import (BandData, BlockCirculant, _band_row, _check_sizes, _check_type, _cholesky_blocks, _count,
+                        _sym, _tolerance)
 from .errors import NoConvergence, NotPositiveDefinite, RequiresFullR
-from .solver import SolverConfig
 from .toeplitz import circulant_approx
 
 
@@ -91,11 +91,14 @@ def _canonical(cliques) -> tuple:
 
 
 def band_cliques(N: int, n: int, m: int) -> CliqueSet:
-    """The N maximal cliques of the banded circulant pattern graph.
+    """The N band windows, the cliques of the banded circulant pattern
+    graph that ``ips_solve`` cycles over.
 
-    Each clique is the scalar index window covering n+1 consecutive blocks
-    {i, ..., i+n} (mod N), of size m(n+1); for N >= 2n+2 these windows are
-    exactly the maximal cliques.
+    Each window is the scalar index window covering n+1 consecutive blocks
+    {i, ..., i+n} (mod N), of size m(n+1).  The windows cover every given
+    entry, and for N >= 3n+1 they are exactly the maximal cliques; for
+    2n+2 <= N <= 3n there are more (at n = 2, N = 6 also the blocks
+    {0, 2, 4}).
     """
     _check_sizes(m, n, N)
     windows = []
@@ -149,13 +152,6 @@ class ScalingResult:
     cycles: int
 
 
-def _checked_tol(tol: Optional[float], max_cycles: int) -> float:
-    """The baselines' tolerance, 1e-9 for None, after the solver's check of
-    a tolerance and the count rule on the cycle budget."""
-    _count(max_cycles, "max_cycles")
-    return SolverConfig(eta=1e-9 if tol is None else tol).eta
-
-
 def ips_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: int = 2000) -> ScalingResult:
     """Iterative proportional scaling over the band cliques.
 
@@ -164,14 +160,18 @@ def ips_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: i
     clique marginal and the inverse of the current one; the precision stays
     exactly zero off the banded circulant pattern throughout.  Cycles until
     every clique marginal matches the data to ``tol`` (None: 1e-9) in
-    Frobenius norm.
+    Frobenius norm.  ``tol`` follows the tolerance rule
+    (``blockcirc._tolerance``) and ``max_cycles`` the count rule; a
+    ``band`` that is no BandData is BadInput.
 
     Raises
     ------
     NoConvergence
         After ``max_cycles`` full cycles (infeasibility suspected).
     """
-    tol = _checked_tol(tol, max_cycles)
+    _check_type(band, BandData, "band")
+    _count(max_cycles, "max_cycles")
+    tol = _tolerance(1e-9 if tol is None else tol, "tol")
     m, n = band.m, band.n
     cliques = [np.array(c) for c in band_cliques(N, n, m).cliques]
     given = band.embed_circulant(N).to_dense()
@@ -204,7 +204,7 @@ def sk1_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: i
     the covariance untouched.  Starts from the circulant approximant of the
     band extension, a completion that already agrees with the band, and
     stops when the off-pattern precision is below ``tol`` (None: 1e-9)
-    relative to the whole.
+    relative to the whole.  The arguments follow ``ips_solve``'s rules.
 
     Raises
     ------
@@ -213,7 +213,9 @@ def sk1_solve(band: BandData, N: int, tol: Optional[float] = None, max_cycles: i
     NoConvergence
         After ``max_cycles`` cycles.
     """
-    tol = _checked_tol(tol, max_cycles)
+    _check_type(band, BandData, "band")
+    _count(max_cycles, "max_cycles")
+    tol = _tolerance(1e-9 if tol is None else tol, "tol")
     m, n = band.m, band.n
     compl = [np.array(c) for c in bron_kerbosch(PatternGraph.banded(m, n, N).complement_adjacency()).cliques]
     sigma = circulant_approx(band, N).to_dense()

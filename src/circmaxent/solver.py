@@ -65,15 +65,16 @@ from .blockcirc import (
     _band_spectrum,
     _block_toeplitz,
     _check_sizes,
+    _check_type,
     _cholesky_blocks,
     _count,
     _dual_band,
     _factored,
     _half_logdet,
-    _hessian_lags,
     _mirror,
-    _real,
+    _phase_tables,
     _sym,
+    _tolerance,
 )
 from .errors import BadInput, NotPositiveDefinite
 from .toeplitz import phi_inverse_coeffs, solve_yule_walker
@@ -124,11 +125,10 @@ class SolverConfig:
     cheap equivalent of the spectral norm up to dimension constants),
     1e-8 * ||T_n||_F at solve time when None, relative at every scale of
     the data; Newton stops on its decrement and does not read it.  The
-    line-search step resets to 1 every iteration.  An ``eta`` that is not
-    a real number (``blockcirc._real``), a negative or NaN one, which no
-    gradient norm can meet, an infinite one, which any start meets, a
-    ``max_iter`` that is not a count >= 0 (``blockcirc._count``) and a
-    ``trace`` with no ``write`` method raise BadInput; ``eta = 0`` and
+    line-search step resets to 1 every iteration.  An ``eta`` that breaks
+    the tolerance rule (``blockcirc._tolerance``: a real number in
+    [0, inf)), a ``max_iter`` that is not a count >= 0 (``blockcirc._count``)
+    and a ``trace`` with no ``write`` method raise BadInput; ``eta = 0`` and
     ``max_iter = 0`` are legal.
     """
 
@@ -138,8 +138,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _count(self.max_iter, "max_iter")
-        if self.eta is not None and not 0 <= _real(self.eta, "tolerance") < math.inf:
-            raise BadInput(f"tolerance {self.eta!r} is not a finite non-negative number")
+        if self.eta is not None:
+            _tolerance(self.eta, "eta")
         if self.trace is not None and not callable(getattr(self.trace, "write", None)):
             raise BadInput(f"trace {self.trace!r} has no write method")
 
@@ -151,7 +151,8 @@ class SolverResult:
     ``status`` is one of "converged", "max_iter", "infeasible" or "boundary"
     (K certifies that no completion exists, or that every whitened one is
     singular to within 1e-8; see ``solve``) or "stalled" (progress fell
-    below rounding, or the Newton system was singular or not finite).
+    below rounding, or the Newton system was singular or not finite), and
+    ``converged`` reads it: it is no field, so no record can disagree.
     ``K`` is the final iterate, the precision band K_0..K_n (n+1, m, m),
     and ``sigma`` the completion it implies, the inverse of K's banded
     block-circulant C(K).  ``objective`` is the dual objective f at K; a
@@ -169,11 +170,14 @@ class SolverResult:
     final_grad_norm: float
     objective: float
     line_search_backtracks_total: int = 0
-    converged: bool = False
     status: str = ""
     init_mode: str = ""
     # the Cholesky factors of K's floor(N/2)+1 frequency blocks, set by solve
     _factors: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 @dataclass(frozen=True)
@@ -192,11 +196,6 @@ class SolutionReport:
     entropy: float
 
 
-def _check_type(x, cls: type, what: str) -> None:
-    if not isinstance(x, cls):
-        raise BadInput(f"{what} {x!r} is not a {cls.__name__}")
-
-
 def dual_gradient(lam: DualVariable, band: BandData, N: int) -> np.ndarray:
     """Gradient T_n - E^T (projection)^{-1} E of the dual objective: the
     block-Toeplitz matrix of the band gradient at Lambda's band.
@@ -206,6 +205,8 @@ def dual_gradient(lam: DualVariable, band: BandData, N: int) -> np.ndarray:
     NotPositiveDefinite
         If the iterate is outside the dual domain.
     """
+    _check_type(lam, DualVariable, "dual")
+    _check_type(band, BandData, "band")
     psi = _band_spectrum(_dual_band(lam.value, band.m, band.n, N), N)
     _cholesky_blocks(psi, "dual_gradient")
     return _block_toeplitz(_gradient(psi, np.swapaxes(band.blocks, 1, 2), N)[0])
@@ -252,6 +253,28 @@ def _gradient(psi: np.ndarray, data: np.ndarray, N: int):
     return G, inv
 
 
+def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
+    """Blocks V_0..V_2n (2n+1, m^2, m^2) of the Hessian of -log det C(K) in
+    the two-sided band lags, from the inverse frequency blocks
+    G_l = Psi_l^{-1} (``inv``, (h+1, m, m)):
+
+        V_s = sum_{l=0}^{N-1} exp(+2j pi l s / N) conj(G_l) (x) G_l,
+
+    real since G_{N-l} = conj(G_l).  The second derivative along a band
+    direction E is sum_{j,k} vec(E_j) . V_{k-j} vec(E_k) over lags
+    j, k = -n..n, with E_{-d} = E_d^T, V_{-s} = V_s^T and row-major vec.
+    One real product of a (2n+1) m^2 x 2(h+1) and a 2(h+1) x m^2 matrix:
+    O(n m^4 N) time and O(n m^2 N) memory, with no per-unknown frequency
+    blocks."""
+    h1, m = inv.shape[0], inv.shape[1]
+    At = np.ascontiguousarray(inv.reshape(h1, m * m).T.conj())  # conj(G_l)[a, c] at [(a, c), l]
+    left = (N * _phase_tables(2 * n, N)[1])[:, None, :] * At  # (2n+1, m^2, h+1)
+    # Re(x y) = [Re x, Im x] . [Re y, -Im y], read off the interleaved float views
+    M = left.view(float).reshape(-1, 2 * h1) @ At.view(float).T
+    # M[s] is indexed ((a, c), (b, e)) for conj(G)[a, c] G[b, e]
+    return M.reshape(2 * n + 1, m, m, m, m).transpose(0, 1, 3, 2, 4).reshape(2 * n + 1, m * m, m * m)
+
+
 @lru_cache(maxsize=64)
 def _newton_coords(m: int, n: int) -> tuple:
     """Index tables for the p = m(m+1)/2 + n m^2 Newton unknowns, K_0's
@@ -283,8 +306,8 @@ def _newton_step(G: np.ndarray, inv: np.ndarray, N: int) -> tuple:
     frequency blocks ``inv`` (see ``_gradient``): the band H^{-1} g, with g
     and H the gradient and Hessian of the objective in the band unknowns,
     and the squared Newton decrement g . H^{-1} g.  The Hessian is
-    assembled in the lag domain (``_hessian_lags``) and factored by
-    Cholesky.  A singular or non-finite system gives (None, nan)."""
+    assembled in the lag domain (``_hessian_lags``) and factored by the PD
+    test ``_cholesky_blocks``; a system that fails it gives (None, nan)."""
     n, m = len(G) - 1, G.shape[1]
     i1, i2, c, hidx = _newton_coords(m, n)
     # solved for the scaled blocks inv / s: H / s^2 and g / s are O(1) at
@@ -295,11 +318,11 @@ def _newton_step(G: np.ndarray, inv: np.ndarray, N: int) -> tuple:
     g2 = (N / s) * np.concatenate([np.swapaxes(G[:0:-1], 1, 2), G]).reshape(-1)
     g = c * (g2[i1] + g2[i2])
     try:
-        L = np.linalg.cholesky(H)
-        y = np.linalg.solve(L, g)
-        x = np.linalg.solve(L.T, y) / s
-    except np.linalg.LinAlgError:
+        L = _cholesky_blocks(H, "Newton system")
+    except NotPositiveDefinite:
         return None, math.nan
+    y = np.linalg.solve(L, g)
+    x = np.linalg.solve(L.T, y) / s
     step = np.zeros(len(g2))
     step[i1] += c * x
     step[i2] += c * x
@@ -342,6 +365,7 @@ def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
     is the identity matrix up to rounding.  Unlike ``solve``, it does not
     fall back: "toeplitz" raises NotPositiveDefinite when the band's
     block-Toeplitz matrix is not positive definite."""
+    _check_type(band, BandData, "band")
     return _lift(_start(band, N, mode), N)
 
 
@@ -501,7 +525,6 @@ def solve(
         final_grad_norm=gnorm,
         objective=f,
         line_search_backtracks_total=backtracks,
-        converged=status == "converged",
         status=status,
         init_mode=init_mode,
     )

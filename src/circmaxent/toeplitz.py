@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blockcirc import (BandData, BlockCirculant, _array, _band_row, _block_toeplitz, _check_sizes,
-                        _cholesky_blocks, _count, _sym)
+                        _check_type, _cholesky_blocks, _count, _sym)
 from .errors import BadInput, Unstable
 
 
@@ -36,11 +36,14 @@ def _companion(coeffs: np.ndarray) -> np.ndarray:
 
 def _ar_model(coeffs, innovation) -> tuple:
     """An AR model as the arrays (coeffs, innovation) (``blockcirc._array``):
-    n+1 square m x m blocks, n >= 0, and an m x m innovation."""
+    n+1 square m x m blocks, n >= 0, and an m x m innovation whose symmetric
+    part is PD (``_cholesky_blocks``), tested here for both AR entries."""
     coeffs = _array(coeffs, "coeffs", (None, None, None))
     m, n = coeffs.shape[2], len(coeffs) - 1
     _check_sizes(m, n)
-    return _array(coeffs, "coeffs", (n + 1, m, m)), _array(innovation, "innovation", (m, m))
+    coeffs, innovation = _array(coeffs, "coeffs", (n + 1, m, m)), _array(innovation, "innovation", (m, m))
+    _cholesky_blocks(_sym(innovation), "innovation covariance")
+    return coeffs, innovation
 
 
 def solve_yule_walker(band: BandData) -> tuple:
@@ -57,6 +60,7 @@ def solve_yule_walker(band: BandData) -> tuple:
     NotPositiveDefinite
         If the block-Toeplitz matrix of the band fails factorization.
     """
+    _check_type(band, BandData, "band")
     m, n = band.m, band.n
     # The AR equations contract the coefficient row against the lag pattern
     # Sigma_{j-k} (block (k, j)), the blockwise transpose of the band's
@@ -88,7 +92,6 @@ def phi_inverse_coeffs(coeffs: np.ndarray, innovation: np.ndarray) -> np.ndarray
     M_0 + sum_j M_j z^j + sum_j M_j^T z^(-j); M_0 is symmetric.
     """
     coeffs, innovation = _ar_model(coeffs, innovation)
-    _cholesky_blocks(_sym(innovation), "innovation covariance")
     lam_inv = _sym(np.linalg.inv(innovation))
     M = np.zeros(coeffs.shape)
     for j in range(len(M)):
@@ -111,6 +114,7 @@ def extend_covariances(band: BandData, K: int) -> np.ndarray:
     NotPositiveDefinite
         If the band's block-Toeplitz matrix is not positive definite.
     """
+    _check_type(band, BandData, "band")
     n = band.n
     K = _count(K, "K", n + 1)
     coeffs = solve_yule_walker(band)[0]
@@ -137,6 +141,7 @@ def circulant_approx(band: BandData, N: int) -> BlockCirculant:
     NotPositiveDefinite
         If the band's block-Toeplitz matrix is not positive definite.
     """
+    _check_type(band, BandData, "band")
     _check_sizes(band.m, band.n, N)
     lags = np.concatenate([band.blocks, extend_covariances(band, N // 2)])
     return BlockCirculant(band.m, N, _band_row(np.swapaxes(lags, 1, 2), N))
@@ -153,10 +158,10 @@ def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
 
     Raises
     ------
+    NotPositiveDefinite
+        If the innovation covariance is not positive definite (tested first).
     Unstable
         If the companion matrix has spectral radius >= 1.
-    NotPositiveDefinite
-        If the innovation covariance is not positive definite.
     """
     coeffs, innovation = _ar_model(coeffs, innovation)
     n, m = len(coeffs) - 1, coeffs.shape[1]
@@ -173,7 +178,6 @@ def band_from_ar(coeffs: np.ndarray, innovation: np.ndarray) -> BandData:
         for j in range(n + 1):
             a = np.kron(coeffs[j], np.eye(m))
             lhs[k, :, abs(k - j)] += a if k >= j else a @ swap
-    _cholesky_blocks(_sym(innovation), "innovation covariance")
     rhs = np.zeros((n + 1, mm))
     rhs[0] = _sym(innovation).ravel()
     blocks = np.linalg.solve(lhs.reshape(-1, (n + 1) * mm), rhs.ravel()).reshape(n + 1, m, m)

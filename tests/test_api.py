@@ -1,7 +1,9 @@
 """The public API holds only what code outside the unit tests uses, down to
 the fields and methods of its classes, no module imports a name it does not
 use, every status ``solve`` sets has a CLI exit code and ``feas`` verdict,
-and data are tested for positive definiteness in one place.
+data are tested for positive definiteness in one place, each admission
+rule and the Newton system are defined in one module, and the baselines
+import nothing from the solver they check.
 The acceptance criteria are pinned to their first version by a hash.
 
 No linter is a dependency, so the checks read the sources with ``ast``.
@@ -114,11 +116,11 @@ def test_every_solve_status_has_an_exit_code():
 
 
 def test_one_positive_definiteness_test():
-    # every PD test of data is blockcirc._cholesky_blocks; the Newton
-    # system's own factorization has its "stalled" contract.  The CLI's
-    # up-front verdict factored the band's block-Toeplitz matrix itself,
-    # the transpose of the one the AR fit of extend and the toeplitz start
-    # tests, and sk1_solve tested its start with its own Cholesky call
+    # every PD test is blockcirc._cholesky_blocks, the Newton system's too,
+    # which keeps its "stalled" contract by catching NotPositiveDefinite.
+    # The CLI's up-front verdict factored the band's block-Toeplitz matrix
+    # itself, the transpose of the one the AR fit of extend and the toeplitz
+    # start tests, and sk1_solve tested its start with its own Cholesky call
     callers = set()
     for path in modules():
         for func in ast.walk(parse(path)):
@@ -127,7 +129,33 @@ def test_one_positive_definiteness_test():
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
                     for node in ast.walk(func)):
                 callers.add(f"{path.stem}.{func.name}")
-    assert callers == {"blockcirc._cholesky_blocks", "solver._newton_step"}
+    assert callers == {"blockcirc._cholesky_blocks"}
+
+
+def test_the_baselines_import_nothing_from_the_solver():
+    # ips holds the oracles the solver is compared against; it borrowed
+    # SolverConfig to check its tolerance, so it imported the code under test
+    names = set()
+    for node in ast.walk(parse(PACKAGE / "ips.py")):
+        if isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    assert names and not any("solver" in name.split(".") for name in names)
+
+
+def test_each_rule_has_one_module():
+    # the admission rules and the PD test are defined in blockcirc alone,
+    # and the Newton Hessian's lag layout beside the code that indexes it
+    owners = {"_count": "blockcirc", "_check_sizes": "blockcirc", "_array": "blockcirc", "_real": "blockcirc",
+              "_tolerance": "blockcirc", "_check_type": "blockcirc", "_cholesky_blocks": "blockcirc",
+              "_hessian_lags": "solver", "_newton_coords": "solver", "_newton_step": "solver"}
+    defined = {}
+    for path in modules():
+        for stmt in parse(path).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in owners:
+                defined.setdefault(stmt.name, []).append(path.stem)
+    assert defined == {name: [module] for name, module in owners.items()}
 
 
 def test_acceptance_criteria_are_unchanged():

@@ -1,7 +1,6 @@
 """Block-circulant algebra against dense linear-algebra oracles."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from circmaxent import (
     scalar_bw1_feasible,
     sk1_solve,
     solve,
+    solve_yule_walker,
     verify_solution,
 )
 from circmaxent.solver import _objective
@@ -516,6 +516,12 @@ def _array_entries():
     start = np.array([0.5, 0.0]).reshape(2, 1, 1)  # the identity start at N = 4
     D = 2.0 * 4 * band.blocks
     D[0] *= 0.5
+
+    def dual(x):
+        lam = DualVariable(1, 1, np.eye(2))
+        object.__setattr__(lam, "value", x)  # past the DualVariable's own check
+        return lam
+
     return {
         "BandData": (band.blocks, lambda x: BandData(1, 1, x)),
         "BlockCirculant": (band.blocks, lambda x: BlockCirculant(1, 2, x)),
@@ -523,7 +529,7 @@ def _array_entries():
         "project_band_gram.band": (start, lambda x: project_band_gram(x, 1, 1, 4)),
         "project_band_gram.matrix": (np.eye(2), lambda x: project_band_gram(x, 1, 1, 4)),
         # it reads only the dual's value, which a DualVariable has checked
-        "dual_gradient": (np.eye(2), lambda x: dual_gradient(SimpleNamespace(value=x), band, 4)),
+        "dual_gradient": (np.eye(2), lambda x: dual_gradient(dual(x), band, 4)),
         "_objective": (start, lambda x: _objective(x, D, 1, 1, 4)),
         "circulant_average": (np.eye(2), lambda x: circulant_average(x, 1)),
         "band_from_ar.coeffs": (coeffs, lambda x: band_from_ar(x, innovation)),
@@ -538,11 +544,13 @@ def _array_entries():
 def test_array_rule_has_one_owner(entry):
     # one blockcirc function converts every array a caller passes in; these
     # inputs raised ValueError, IndexError, AttributeError or ComplexWarning,
-    # or lost their imaginary part, and a bool array was read as 0 and 1
+    # or lost their imaginary part, a bool array was read as 0 and 1, and
+    # numpy reads a bool among numbers as a number
     legal, call = _array_entries()[entry]
     refused = {
         "bool": legal != 0,
         "bool lists": (legal != 0).tolist(),
+        "a bool among numbers": np.array([*legal.ravel()[:-1].tolist(), True], object).reshape(legal.shape).tolist(),
         "ragged": [legal.tolist(), 0.0],
         "strings": legal.astype(str).tolist(),  # numeric strings, which numpy would read
         "complex": legal * (1 + 1j),
@@ -554,6 +562,33 @@ def test_array_rule_has_one_owner(entry):
             call(bad)
     assert call(legal) is not None
     assert call(legal.tolist()) is not None
+
+
+def _type_entries():
+    """Every public entry that takes a record, beside ``solve`` and
+    ``verify_solution``, as a call with a wrong type in its place; each
+    raised AttributeError."""
+    band = BandData(1, 1, np.array([1.0, 0.3]).reshape(2, 1, 1))
+    return {
+        "extend_covariances": lambda: extend_covariances(None, 3),
+        "circulant_approx": lambda: circulant_approx("x", 8),
+        "solve_yule_walker": lambda: solve_yule_walker(None),
+        "ips_solve": lambda: ips_solve(None, 8),
+        "sk1_solve": lambda: sk1_solve(None, 8),
+        "init_lambda": lambda: init_lambda(None, 8),
+        "dual_gradient": lambda: dual_gradient(None, band, 8),
+        "eig_affine_forms": lambda: eig_affine_forms(None, 8),
+        "circ_inverse": lambda: circ_inverse(None),
+        "circ_logdet": lambda: circ_logdet("x"),
+        "leading_inverse_band": lambda: leading_inverse_band(None, 1),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_type_entries()))
+def test_type_rule_has_one_owner(entry):
+    # blockcirc._check_type refuses a record of the wrong type at every entry
+    with pytest.raises(BadInput, match="is not a "):
+        _type_entries()[entry]()
 
 
 def test_negative_bandwidth_is_bad_input():

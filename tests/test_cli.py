@@ -161,7 +161,7 @@ class TestSolveCommand:
         real_solve = cli.solve
 
         def stalled(*args, **kwargs):
-            return dataclasses.replace(real_solve(*args, **kwargs), status="stalled", converged=False)
+            return dataclasses.replace(real_solve(*args, **kwargs), status="stalled")
 
         monkeypatch.setattr(cli, "solve", stalled)
         out = tmp_path / "sol.json"

@@ -127,6 +127,21 @@ class TestBandCliques:
             g = PatternGraph.banded(m, n, N)
             assert bron_kerbosch(g.adj).as_set() == band_cliques(N, n, m).as_set()
 
+    def test_windows_are_the_maximal_cliques_from_3n_plus_1(self):
+        # below N = 3n+1 the pattern graph has more maximal cliques than the
+        # N windows (at n = 2, N = 6 also the blocks {0, 2, 4}); the windows
+        # still cover every edge, that is every given entry IPS matches
+        for n in range(1, 7):
+            for N in range(2 * n + 2, 4 * n + 3):
+                g = PatternGraph.banded(1, n, N)
+                windows = band_cliques(N, n, 1).as_set()
+                assert (bron_kerbosch(g.adj).as_set() == windows) == (N >= 3 * n + 1), (n, N)
+                covered = [0] * N
+                for w in windows:
+                    for u in w:
+                        covered[u] |= sum(1 << v for v in w if v != u)
+                assert tuple(covered) == g.adj, (n, N)
+
     def test_band_too_wide(self):
         with pytest.raises(BandTooWide):
             band_cliques(5, 2, 1)

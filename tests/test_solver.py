@@ -27,8 +27,8 @@ from circmaxent import (
     solve,
     verify_solution,
 )
-from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _dual_band, _hessian_lags
-from circmaxent.solver import LOG_2PI, _gradient, _lift, _newton_step, _objective, _start
+from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _dual_band
+from circmaxent.solver import LOG_2PI, _gradient, _hessian_lags, _lift, _newton_step, _objective, _start
 from helpers import (
     boundary_holds,
     certificate_holds,
@@ -272,6 +272,15 @@ class TestSolve:
         assert res.converged
         assert res.iterations <= 1
         assert np.abs(res.sigma.to_dense() - np.eye(20)).max() < 1e-12
+
+    def test_converged_is_the_status(self):
+        # one fact in the record: a converged field kept its value when
+        # dataclasses.replace changed the status
+        res = solve(white_noise_band(2, 1), 10)
+        assert res.converged and res.status == "converged"
+        assert not dataclasses.replace(res, status="stalled").converged
+        with pytest.raises(TypeError):
+            dataclasses.replace(res, converged=True)
 
     def test_zero_bandwidth_block_diagonal(self):
         blocks = np.array([[[2.0, 0.3], [0.3, 1.5]]])
