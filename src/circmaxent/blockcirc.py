@@ -117,6 +117,15 @@ def _check_type(x, cls: type, what: str) -> None:
         raise BadInput(f"{what} {x!r} is not a {cls.__name__}")
 
 
+def _option(x, choices: tuple, what: str) -> str:
+    """The option rule: ``x`` as one of the strings ``choices``, else
+    BadInput naming ``what``.  Only a string is compared: ``==`` and ``in``
+    on an array compare elementwise and escape as ValueError."""
+    if not isinstance(x, str) or x not in choices:
+        raise BadInput(f"unknown {what} {x!r}")
+    return x
+
+
 def _band_row(band: np.ndarray, N: int) -> np.ndarray:
     """First block row of the symmetric block-circulant with band blocks
     ``band`` (n+1, m, m): row[d] = band[d], row[N-d] = band[d]^T, zeros

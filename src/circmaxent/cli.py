@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="gd: gradient-norm stop (newton stops on its decrement and ignores it); "
+                       help="gd: stop on the whitened gradient norm ||L^-1 G_d L^-T||, Sigma_0 = L L^T "
+                            "(default 1e-8 ||L^-1 T_n L^-T||; newton stops on its decrement and ignores it); "
                             "ips, sk1: clique or off-pattern tolerance (default 1e-9)")
         p.add_argument("--max-iter", type=int, default=1_000_000, help="newton, gd: step budget")
         p.add_argument("--max-cycles", type=int, default=2000, help="ips, sk1: cycle budget")

@@ -17,13 +17,22 @@ A full Lambda is read only by ``dual_gradient`` and built only by
 ``init_lambda``.
 
 One backtracking loop takes one of two steps.  ``method="gd"``, the
-default, is the paper's algorithm: exactly the gradient step in Lambda
-reduced to the band, stopped at a gradient norm ``eta``.  ``method="newton"``
-is damped Newton on the p = m(m+1)/2 + n m^2 band entries: the Hessian is
-assembled in the lag domain from the same inverse frequency blocks as the
-gradient, in O(n m^4 N), and factored by Cholesky; the solve stops on the
-squared Newton decrement alone, which is affine invariant, so the stopping
-rule and the step count do not depend on the scale of the data.
+default, is the paper's algorithm, the gradient step in Lambda reduced to
+the band, taken in Sigma_0-whitened units: with Sigma_0 = L L^T the step on
+K_d is (w_d / N) Sigma_0^-1 G_d Sigma_0^-1, steepest descent in the norm
+||L^-1 G_d L^-T|| (Boyd & Vandenberghe, *Convex Optimization*, 9.4.1), and
+the solve stops when that norm reaches ``eta``.  So GD's steps do not
+change under a scale or block congruence of the data in exact arithmetic,
+and in floating point at every scale and under a rotation and rescaling of
+the channels; a general congruence of condition 1e2 or more costs f digits
+that the line search reads.  A Sigma_0 that is not positive definite has
+no completion; GD then takes the plain gradient step (L = I) to its
+certificate.  ``method="newton"`` is damped Newton on the
+p = m(m+1)/2 + n m^2 band entries: the Hessian is assembled in the lag
+domain from the same inverse frequency blocks as the gradient, in
+O(n m^4 N), and factored by Cholesky; the solve stops on the squared Newton
+decrement alone, which is affine invariant, so the stopping rule and the
+step count do not depend on the scale of the data.
 
 The completion is the inverse of the projection, so its own inverse is
 banded block-circulant by construction and the band constraint holds at the
@@ -72,6 +81,7 @@ from .blockcirc import (
     _factored,
     _half_logdet,
     _mirror,
+    _option,
     _phase_tables,
     _sym,
     _tolerance,
@@ -121,15 +131,18 @@ class DualVariable:
 class SolverConfig:
     """Backtracking descent parameters.
 
-    ``eta`` is gradient descent's stop on the gradient's Frobenius norm (a
-    cheap equivalent of the spectral norm up to dimension constants),
-    1e-8 * ||T_n||_F at solve time when None, relative at every scale of
-    the data; Newton stops on its decrement and does not read it.  The
-    line-search step resets to 1 every iteration.  An ``eta`` that breaks
-    the tolerance rule (``blockcirc._tolerance``: a real number in
-    [0, inf)), a ``max_iter`` that is not a count >= 0 (``blockcirc._count``)
-    and a ``trace`` with no ``write`` method raise BadInput; ``eta = 0`` and
-    ``max_iter = 0`` are legal.
+    ``eta`` is gradient descent's stop on the Frobenius norm of the
+    whitened gradient, ||L^-1 G_d L^-T|| in the weights of T_n, with
+    Sigma_0 = L L^T (a cheap equivalent of the spectral norm up to
+    dimension constants), and 1e-8 * ||L^-1 T_n L^-T||_F at solve time when
+    None, so the default is the same under any scale or block congruence
+    of the data.  L = I where Sigma_0 is not positive definite, as there is
+    no completion to whiten by.  Newton stops on its decrement and does not
+    read it.  The line-search step resets to 1 every iteration.  An ``eta``
+    that breaks the tolerance rule (``blockcirc._tolerance``: a real number
+    in [0, inf)), a ``max_iter`` that is not a count >= 0
+    (``blockcirc._count``) and a ``trace`` with no ``write`` method raise
+    BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
     """
 
     eta: Optional[float] = None
@@ -155,7 +168,9 @@ class SolverResult:
     ``converged`` reads it: it is no field, so no record can disagree.
     ``K`` is the final iterate, the precision band K_0..K_n (n+1, m, m),
     and ``sigma`` the completion it implies, the inverse of K's banded
-    block-circulant C(K).  ``objective`` is the dual objective f at K; a
+    block-circulant C(K).  ``final_grad_norm`` is the whitened gradient
+    norm at K under both methods (see ``SolverConfig.eta``), as is the
+    trace's ``grad_norm``.  ``objective`` is the dual objective f at K; a
     ``SolverConfig.trace`` sink receives f at every iterate.  The record is
     frozen, and a solve's own result carries the Cholesky factors of K's
     frequency blocks, which ``verify_solution`` reuses while ``K`` is
@@ -251,6 +266,13 @@ def _gradient(psi: np.ndarray, data: np.ndarray, N: int):
     G = data - _band_lags(inv, len(data) - 1, N)
     G[0] = _sym(G[0])
     return G, inv
+
+
+def _whiten(B: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The blocks X B_d X^T of a band B (n+1, m, m), given the m^2 x m^2
+    M = (X (x) X)^T that right-multiplies each block's row-major vec: one
+    product for all n+1 blocks."""
+    return (B.reshape(len(B), -1) @ M).reshape(B.shape)
 
 
 def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -349,13 +371,11 @@ def _start(band: BandData, N: int, mode: str) -> np.ndarray:
     """
     m, n = band.m, band.n
     _check_sizes(m, n, N)
-    if mode == "identity":
-        K = np.zeros((n + 1, m, m))
-        K[0] = (n + 1) / N * np.eye(m)
-        return K
-    if mode == "toeplitz":
+    if _option(mode, ("identity", "toeplitz"), "init mode") == "toeplitz":
         return np.swapaxes(phi_inverse_coeffs(*solve_yule_walker(band)), 1, 2)
-    raise BadInput(f"unknown init mode {mode!r}")
+    K = np.zeros((n + 1, m, m))
+    K[0] = (n + 1) / N * np.eye(m)
+    return K
 
 
 def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
@@ -378,8 +398,11 @@ def solve(
 ) -> SolverResult:
     """Minimize the dual objective by backtracking descent.
 
-    ``method="gd"`` descends along the negative gradient and stops when the
-    gradient's Frobenius norm drops to ``eta``.  ``method="newton"`` takes
+    ``method="gd"`` descends along the negative gradient in Sigma_0-whitened
+    units, the band step Sigma_0^-1 G_d Sigma_0^-1, and stops when the
+    whitened gradient's norm drops to ``eta`` (see SolverConfig); where
+    Sigma_0 is not positive definite it takes the plain gradient step, and
+    the solve ends "infeasible" on its certificate.  ``method="newton"`` takes
     the Newton step on the band and stops when half the squared Newton
     decrement drops to 1e-20, or when the decrement stops falling in the
     full-step regime, where rounding sets its floor; it does not read
@@ -411,14 +434,13 @@ def solve(
     its ``init_mode``; a trace then starts again at iteration 0.
 
     Raises BadInput if ``band`` is no BandData, ``config`` no SolverConfig,
-    ``init`` or ``method`` unknown, or N not a size for the band.
+    ``init`` or ``method`` not one of its strings (``blockcirc._option``),
+    or N not a size for the band.
     """
     cfg = config if config is not None else SolverConfig()
     _check_type(band, BandData, "band")
     _check_type(cfg, SolverConfig, "config")
-    if method not in ("gd", "newton"):
-        raise BadInput(f"unknown method {method!r}")
-    newton = method == "newton"
+    newton = _option(method, ("gd", "newton"), "method") == "newton"
     m, n = band.m, band.n
     _check_sizes(m, n, N)
     # The gradient step in Lambda moves the block sum N K_d by the w_d =
@@ -428,7 +450,20 @@ def solve(
     data = np.swapaxes(band.blocks, 1, 2)
     D = 2.0 * N * data
     D[0] *= 0.5
-    eta = cfg.eta if cfg.eta is not None else 1e-8 * _band_norm(data)
+    # GD is steepest descent in the Sigma_0-whitened norm ||L^-1 G_d L^-T||,
+    # Sigma_0 = L L^T: the plain step taken in the coordinates L^-1 x L^-T,
+    # so its steps, its stop and the reported gradient norm do not change
+    # with the scale of the data.  A Sigma_0 that is not PD has no
+    # completion; there L = I.
+    try:
+        Li = np.linalg.inv(_cholesky_blocks(data[0], "Sigma_0"))
+    except NotPositiveDefinite:
+        Li = np.eye(m)
+    # row-major vec(L^-1 X L^-T) = (L^-1 (x) L^-1) vec(X), and back by the
+    # transpose: L^-T Y L^-1
+    Lb = np.einsum("ij,kl->ikjl", Li, Li).reshape(m * m, m * m)
+    Lw = np.ascontiguousarray(Lb.T)
+    eta = cfg.eta if cfg.eta is not None else 1e-8 * _band_norm(_whiten(data, Lw))
 
     init_mode = init
     try:
@@ -441,9 +476,12 @@ def solve(
     iterations = 0
     status = None
     t = 0.0
-    # last Armijo-validated step; Newton's natural step is 1 throughout
-    t_acc = _STEP0 if newton else None
-    lam2_prev = math.inf
+    # last Armijo-validated step, from the natural step 1 of both methods:
+    # GD's step is in whitened units, so a start already below the noise
+    # floor takes it untested instead of an Armijo test that reads rounding
+    t_acc = _STEP0
+    # the gradient norm before an untested step, inf after a tested one
+    lam2_prev = g_prev = math.inf
 
     if cfg.trace is not None:
         cfg.trace.write("iter,jbar,grad_norm,step\n")
@@ -458,7 +496,8 @@ def solve(
         # K is accepted: keep its factors, drop its blocks once inverted
         G, inv = _gradient(psi, data, N)
         psi = None
-        gnorm = _band_norm(G)
+        W = _whiten(G, Lw)
+        gnorm = _band_norm(W)
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
         bound = _DELTA_TOL * abs(float(np.vdot(K[0], D[0])))
@@ -477,15 +516,23 @@ def solve(
             done = lam2 / 2 <= _DECREMENT_TOL or (not armijo and lam2 >= lam2_prev)
             lam2_prev = lam2
         else:
-            step = wN * G
-            slope = -(gnorm ** 2)  # Tr(grad^T direction) for direction = -grad
+            # the step Sigma_0^-1 G_d Sigma_0^-1 = L^-T W_d L^-1 on K_d
+            step = wN * _whiten(W, Lb)
+            step[0] = _sym(step[0])
+            slope = -(gnorm ** 2)  # its pairing with the gradient
             # f is Tr(K D) - logdet, so its rounding error scales with the
             # larger of the two terms, not with f itself.
             noise = _NOISE_EPS * max(1.0, abs(f), abs(lin))
             # Armijo test when the predicted decrease is readable off f;
             # below that resolution step at the last validated scale and
             # test only that the point stays in the domain.
-            armijo = _ALPHA * _STEP0 * (-slope) >= noise or t_acc is None
+            armijo = _ALPHA * _STEP0 * (-slope) >= noise
+            # f cannot show that an untested step was too long, but the
+            # gradient can: near the optimum every step shorter than 2 over
+            # the largest whitened curvature shrinks its norm, so a rise
+            # halves the untested step
+            if gnorm > g_prev:
+                t_acc *= _BETA
             done = gnorm <= eta
         if not math.isfinite(slope):
             if iterations == 0 and init_mode == "toeplitz":
@@ -513,6 +560,7 @@ def solve(
             break
         if armijo and not newton:
             t_acc = t
+        g_prev = math.inf if armijo else gnorm
         K, f, chol = trial, f_new, chol_new
         iterations += 1
     if status is None:

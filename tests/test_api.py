@@ -148,7 +148,8 @@ def test_each_rule_has_one_module():
     # the admission rules and the PD test are defined in blockcirc alone,
     # and the Newton Hessian's lag layout beside the code that indexes it
     owners = {"_count": "blockcirc", "_check_sizes": "blockcirc", "_array": "blockcirc", "_real": "blockcirc",
-              "_tolerance": "blockcirc", "_check_type": "blockcirc", "_cholesky_blocks": "blockcirc",
+              "_tolerance": "blockcirc", "_check_type": "blockcirc", "_option": "blockcirc",
+              "_cholesky_blocks": "blockcirc",
               "_hessian_lags": "solver", "_newton_coords": "solver", "_newton_step": "solver"}
     defined = {}
     for path in modules():

@@ -591,6 +591,30 @@ def test_type_rule_has_one_owner(entry):
         _type_entries()[entry]()
 
 
+def _option_entries():
+    """Every string option, as (a legal value, call of it), on the scalar
+    band (1, 0.3) at N = 8."""
+    band = BandData(1, 1, np.array([1.0, 0.3]).reshape(2, 1, 1))
+    return {
+        "solve.init": ("identity", lambda x: solve(band, 8, init=x, method="newton")),
+        "solve.method": ("newton", lambda x: solve(band, 8, method=x)),
+        "init_lambda.mode": ("identity", lambda x: init_lambda(band, 8, mode=x)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_option_entries()))
+def test_option_rule_has_one_owner(entry):
+    # blockcirc._option compares only strings: an array was compared with
+    # == and in, elementwise, and escaped as ValueError ("the truth value
+    # of an array ... is ambiguous")
+    legal, call = _option_entries()[entry]
+    for bad in (np.ones((2, 2)), np.array([legal, legal]), [legal], None, 1, legal.encode(), "bfgs"):
+        with pytest.raises(BadInput, match="unknown "):
+            call(bad)
+    assert call(legal) is not None
+    assert call(np.str_(legal)) is not None
+
+
 def test_negative_bandwidth_is_bad_input():
     # n = -1 gave 8 empty cliques and a zero circulant
     with pytest.raises(BadInput):

@@ -168,15 +168,20 @@ class TestSolveCommand:
         assert main(["solve", white_problem, "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
 
-    def test_gd_stall_exits_3(self, tmp_path):
-        # GD cannot leave the toeplitz start of (1, 0.3) 1e10 (see
-        # test_gd_stalls_at_the_step_floor); Newton solves the same file
+    def test_gd_stall_exits_3(self, tmp_path, monkeypatch):
+        # GD solves (1, 0.3) 1e10 in the steps it takes at unit scale; with
+        # an infinite Armijo fraction no step passes (see
+        # test_gd_stalls_at_the_step_floor), and the stall exits 3
+        import circmaxent.solver as solver
+
         prob = write_problem(tmp_path / "big.json", 1, 1, 8, [[1e10], [1e10 * 0.3]])
         out = tmp_path / "out.json"
+        assert main(["solve", prob, "--method", "gd", "-o", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert (diagnostics["status"], diagnostics["iterations"]) == ("converged", 132)
+        monkeypatch.setattr(solver, "_ALPHA", math.inf)
         assert main(["solve", prob, "--method", "gd", "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
-        assert main(["solve", prob, "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["diagnostics"]["status"] == "converged"
 
     def test_boundary_band_exits_3(self, tmp_path):
         # a two-channel band with one channel on the odd-N bound has only
