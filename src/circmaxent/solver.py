@@ -32,7 +32,12 @@ p = m(m+1)/2 + n m^2 band entries: the Hessian is assembled in the lag
 domain from the same inverse frequency blocks as the gradient, in
 O(n m^4 N), and factored by Cholesky; the solve stops on the squared Newton
 decrement alone, which is affine invariant, so the stopping rule and the
-step count do not depend on the scale of the data.
+step count do not depend on the scale of the data.  Before it builds a
+Hessian, each Newton iterate reads an upper bound on that decrement off its
+gradient and the Cholesky factors it already has (``_decrement_bound``, in
+O(m^2 N)); where the bound is at the stop, the solve ends there with no
+Hessian, so a long-period toeplitz start, optimal to rounding, costs what
+GD's does.
 
 The completion is the inverse of the projection, so its own inverse is
 banded block-circulant by construction and the band constraint holds at the
@@ -323,13 +328,41 @@ def _newton_coords(m: int, n: int) -> tuple:
     return i1, i2, c, hidx
 
 
+def _decrement_bound(G: np.ndarray, inv: np.ndarray, chol: np.ndarray, N: int) -> float:
+    """An upper bound on the squared Newton decrement g . H^{-1} g of
+    ``_newton_step`` at a point with band gradient G, inverse frequency
+    blocks ``inv`` and Cholesky factors ``chol`` of its frequency blocks
+    Psi_l, with no Hessian: g . H^{-1} g <= |g|^2 / lambda_min(H).
+
+    Along a band direction E with lags E_-n..E_n, H's quadratic form is
+    sum_l tr(Psi_l^-1 E_l Psi_l^-1 E_l) >= sum_l ||E_l||^2 / lambda_max(Psi_l)^2
+    over all N frequencies, and by Parseval over the 2n+1 distinct lags
+    (N >= 2n+2) sum_l ||E_l||^2 = N sum_d ||E_d||^2 >= N |x|^2 for the
+    Newton unknowns x.  So lambda_min(H) >= N / max_l lambda_max(Psi_l)^2,
+    and lambda_max(Psi_l) <= tr Psi_l = ||L_l||_F^2.  In the unknowns,
+    |g|^2 = N^2 (4 sum_{d>0} ||G_d||^2 + 2 ||G_0||^2 - sum_a (G_0)_aa^2).
+    Both are taken on G / s and Psi * s, s = max|inv| as in ``_newton_step``,
+    so no square under- or overflows at any scale of the data: an unscaled
+    |G|^2 underflows to 0 at scale 1e-160 and would certify any point.  The
+    blocks of ``inv`` are Hermitian PD, so s lies on their diagonals."""
+    s = float(inv.real.diagonal(axis1=1, axis2=2).max())
+    G = G / s
+    d0 = np.diagonal(G[0])
+    g2 = 4.0 * float(np.vdot(G[1:], G[1:])) + 2.0 * float(np.vdot(G[0], G[0])) - float(d0 @ d0)
+    r = chol.reshape(len(chol), -1).view(float)  # real and imaginary parts
+    top = s * float(np.einsum("lk,lk->l", r, r).max())  # s max_l tr Psi_l
+    return N * g2 * top * top
+
+
 def _newton_step(G: np.ndarray, inv: np.ndarray, N: int) -> tuple:
     """Newton step on the band at a point with band gradient G and inverse
     frequency blocks ``inv`` (see ``_gradient``): the band H^{-1} g, with g
     and H the gradient and Hessian of the objective in the band unknowns,
     and the squared Newton decrement g . H^{-1} g.  The Hessian is
     assembled in the lag domain (``_hessian_lags``) and factored by the PD
-    test ``_cholesky_blocks``; a system that fails it gives (None, nan)."""
+    test ``_cholesky_blocks``; a system that fails it gives (None, nan).
+    ``solve`` calls it only where ``_decrement_bound`` cannot certify the
+    point optimal."""
     n, m = len(G) - 1, G.shape[1]
     i1, i2, c, hidx = _newton_coords(m, n)
     # solved for the scaled blocks inv / s: H / s^2 and g / s are O(1) at
@@ -405,7 +438,10 @@ def solve(
     the solve ends "infeasible" on its certificate.  ``method="newton"`` takes
     the Newton step on the band and stops when half the squared Newton
     decrement drops to 1e-20, or when the decrement stops falling in the
-    full-step regime, where rounding sets its floor; it does not read
+    full-step regime, where rounding sets its floor, or, before any
+    Hessian is built, on the certificate: half of ``_decrement_bound``, an
+    upper bound on the squared decrement, at most 1e-20.  It stops at the
+    same K as the decrement would, with no Hessian; it does not read
     ``eta``.  Both backtrack on Armijo (the objective evaluates to +inf
     outside the domain, so the line search also enforces feasibility).  The
     iterate is the band K, started from ``init``, "toeplitz" or "identity"
@@ -507,6 +543,10 @@ def solve(
                 status = "infeasible"
             break
         if newton:
+            # the certificate: a decrement bound at the stop ends the solve
+            # where the decrement would, with no Hessian built
+            if _decrement_bound(G, inv, chol, N) / 2 <= _DECREMENT_TOL:
+                break
             step, lam2 = _newton_step(G, inv, N)
             slope = -lam2
             # The decrement is affine invariant, so its tolerances are

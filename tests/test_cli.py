@@ -323,6 +323,30 @@ class TestSolveCommand:
                 row = np.array(payload["first_block_row"], dtype=float)
                 assert np.abs(row / s - ref).max() <= 1e-10
 
+    def test_long_period_start_builds_no_hessian(self, tmp_path, monkeypatch):
+        # a band fitted at a short period and solved at N = 2048, as in the
+        # benchmark's cli_mixed workload: the toeplitz start is optimal to
+        # rounding, and Newton certifies it without a Hessian, so it writes
+        # GD's solution at 0 iterations
+        import circmaxent.solver as solver
+
+        blocks = random_feasible_band(10, 2, 12, np.random.default_rng(5)).blocks
+        prob = write_problem(tmp_path / "long.json", 10, 2, 2048, blocks.reshape(3, -1).tolist())
+        assert main(["solve", prob, "--method", "gd", "-o", str(tmp_path / "gd.json")]) == 0
+
+        def refuse(*args):
+            raise AssertionError("Newton built a Hessian at a certified start")
+
+        monkeypatch.setattr(solver, "_hessian_lags", refuse)
+        monkeypatch.setattr(solver, "_newton_coords", refuse)
+        assert main(["solve", prob, "-o", str(tmp_path / "newton.json")]) == 0
+        gd, newton = (json.loads((tmp_path / f"{name}.json").read_text()) for name in ("gd", "newton"))
+        for payload in (gd, newton):
+            assert payload["diagnostics"]["status"] == "converged"
+            assert payload["diagnostics"]["iterations"] == 0
+        for key in ("first_block_row", "precision_band"):
+            assert newton[key] == gd[key]
+
     def test_diagnostics_keys(self, n4_problem, tmp_path):
         # every method writes the same diagnostics; only the dual methods
         # have a precision band
@@ -560,8 +584,10 @@ class TestCompareCommand:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [(r["method"], r["init"]) for r in rows] == [
             ("gd", "toeplitz"), ("gd", "identity"), ("newton", "toeplitz"), ("ips", "")]
+        # every row's distance is to the Newton row, the most accurate
+        assert float(rows[2]["rel_dist_to_newton"]) == 0.0
         for r in rows:
-            assert float(r["rel_dist_to_gd_toeplitz"]) <= 1e-5
+            assert float(r["rel_dist_to_newton"]) <= 1e-5
             assert float(r["band_residual"]) <= 1e-6
 
     def test_builds_no_dense_matrix(self, n4_problem, monkeypatch, capsys):

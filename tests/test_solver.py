@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from circmaxent import (
     BadInput,
@@ -29,7 +29,16 @@ from circmaxent import (
     verify_solution,
 )
 from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _dual_band
-from circmaxent.solver import LOG_2PI, _gradient, _hessian_lags, _lift, _newton_step, _objective, _start
+from circmaxent.solver import (
+    LOG_2PI,
+    _decrement_bound,
+    _gradient,
+    _hessian_lags,
+    _lift,
+    _newton_step,
+    _objective,
+    _start,
+)
 from helpers import (
     boundary_holds,
     certificate_holds,
@@ -662,6 +671,27 @@ class TestNewton:
         pairing = N * (np.vdot(G[0], step[0]) + 2.0 * np.vdot(G[1:], step[1:]))
         assert lam2 > 0 and abs(lam2 - pairing) <= 1e-10 * lam2
 
+    @pytest.mark.parametrize("m, n, N", [(10, 2, 1024), (5, 3, 4096)])
+    def test_certified_start_builds_no_hessian(self, m, n, N, monkeypatch):
+        # at long period the toeplitz start is optimal to rounding, and the
+        # decrement bound certifies it from the factors the objective
+        # already has: Newton stops where GD does, at the same bits, and
+        # neither assembles nor indexes a Hessian
+        import circmaxent.solver as solver
+
+        band = random_feasible_band(m, n, N, np.random.default_rng(5))
+        gd = solve(band, N)
+
+        def refuse(*args):
+            raise AssertionError("Newton built a Hessian at a certified start")
+
+        monkeypatch.setattr(solver, "_hessian_lags", refuse)
+        monkeypatch.setattr(solver, "_newton_coords", refuse)
+        res = solve(band, N, method="newton")
+        assert res.status == gd.status == "converged" and res.iterations == gd.iterations == 0
+        assert np.array_equal(res.K, gd.K)
+        assert np.array_equal(res.sigma.first_row, gd.sigma.first_row)
+
     def test_singular_system_stalls(self, monkeypatch):
         import circmaxent.solver as solver
 
@@ -822,6 +852,36 @@ def test_delta_bounds_whitened_eigenvalue(m, n, extra, seed):
     blocks[0] = sym(blocks[0])
     _, lin, lin0 = dual_pairing(Minv.T @ K @ Minv / s, BandData(m, n, blocks), N)
     assert abs(lin / abs(lin0) - delta) <= 1e-12 * abs(delta)
+
+
+@seed(27)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 16), st.sampled_from(["toeplitz", "identity"]),
+       st.sampled_from(["gd", "newton"]), st.integers(0, 4), st.integers(-150, 150), st.integers(0, 2**32 - 1))
+@example(1, 1, 6, "toeplitz", "newton", 4, -150, 0)
+def test_decrement_bound(m, n, extra, init, method, steps, e, draw):
+    # the bound that lets Newton stop without a Hessian is at least the
+    # squared decrement _newton_step computes, at a start or after a few
+    # steps, and it is the same at every scale of the data: the band is
+    # scaled by s, the power of two nearest 10^e, so the scaled band and
+    # point are exact and any difference is the bound's own rounding.  Near
+    # the optimum an unscaled |G|^2 underflows at s = 1e-150 (the example)
+    # and certifies a point that is not optimal
+    N = min(2 * n + 2 + extra, 20)
+    band = random_feasible_band(m, n, N, np.random.default_rng(draw))
+    K = solve(band, N, SolverConfig(max_iter=steps), init=init, method=method).K
+    s = 2.0 ** round(e * math.log2(10.0))
+    bounds = []
+    for blocks, point in ((band.blocks, K), (s * band.blocks, K / s)):
+        data = np.swapaxes(blocks, 1, 2)
+        D = 2.0 * N * data
+        D[0] *= 0.5
+        _, psi, chol, _ = _objective(point, D, m, n, N, parts=True)
+        G, inv = _gradient(psi, data, N)
+        bound = _decrement_bound(G, inv, chol, N)
+        assert _newton_step(G, inv, N)[1] <= (1.0 + 1e-12) * bound
+        bounds.append(bound)
+    assert abs(bounds[1] - bounds[0]) <= 1e-12 * bounds[0]
 
 
 @settings(deadline=None, max_examples=20)
