@@ -16,17 +16,23 @@ iterates on K, an (n+1, m, m) array, and returns the final band as ``K``.
 A full Lambda is read only by ``dual_gradient`` and built only by
 ``init_lambda``.
 
-One backtracking loop takes one of two steps.  ``method="gd"``, the
-default, is the paper's algorithm, the gradient step in Lambda reduced to
-the band, taken in Sigma_0-whitened units: with Sigma_0 = L L^T the step on
-K_d is (w_d / N) Sigma_0^-1 G_d Sigma_0^-1, steepest descent in the norm
-||L^-1 G_d L^-T|| (Boyd & Vandenberghe, *Convex Optimization*, 9.4.1), and
-the solve stops when that norm reaches ``eta``.  So GD's steps do not
-change under a scale or block congruence of the data in exact arithmetic,
-and in floating point at every scale and under a rotation and rescaling of
-the channels; a general congruence of condition 1e2 or more costs f digits
-that the line search reads.  A Sigma_0 that is not positive definite has
-no completion; GD then takes the plain gradient step (L = I) to its
+One loop takes one of two steps.  ``method="gd"``, the default, is the
+paper's algorithm, gradient descent on the band, steepest descent in a
+fixed metric (Boyd & Vandenberghe, *Convex Optimization*, 9.4.1): the
+lag-0 block V0 of the Hessian at the first point GD steps from, built once
+(``_gd_metric``), so the step on K_d is N V0^-1 vec(G_d).  f is
+self-concordant, so the length of that step is not searched for but
+certified: ``_gd_step`` bounds the change of f along the step from one
+spectrum of the step and takes a length that passes the Armijo test in
+exact arithmetic and stays inside the domain.  No difference of f is read,
+and the trial's Cholesky is the only test.  The solve stops when the
+Sigma_0-whitened gradient norm ||L^-1 G_d L^-T||, Sigma_0 = L L^T, reaches
+``eta``.  So GD's steps and its stop do not change under a scale or block
+congruence of the data in exact arithmetic, and in floating point at every
+scale and under a general congruence of condition up to 1e3, where the
+mapped data's own rounding, about cond^2 eps, is what moves the
+completion.  A Sigma_0 that is not positive definite has no completion; GD
+then stops on the plain gradient norm (L = I), and its steps end on the
 certificate.  ``method="newton"`` is damped Newton on the
 p = m(m+1)/2 + n m^2 band entries: the Hessian is assembled in the lag
 domain from the same inverse frequency blocks as the gradient, in
@@ -47,10 +53,11 @@ Psi_0..Psi_{N/2} straight from the n+1 band blocks through a cached phase
 table, factors them with one batched Cholesky for the log-determinant, and
 returns the blocks and their factors with the objective and its linear term
 Tr(K D).  At an accepted point the gradient inverts those same blocks and
-reads the n+1 inverse lags back through the conjugate table, the Newton
-step reuses the inverse blocks, and the line search's noise floor reuses
-the linear term; a rejected trial costs one spectrum and one Cholesky.
-That is O(m^3 N + m^2 n N) per gradient step with no FFT; one real inverse
+reads the n+1 inverse lags back through the conjugate table, and the
+Newton step and GD's certified length reuse the inverse blocks, GD's with
+one more spectrum, of its step; a rejected trial costs one spectrum and
+one Cholesky.  That is O(m^3 N + m^2 n N) per gradient step with no FFT,
+and O(m^4 N + m^6) once for GD's metric; one real inverse
 FFT builds the completion at exit, and ``blockcirc._mirror`` makes its
 first row exactly that of a symmetric matrix, row[N-d] = row[d]^T to the
 bit.  ``verify_solution`` checks a result against the band it returns,
@@ -85,6 +92,7 @@ from .blockcirc import (
     _dual_band,
     _factored,
     _half_logdet,
+    _half_weights,
     _mirror,
     _option,
     _phase_tables,
@@ -98,11 +106,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # Armijo sufficient-decrease fraction and backtracking factor.
 _ALPHA = 0.3
 _BETA = 0.5
-# Decreases below ~16 eps times the objective's terms cannot be read off it;
-# the line search then reuses the last validated step instead of testing.
-_NOISE_EPS = 16.0 * float(np.finfo(float).eps)
-# Initial line-search step, reset every iteration.
-_STEP0 = 1.0
 # Tr(K D) < this |N tr(K_0 Sigma_0)| ends a solve (see ``solve``): every whitened
 # completion then has condition number > 1e8 ~ 1/sqrt(eps), half its digits lost.
 # No division, so a Sigma_0 that is not PD is "infeasible" only on Tr(K D) < 0.
@@ -134,7 +137,7 @@ class DualVariable:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Backtracking descent parameters.
+    """Descent parameters.
 
     ``eta`` is gradient descent's stop on the Frobenius norm of the
     whitened gradient, ||L^-1 G_d L^-T|| in the weights of T_n, with
@@ -143,7 +146,8 @@ class SolverConfig:
     None, so the default is the same under any scale or block congruence
     of the data.  L = I where Sigma_0 is not positive definite, as there is
     no completion to whiten by.  Newton stops on its decrement and does not
-    read it.  The line-search step resets to 1 every iteration.  An ``eta``
+    read it.  No step length is a parameter: Newton tries 1 every
+    iteration, and GD takes its certified length (``_gd_step``).  An ``eta``
     that breaks the tolerance rule (``blockcirc._tolerance``: a real number
     in [0, inf)), a ``max_iter`` that is not a count >= 0
     (``blockcirc._count``) and a ``trace`` with no ``write`` method raise
@@ -176,7 +180,12 @@ class SolverResult:
     block-circulant C(K).  ``final_grad_norm`` is the whitened gradient
     norm at K under both methods (see ``SolverConfig.eta``), as is the
     trace's ``grad_norm``.  ``objective`` is the dual objective f at K; a
-    ``SolverConfig.trace`` sink receives f at every iterate.  The record is
+    ``SolverConfig.trace`` sink receives f at every iterate, and as ``step``
+    the length of the step that reached it, which for GD is its certified
+    length and can exceed 1.  ``line_search_backtracks_total`` counts the
+    halvings of a step: Newton's on its Armijo test, GD's only where a trial
+    fails the PD test, which its length rules out in exact arithmetic.  The
+    record is
     frozen, and a solve's own result carries the Cholesky factors of K's
     frequency blocks, which ``verify_solution`` reuses while ``K`` is
     read-only: not after ``copy.deepcopy`` or ``dataclasses.replace``.  A
@@ -243,8 +252,8 @@ def _objective(value: np.ndarray, T: np.ndarray, m: int, n: int, N: int, parts: 
     frequency blocks it factored and their Cholesky factors (both None
     outside the domain) and the linear term Tr(Lambda T_n).  The gradient
     inverts the blocks, ``verify_solution`` reuses the factors of the point
-    a solve returns, and the line search's noise floor reuses the linear
-    term, so that each point is evaluated once."""
+    a solve returns, and the boundary test reuses the linear term, so that
+    each point is evaluated once."""
     K = _dual_band(value, m, n, N)
     # T is finite, so a non-finite entry of value makes lin NaN or infinite
     # (0 * inf is NaN): lin doubles as the finiteness test of K
@@ -274,9 +283,9 @@ def _gradient(psi: np.ndarray, data: np.ndarray, N: int):
 
 
 def _whiten(B: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The blocks X B_d X^T of a band B (n+1, m, m), given the m^2 x m^2
-    M = (X (x) X)^T that right-multiplies each block's row-major vec: one
-    product for all n+1 blocks."""
+    """The band whose blocks have the row-major vecs vec(B_d) M, for a band
+    B (n+1, m, m) and an m^2 x m^2 M: one product for all n+1 blocks.  With
+    M = (X (x) X)^T the blocks are X B_d X^T."""
     return (B.reshape(len(B), -1) @ M).reshape(B.shape)
 
 
@@ -300,6 +309,55 @@ def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
     M = left.view(float).reshape(-1, 2 * h1) @ At.view(float).T
     # M[s] is indexed ((a, c), (b, e)) for conj(G)[a, c] G[b, e]
     return M.reshape(2 * n + 1, m, m, m, m).transpose(0, 1, 3, 2, 4).reshape(2 * n + 1, m * m, m * m)
+
+
+def _gd_metric(inv: np.ndarray, N: int) -> tuple:
+    """GD's metric at the point with inverse frequency blocks ``inv``: the
+    lag-0 block V0 = sum_l conj(inv_l) (x) inv_l of the Hessian
+    (``_hessian_lags``), the curvature of f along one lag, as the pair
+    (P, s) with s = max|inv| and P = N (V0 / s^2)^-1, so that
+    N V0^-1 vec(X) = P vec(X / s) / s and no entry of P under- or overflows
+    at any scale of the data.  The blocks of ``inv`` are Hermitian PD, so s
+    lies on their diagonals."""
+    s = float(inv.real.diagonal(axis1=1, axis2=2).max())
+    return N * np.linalg.inv(_hessian_lags(inv / s, 0, N)[0]), s
+
+
+def _gd_step(G: np.ndarray, inv: np.ndarray, metric: tuple, N: int) -> tuple:
+    """GD's step on the band at a point with band gradient G and inverse
+    frequency blocks ``inv``, with its slope and its certified length:
+    (S, slope, t).
+
+    The step is S_d = N V0^-1 vec(G_d) in the metric (P, s) of
+    ``_gd_metric``: the Newton step with the Hessian's lag-0 blocks alone,
+    as the gradient of f is N G_0 on K_0 and 2 N G_d on K_d, whose
+    curvature is 2 V0 (block Jacobi), and a Hessian frozen where GD starts
+    to step.  slope = -N (<G_0, S_0> + 2 sum_{d>=1} <G_d, S_d>) is the derivative
+    of f(K - t S) at t = 0.  Along that line, exactly,
+
+        f(K - t S) - f(K) = t slope + sum_l w_l sum_i psi(t mu_li),
+
+    psi(x) = -log(1 - x) - x, with mu_li the eigenvalues of
+    L_l^-1 Psi_l(S) L_l^-H over the frequency blocks Psi_l = L_l L_l^H of K
+    and their multiplicities w_l.  f is self-concordant (Boyd & Vandenberghe,
+    *Convex Optimization*, 9.6; Nesterov, *Introductory Lectures*, 4.1):
+    psi(x) <= x^2 / (2 (1 - |x|)) for |x| < 1, and with
+    q = sum_l w_l tr((Psi_l^-1 Psi_l(S))^2) = sum w mu^2 and
+    r = max_l sqrt(tr((Psi_l^-1 Psi_l(S))^2)) >= max |mu| the length
+    t = c / (q + c r), c = 2 (1 - _ALPHA) |slope|, passes the Armijo test
+    f(K - t S) <= f(K) + _ALPHA t slope in exact arithmetic and keeps
+    t max mu < 1, inside the domain.  No difference of f is read, so the
+    test holds at every scale of f.  One spectrum of S and one batched
+    product with ``inv``: O(m^3 N + m^2 n N)."""
+    P, s = metric
+    step = _whiten(G / s, P) / s
+    step[0] = _sym(step[0])
+    slope = -N * (2.0 * float(np.vdot(G, step)) - float(np.vdot(G[0], step[0])))
+    X = inv @ _band_spectrum(step, N)
+    tr = np.einsum("lij,lji->l", X, X).real  # tr(X_l^2) = sum_i mu_li^2 >= 0
+    c = 2.0 * (1.0 - _ALPHA) * abs(slope)
+    t = c / (float(_half_weights(N) @ tr) + c * math.sqrt(max(float(tr.max()), 0.0)))
+    return step, slope, t
 
 
 @lru_cache(maxsize=64)
@@ -429,20 +487,25 @@ def solve(
     init: str = "toeplitz",
     method: str = "gd",
 ) -> SolverResult:
-    """Minimize the dual objective by backtracking descent.
+    """Minimize the dual objective by descent.
 
-    ``method="gd"`` descends along the negative gradient in Sigma_0-whitened
-    units, the band step Sigma_0^-1 G_d Sigma_0^-1, and stops when the
-    whitened gradient's norm drops to ``eta`` (see SolverConfig); where
-    Sigma_0 is not positive definite it takes the plain gradient step, and
-    the solve ends "infeasible" on its certificate.  ``method="newton"`` takes
+    ``method="gd"`` steps along N V0^-1 vec(G_d), V0 the lag-0 block of
+    the Hessian at the first point it steps from (``_gd_metric``, built only
+    once the start has failed the stop test), by the length
+    ``_gd_step`` certifies to pass the Armijo test, and stops when the
+    Sigma_0-whitened gradient's norm drops to ``eta`` (see SolverConfig);
+    where Sigma_0 is not positive definite it stops on the plain gradient
+    norm, and the solve ends "infeasible" on its certificate.  A GD trial
+    that fails the PD test, which the certified length rules out in exact
+    arithmetic, halves the step, and a step that falls below 1e-18, or is
+    not finite, ends the solve "stalled".  ``method="newton"`` takes
     the Newton step on the band and stops when half the squared Newton
     decrement drops to 1e-20, or when the decrement stops falling in the
     full-step regime, where rounding sets its floor, or, before any
     Hessian is built, on the certificate: half of ``_decrement_bound``, an
     upper bound on the squared decrement, at most 1e-20.  It stops at the
     same K as the decrement would, with no Hessian; it does not read
-    ``eta``.  Both backtrack on Armijo (the objective evaluates to +inf
+    ``eta``.  It backtracks on Armijo (the objective evaluates to +inf
     outside the domain, so the line search also enforces feasibility).  The
     iterate is the band K, started from ``init``, "toeplitz" or "identity"
     (see ``_start``).  Returns the final band ``K`` and the
@@ -460,12 +523,14 @@ def solve(
     solve "infeasible" and any other delta < 1e-8 "boundary", with K the
     certificate; a singular Newton system ends it "stalled".  GD in practice
     never gets there: delta falls too slowly along its steps, and on
-    (1, cos 6pi/7) at N = 7 it ends "max_iter" after 300,000 steps, so use
+    (1, cos 6pi/7) at N = 7 and four other boundary bands it ends
+    "max_iter" after 20,000 steps with delta still 0.003-0.02, so use
     newton where the data may lie on the boundary.  When the
     toeplitz start cannot be formed (the band's block-Toeplitz matrix is
     not positive definite), lies outside the dual domain, or gives a
     singular Newton system (its frequency blocks can be too ill-conditioned
-    for the Hessian's Cholesky), the solve starts from the identity, which
+    for the Hessian's Cholesky) or a GD step that is no descent (a metric
+    inverted past rounding), the solve starts from the identity, which
     always lies inside, and reports "identity (fallback from toeplitz)" as
     its ``init_mode``; a trace then starts again at iteration 0.
 
@@ -479,26 +544,22 @@ def solve(
     newton = _option(method, ("gd", "newton"), "method") == "newton"
     m, n = band.m, band.n
     _check_sizes(m, n, N)
-    # The gradient step in Lambda moves the block sum N K_d by the w_d =
-    # n+1-d gradient blocks on its diagonal, and Tr(Lambda T_n) = sum(K * D)
-    # since block d of T_n sits once on the diagonal and twice off it.
-    wN = np.arange(n + 1, 0, -1.0)[:, None, None] / N
+    # Tr(Lambda T_n) = sum(K * D), since block d of T_n sits once on the
+    # diagonal and twice off it.
     data = np.swapaxes(band.blocks, 1, 2)
     D = 2.0 * N * data
     D[0] *= 0.5
-    # GD is steepest descent in the Sigma_0-whitened norm ||L^-1 G_d L^-T||,
-    # Sigma_0 = L L^T: the plain step taken in the coordinates L^-1 x L^-T,
-    # so its steps, its stop and the reported gradient norm do not change
-    # with the scale of the data.  A Sigma_0 that is not PD has no
-    # completion; there L = I.
+    # GD stops on the Sigma_0-whitened norm ||L^-1 G_d L^-T||, Sigma_0 =
+    # L L^T, so its stop and the reported gradient norm do not change with
+    # the scale of the data.  A Sigma_0 that is not PD has no completion;
+    # there L = I.
     try:
         Li = np.linalg.inv(_cholesky_blocks(data[0], "Sigma_0"))
     except NotPositiveDefinite:
         Li = np.eye(m)
-    # row-major vec(L^-1 X L^-T) = (L^-1 (x) L^-1) vec(X), and back by the
-    # transpose: L^-T Y L^-1
-    Lb = np.einsum("ij,kl->ikjl", Li, Li).reshape(m * m, m * m)
-    Lw = np.ascontiguousarray(Lb.T)
+    # row-major vec(L^-1 X L^-T) = (L^-1 (x) L^-1) vec(X); ``_whiten`` takes
+    # the transpose
+    Lw = np.einsum("ij,kl->jlik", Li, Li).reshape(m * m, m * m)
     eta = cfg.eta if cfg.eta is not None else 1e-8 * _band_norm(_whiten(data, Lw))
 
     init_mode = init
@@ -512,12 +573,8 @@ def solve(
     iterations = 0
     status = None
     t = 0.0
-    # last Armijo-validated step, from the natural step 1 of both methods:
-    # GD's step is in whitened units, so a start already below the noise
-    # floor takes it untested instead of an Armijo test that reads rounding
-    t_acc = _STEP0
-    # the gradient norm before an untested step, inf after a tested one
-    lam2_prev = g_prev = math.inf
+    lam2_prev = math.inf
+    metric = None  # GD's, from the first point it steps from
 
     if cfg.trace is not None:
         cfg.trace.write("iter,jbar,grad_norm,step\n")
@@ -525,15 +582,16 @@ def solve(
     while True:
         if not math.isfinite(f):
             # only a toeplitz start gets here, outside the domain or with a
-            # singular Newton system: the identity is always inside
+            # singular Newton system or a GD step that is no descent: the
+            # identity is always inside
             K = _start(band, N, "identity")
             init_mode = "identity (fallback from toeplitz)"
             f, psi, chol, lin = _objective(K, D, m, n, N, parts=True)
+            metric = None
         # K is accepted: keep its factors, drop its blocks once inverted
         G, inv = _gradient(psi, data, N)
         psi = None
-        W = _whiten(G, Lw)
-        gnorm = _band_norm(W)
+        gnorm = _band_norm(_whiten(G, Lw))
         if cfg.trace is not None:
             cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
         bound = _DELTA_TOL * abs(float(np.vdot(K[0], D[0])))
@@ -548,7 +606,7 @@ def solve(
             if _decrement_bound(G, inv, chol, N) / 2 <= _DECREMENT_TOL:
                 break
             step, lam2 = _newton_step(G, inv, N)
-            slope = -lam2
+            slope, t = -lam2, 1.0
             # The decrement is affine invariant, so its tolerances are
             # absolute.  In the full-step regime a decrement that stops
             # falling is at its rounding floor.
@@ -556,25 +614,15 @@ def solve(
             done = lam2 / 2 <= _DECREMENT_TOL or (not armijo and lam2 >= lam2_prev)
             lam2_prev = lam2
         else:
-            # the step Sigma_0^-1 G_d Sigma_0^-1 = L^-T W_d L^-1 on K_d
-            step = wN * _whiten(W, Lb)
-            step[0] = _sym(step[0])
-            slope = -(gnorm ** 2)  # its pairing with the gradient
-            # f is Tr(K D) - logdet, so its rounding error scales with the
-            # larger of the two terms, not with f itself.
-            noise = _NOISE_EPS * max(1.0, abs(f), abs(lin))
-            # Armijo test when the predicted decrease is readable off f;
-            # below that resolution step at the last validated scale and
-            # test only that the point stays in the domain.
-            armijo = _ALPHA * _STEP0 * (-slope) >= noise
-            # f cannot show that an untested step was too long, but the
-            # gradient can: near the optimum every step shorter than 2 over
-            # the largest whitened curvature shrinks its norm, so a rise
-            # halves the untested step
-            if gnorm > g_prev:
-                t_acc *= _BETA
-            done = gnorm <= eta
-        if not math.isfinite(slope):
+            # the certified step passes Armijo by construction: the line
+            # search only tests that the trial stays in the domain
+            slope, armijo, done = 0.0, False, gnorm <= eta
+            if not done and iterations < cfg.max_iter:
+                if metric is None:
+                    metric = _gd_metric(inv, N)
+                step, slope, t = _gd_step(G, inv, metric, N)
+        # a GD metric inverted past rounding can point uphill
+        if not math.isfinite(slope) or slope > 0:
             if iterations == 0 and init_mode == "toeplitz":
                 f = math.inf  # restart from the identity
                 continue
@@ -585,22 +633,18 @@ def solve(
         if iterations >= cfg.max_iter:
             status = "max_iter"
             break
-        t = _STEP0 if armijo else t_acc
         trial = K - t * step
         f_new, psi, chol_new, lin = _objective(trial, D, m, n, N, parts=True)
         while (f_new > f + _ALPHA * t * slope) if armijo else not math.isfinite(f_new):
             t *= _BETA
             backtracks += 1
-            if t < 1e-18:
+            if not t >= 1e-18:  # NaN too
                 status = "stalled"
                 break
             trial = K - t * step
             f_new, psi, chol_new, lin = _objective(trial, D, m, n, N, parts=True)
         if status is not None:
             break
-        if armijo and not newton:
-            t_acc = t
-        g_prev = math.inf if armijo else gnorm
         K, f, chol = trial, f_new, chol_new
         iterations += 1
     if status is None:

@@ -299,3 +299,45 @@ def known_answer_band(m, n, N, rng, margin):
     eigs = np.linalg.eigvalsh(_band_spectrum(K, N))
     sigma = circ_inverse(project_band_gram(K, m, n, N))
     return BandData(m, n, np.swapaxes(sigma.first_row[: n + 1], 1, 2)), sigma, eigs.max() / eigs.min()
+
+
+def refuse_trial_factors(monkeypatch):
+    """Make every point a solve tries after its start fail the PD test: the
+    objective's first Cholesky, the start's, passes and every later one
+    raises NotPositiveDefinite, so each trial lies outside the domain."""
+    import circmaxent.solver as solver
+
+    cholesky = solver._cholesky_blocks
+    seen = []
+
+    def refuse(psi, what):
+        if what == "objective":
+            seen.append(what)
+            if len(seen) > 1:
+                raise NotPositiveDefinite("objective: trial refused")
+        return cholesky(psi, what)
+
+    monkeypatch.setattr(solver, "_cholesky_blocks", refuse)
+
+
+def line_change(K, S, t, band, N):
+    """Dense oracle for the change f(K - t S) - f(K) of the dual objective
+    f(K) = Tr(C(K) Sigma) - log det C(K) along a band direction S, in its
+    eigenvalue form, which reads no difference of f: with C(K) = L L^T and
+    mu the eigenvalues of L^-1 C(S) L^-T, it is t slope + sum_i psi(t mu_i),
+    psi(x) = -log(1 - x) - x, where slope = -Tr(C(S) Sigma) + sum_i mu_i is
+    the derivative at t = 0.  Returns (change, slope, noise); the change is
+    inf where t max mu >= 1, that is where C(K - t S) is not PD.  The slope
+    is a difference of two terms that cancel as the gradient falls, and
+    noise = mN eps sum_ij |C(S)_ij Sigma_ij|, the size of a rounding of its
+    first term, bounds its rounding error up to a small factor."""
+    C, _, _ = dual_pairing(K, band, N)
+    CS, lin_S, _ = dual_pairing(S, band, N)
+    Li = np.linalg.inv(np.linalg.cholesky(C))
+    mu = np.linalg.eigvalsh(sym(Li @ CS @ Li.T))
+    slope = -lin_S + float(mu.sum())
+    noise = band.m * N * float(np.finfo(float).eps) * float(np.sum(np.abs(CS * band.embed_circulant(N).to_dense())))
+    x = t * mu
+    if x.max() >= 1.0:
+        return np.inf, slope, noise
+    return t * slope + float(np.sum(-np.log1p(-x) - x)), slope, noise

@@ -19,6 +19,7 @@ from helpers import (
     is_mirrored,
     known_answer_band,
     random_symmetric_circulant,
+    refuse_trial_factors,
 )
 
 
@@ -170,16 +171,14 @@ class TestSolveCommand:
 
     def test_gd_stall_exits_3(self, tmp_path, monkeypatch):
         # GD solves (1, 0.3) 1e10 in the steps it takes at unit scale; with
-        # an infinite Armijo fraction no step passes (see
+        # every trial's Cholesky refused no step lies in the domain (see
         # test_gd_stalls_at_the_step_floor), and the stall exits 3
-        import circmaxent.solver as solver
-
         prob = write_problem(tmp_path / "big.json", 1, 1, 8, [[1e10], [1e10 * 0.3]])
         out = tmp_path / "out.json"
         assert main(["solve", prob, "--method", "gd", "-o", str(out)]) == 0
         diagnostics = json.loads(out.read_text())["diagnostics"]
-        assert (diagnostics["status"], diagnostics["iterations"]) == ("converged", 132)
-        monkeypatch.setattr(solver, "_ALPHA", math.inf)
+        assert (diagnostics["status"], diagnostics["iterations"]) == ("converged", 28)
+        refuse_trial_factors(monkeypatch)
         assert main(["solve", prob, "--method", "gd", "-o", str(out)]) == 3
         assert json.loads(out.read_text())["diagnostics"]["status"] == "stalled"
 

@@ -31,7 +31,10 @@ from circmaxent import (
 from circmaxent.blockcirc import _band_spectrum, _block_toeplitz, _dual_band
 from circmaxent.solver import (
     LOG_2PI,
+    _ALPHA,
     _decrement_bound,
+    _gd_metric,
+    _gd_step,
     _gradient,
     _hessian_lags,
     _lift,
@@ -47,7 +50,9 @@ from helpers import (
     in_dual_domain,
     is_banded,
     known_answer_band,
+    line_change,
     random_feasible_dual,
+    refuse_trial_factors,
     scalar_band,
     sym,
     white_noise_band,
@@ -453,20 +458,27 @@ class TestSolve:
             float(fields[1]), float(fields[2]), float(fields[3])
 
     def test_gd_stalls_at_the_step_floor(self, monkeypatch):
-        # with an infinite Armijo fraction no trial passes the test (with
-        # alpha = 1 convexity fails it in exact arithmetic, but rounding
-        # passes a step of about 2^-50), so the line search halves the step
-        # to its floor 1e-18 > 2^-60 and the solve ends "stalled" at its
+        # with every trial's Cholesky refused no trial lies in the domain, so
+        # the line search halves the certified first step, 0.80, to its
+        # floor 1e-18 > 0.80 * 2^-60 and the solve ends "stalled" at its
         # start, which is still a verified completion
-        import circmaxent.solver as solver
-
-        monkeypatch.setattr(solver, "_ALPHA", math.inf)
+        refuse_trial_factors(monkeypatch)
         band = BandData(1, 1, 1e10 * np.array([1.0, 0.3]).reshape(2, 1, 1))
         result = solve(band, 8, method="gd")
         assert (result.status, result.iterations, result.line_search_backtracks_total) == ("stalled", 0, 60)
         assert result.init_mode == "toeplitz"
         assert np.array_equal(result.K, _start(band, 8, "toeplitz"))
         verify_solution(result, band)
+
+    def test_gd_stalls_on_a_non_finite_step(self, monkeypatch):
+        # an infinite Armijo fraction makes the certified length NaN; the
+        # step floor reads NaN as below it (a floor of `t < 1e-18` never
+        # did, and the solve halved NaN without end)
+        import circmaxent.solver as solver
+
+        monkeypatch.setattr(solver, "_ALPHA", math.inf)
+        result = solve(BandData(1, 1, np.array([1.0, 0.3]).reshape(2, 1, 1)), 8, SolverConfig(max_iter=100))
+        assert (result.status, result.iterations, result.line_search_backtracks_total) == ("stalled", 0, 1)
 
     def test_config_validation(self):
         # no gradient norm meets a negative or NaN eta, so GD would run out
@@ -509,13 +521,14 @@ class TestSolve:
             assert res.status == "max_iter"
 
     def test_gd_scale_free(self):
-        # GD steps in Sigma_0-whitened units, so the band (1, 0.3) s takes
-        # the same steps at every scale to the s-times completion.  The
-        # plain gradient step stalled at its start at 1e10 and could not
-        # converge in 200 steps at 1e-10 and 1e-100
+        # GD's step, its certified length and its stop do not change with
+        # the scale of the data, so the band (1, 0.3) s takes the same steps
+        # at every scale to the s-times completion.  The plain gradient step
+        # stalled at its start at 1e10 and could not converge in 200 steps
+        # at 1e-10 and 1e-100
         base = np.array([1.0, 0.3]).reshape(2, 1, 1)
         ref = solve(BandData(1, 1, base), 8)
-        assert ref.converged and ref.iterations == 132
+        assert ref.converged and ref.iterations == 28
         for s in (1e10, 1e-10, 1e-100):
             res = solve(BandData(1, 1, s * base), 8, SolverConfig(max_iter=200))
             assert res.converged and res.iterations == ref.iterations
@@ -540,8 +553,10 @@ class TestSolve:
         assert res.converged
 
     def test_gradient_rise_halves_the_untested_step(self):
-        # below the noise floor GD steps untested; a rise of the gradient
-        # norm halves that step (742 steps; 3,500 with the unit step kept)
+        # whitened GD's untested unit step made the gradient norm grow on
+        # this band (3,500 steps), and a rule that halved the step on a rise
+        # brought it to 742; the certified step, which is never untested,
+        # takes 317 and needs no such rule
         res = solve(BandData(5, 3, RISE_BAND), 9, SolverConfig(max_iter=2500))
         assert res.converged and res.iterations <= 1000
 
@@ -577,7 +592,9 @@ class TestSolve:
     def test_one_spectrum_per_point(self, monkeypatch, method, band, N):
         # every point the loop evaluates forms its frequency blocks once:
         # the start, each accepted step and each backtrack; the gradient
-        # and the next step reuse the accepted trial's blocks
+        # and the next step reuse the accepted trial's blocks.  A GD step
+        # also forms its own blocks, for its certified length, and no f
+        # test rejects its trial, so it takes no backtrack
         import circmaxent.solver as solver
 
         calls = []
@@ -588,9 +605,13 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "_band_spectrum", counted)
         res = solve(band, N, method=method)
-        assert res.converged and res.init_mode == "toeplitz"
-        assert res.iterations > 1 and res.line_search_backtracks_total > 0
-        assert len(calls) == 1 + res.iterations + res.line_search_backtracks_total
+        assert res.converged and res.init_mode == "toeplitz" and res.iterations > 1
+        if method == "gd":
+            assert res.line_search_backtracks_total == 0
+            assert len(calls) == 1 + 2 * res.iterations + res.line_search_backtracks_total
+        else:
+            assert res.line_search_backtracks_total > 0
+            assert len(calls) == 1 + res.iterations + res.line_search_backtracks_total
         calls.clear()
         dual_gradient(init_lambda(band, N), band, N)
         assert len(calls) == 1
@@ -692,6 +713,26 @@ class TestNewton:
         assert np.array_equal(res.K, gd.K)
         assert np.array_equal(res.sigma.first_row, gd.sigma.first_row)
 
+    @pytest.mark.parametrize("m, n, N", [(10, 2, 1024), (5, 3, 4096)])
+    def test_gd_stop_at_start_builds_nothing(self, m, n, N, monkeypatch):
+        # GD builds its metric at the first point it steps from, so a solve
+        # that stops at its start builds none (one built before the stop
+        # test took the long-period benchmark from 66 to 18.5 solves a
+        # second) and returns the same bits
+        import circmaxent.solver as solver
+
+        band = random_feasible_band(m, n, N, np.random.default_rng(5))
+        ref = solve(band, N)
+
+        def refuse(*args):
+            raise AssertionError("GD built a metric at the start it stops at")
+
+        monkeypatch.setattr(solver, "_hessian_lags", refuse)
+        res = solve(band, N)
+        assert (res.status, res.iterations) == ("converged", 0)
+        assert res.K.tobytes() == ref.K.tobytes()
+        assert res.sigma.first_row.tobytes() == ref.sigma.first_row.tobytes()
+
     def test_singular_system_stalls(self, monkeypatch):
         import circmaxent.solver as solver
 
@@ -720,7 +761,7 @@ class TestNewton:
             assert np.array_equal(given.K, default.K)
 
     def test_near_boundary_in_few_steps(self):
-        # plain GD needs 98,367 steps here
+        # GD needs 96,041 steps here
         band = scalar_band([1.0, -0.91])
         res = solve(band, 9, method="newton")
         assert res.converged and res.iterations <= 20
@@ -884,6 +925,36 @@ def test_decrement_bound(m, n, extra, init, method, steps, e, draw):
     assert abs(bounds[1] - bounds[0]) <= 1e-12 * bounds[0]
 
 
+@seed(28)
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 16), st.integers(0, 4), st.integers(-500, 500),
+       st.integers(0, 2**32 - 1))
+def test_certified_step_passes_armijo(m, n, extra, steps, k, draw):
+    # GD's certified length passes the Armijo test on the exact change of f
+    # along its step, read by a dense eigenvalue oracle with no difference of
+    # f, at the start or after a few steps and at every scale 2^k of the
+    # data; and the slope the rule reads off the gradient is the oracle's.
+    # The oracle's slope is a difference of two terms, so near the optimum
+    # it carries its own rounding, ``noise``: at a toeplitz start optimal to
+    # rounding its error reached 1.4 times the slope, and at most 4.4 noise
+    # in 400 draws
+    N = min(2 * n + 2 + extra, 20)
+    blocks = 2.0 ** k * random_feasible_band(m, n, N, np.random.default_rng(draw)).blocks
+    band = BandData(m, n, blocks)
+    res = solve(band, N, SolverConfig(max_iter=steps))
+    data = np.swapaxes(blocks, 1, 2)
+    D = 2.0 * N * data
+    D[0] *= 0.5
+    start = _start(band, N, "toeplitz" if res.init_mode == "toeplitz" else "identity")
+    metric = _gd_metric(band_gradient(start, data, N)[1], N)
+    G, inv = band_gradient(res.K, data, N)
+    step, slope, t = _gd_step(G, inv, metric, N)
+    change, oracle_slope, noise = line_change(res.K, step, t, band, N)
+    assert math.isfinite(change)  # the trial is in the domain
+    assert change <= _ALPHA * t * slope + 1e-12 * abs(t * slope) + 8 * t * noise
+    assert abs(slope - oracle_slope) <= 1e-10 * abs(slope) + 8 * noise
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(2, 3), st.integers(1, 2), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_time_reversal(m, n, extra, seed):
@@ -932,27 +1003,34 @@ def _gd_references():
 @settings(deadline=None, max_examples=40)
 @given(st.integers(-150, 150), st.floats(0.0, 4.0), st.integers(0, 2**32 - 1))
 def test_gd_is_scale_and_congruence_free(e, c, draw):
-    # GD steps in Sigma_0-whitened units, so a band scaled by s = 10^e, or
-    # mapped by M = 10^(e/3) diag(d) Q with Q a random rotation and d of
+    # GD's step, its certified length and its stop do not change under a
+    # scale or block congruence of the data, so a band scaled by s = 10^e,
+    # or mapped by M = 10^(e/3) diag(d) Q with Q a random rotation and d of
     # condition 10^c <= 1e4, takes the same steps as at unit scale to the
     # mapped completion (e/3 keeps the mapped band's norm representable).
-    # The plain gradient step stalled or ran out of budget at every scale
-    # but 1, and on the mapped band at condition 100
+    # So does a general congruence M = 10^(e/3) Q1 diag(d) Q2 of condition
+    # 10^(3c/4) <= 1e3, to the rounding of the mapped data, about
+    # cond(M)^2 eps.  The plain gradient step stalled or ran out of budget
+    # at every scale but 1, and on the rotated band at condition 100;
+    # whitened GD with an Armijo test on f converged on 2 of 30 general maps
     scalar, band, ref = _gd_references()
     s = 10.0 ** e
     budget = SolverConfig(max_iter=1000)  # a solve that cannot converge ends
     res = solve(BandData(1, 1, s * np.array([1.0, 0.3]).reshape(2, 1, 1)), 8, budget)
-    assert res.converged and res.iterations == scalar.iterations == 132
+    assert res.converged and res.iterations == scalar.iterations == 28
     assert np.abs(res.sigma.first_row / s - scalar.sigma.first_row).max() <= 1e-12
     rng = np.random.default_rng(draw)
     d = 10.0 ** np.array([0.0, rng.uniform(0.0, c), c])
-    M = 10.0 ** (e / 3) * d[:, None] * np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    blocks = M @ band.blocks @ M.T
-    blocks[0] = sym(blocks[0])
-    res = solve(BandData(3, 2, blocks), 12, budget)
-    want = M @ ref.sigma.first_row @ M.T
-    assert res.converged and res.iterations == ref.iterations == 305
-    assert np.abs(res.sigma.first_row - want).max() <= 1e-12 * np.abs(want).max()
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+    g = 10.0 ** np.array([0.0, rng.uniform(0.0, 0.75 * c), 0.75 * c])
+    for M, tol in ((10.0 ** (e / 3) * d[:, None] * Q1, 1e-12),
+                   (10.0 ** (e / 3) * (Q1 * g) @ Q2, 10 * (g[-1] / g[0]) ** 2 * np.finfo(float).eps)):
+        blocks = M @ band.blocks @ M.T
+        blocks[0] = sym(blocks[0])
+        res = solve(BandData(3, 2, blocks), 12, budget)
+        want = M @ ref.sigma.first_row @ M.T
+        assert res.converged and res.iterations == ref.iterations == 110
+        assert np.abs(res.sigma.first_row - want).max() <= tol * np.abs(want).max()
 
 
 class TestVerifySolution:
