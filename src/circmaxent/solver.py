@@ -16,29 +16,31 @@ iterates on K, an (n+1, m, m) array, and returns the final band as ``K``.
 A full Lambda is read only by ``dual_gradient`` and built only by
 ``init_lambda``.
 
-One loop takes one of two steps.  ``method="gd"``, the default, is the
-paper's algorithm, gradient descent on the band, steepest descent in a
-fixed metric (Boyd & Vandenberghe, *Convex Optimization*, 9.4.1): the
-lag-0 block V0 of the Hessian at the first point GD steps from, built once
-(``_gd_metric``), so the step on K_d is N V0^-1 vec(G_d).  f is
-self-concordant, so the length of that step is not searched for but
-certified: ``_gd_step`` bounds the change of f along the step from one
-spectrum of the step and takes a length that passes the Armijo test in
+One loop takes one of two steps, and one rule sets the length of both.
+f is self-concordant, so the length of a step is not searched for but
+certified: ``_certified_length`` bounds the change of f along the step from
+one spectrum of the step and takes a length that passes the Armijo test in
 exact arithmetic and stays inside the domain.  No difference of f is read,
-and the trial's Cholesky is the only test.  The solve stops when the
-Sigma_0-whitened gradient norm ||L^-1 G_d L^-T||, Sigma_0 = L L^T, reaches
-``eta``.  So GD's steps and its stop do not change under a scale or block
-congruence of the data in exact arithmetic, and in floating point at every
-scale and under a general congruence of condition up to 1e3, where the
-mapped data's own rounding, about cond^2 eps, is what moves the
+and the trial's Cholesky is the only test.  ``method="gd"``, the default,
+is the paper's algorithm, gradient descent on the band, steepest descent in
+a fixed metric (Boyd & Vandenberghe, *Convex Optimization*, 9.4.1): the
+lag-0 block V0 of the Hessian at the first point GD steps from, built once
+(``_gd_metric``), so the step on K_d is N V0^-1 vec(G_d).  The solve stops
+when the Sigma_0-whitened gradient norm ||L^-1 G_d L^-T||, Sigma_0 = L L^T,
+reaches ``eta``.  So GD's steps and its stop do not change under a scale or
+block congruence of the data in exact arithmetic, and in floating point at
+every scale and under a general congruence of condition up to 1e4, where
+the mapped data's own rounding, about cond^2 eps, is what moves the
 completion.  A Sigma_0 that is not positive definite has no completion; GD
 then stops on the plain gradient norm (L = I), and its steps end on the
 certificate.  ``method="newton"`` is damped Newton on the
 p = m(m+1)/2 + n m^2 band entries: the Hessian is assembled in the lag
 domain from the same inverse frequency blocks as the gradient, in
-O(n m^4 N), and factored by Cholesky; the solve stops on the squared Newton
-decrement alone, which is affine invariant, so the stopping rule and the
-step count do not depend on the scale of the data.  Before it builds a
+O(n m^4 N), and factored by Cholesky; the step takes the certified length
+capped at 1, which is 1 once the decrement lambda is at most 0.1.  The
+solve stops on the squared Newton decrement alone, which is affine
+invariant, so the stopping rule and the step count do not depend on the
+scale of the data.  Before it builds a
 Hessian, each Newton iterate reads an upper bound on that decrement off its
 gradient and the Cholesky factors it already has (``_decrement_bound``, in
 O(m^2 N)); where the bound is at the stop, the solve ends there with no
@@ -54,9 +56,9 @@ table, factors them with one batched Cholesky for the log-determinant, and
 returns the blocks and their factors with the objective and its linear term
 Tr(K D).  At an accepted point the gradient inverts those same blocks and
 reads the n+1 inverse lags back through the conjugate table, and the
-Newton step and GD's certified length reuse the inverse blocks, GD's with
-one more spectrum, of its step; a rejected trial costs one spectrum and
-one Cholesky.  That is O(m^3 N + m^2 n N) per gradient step with no FFT,
+Newton step and the certified length reuse the inverse blocks, the length
+with one more spectrum, of the step; a rejected trial costs one spectrum
+and one Cholesky.  That is O(m^3 N + m^2 n N) per gradient step with no FFT,
 and O(m^4 N + m^6) once for GD's metric; one real inverse
 FFT builds the completion at exit, and ``blockcirc._mirror`` makes its
 first row exactly that of a symmetric matrix, row[N-d] = row[d]^T to the
@@ -113,12 +115,10 @@ _DELTA_TOL = 1e-8
 # Newton stops when half its squared decrement, a bound on f - f* near the
 # optimum, falls to this.
 _DECREMENT_TOL = 1e-20
-# f is self-concordant, so at a squared Newton decrement below
-# ((1 - 2 alpha) / 4)^2 the full step passes the Armijo test in exact
-# arithmetic (Boyd & Vandenberghe 9.6.4) and lands inside the domain, and
-# the decrement then falls quadratically.  There Newton takes the full step
-# untested: near the domain's boundary f's rounding error can exceed the
-# predicted decrease, and the test would fail on rounding alone.
+# At a squared Newton decrement below ((1 - 2 alpha) / 4)^2, lambda <= 0.1,
+# the certified length (``_certified_length``) is 1, since r <= lambda, and
+# the decrement falls quadratically (Boyd & Vandenberghe 9.6.4): there a
+# decrement that stops falling is at its rounding floor.
 _FULL_STEP = ((1.0 - 2.0 * _ALPHA) / 4.0) ** 2
 
 
@@ -146,8 +146,9 @@ class SolverConfig:
     None, so the default is the same under any scale or block congruence
     of the data.  L = I where Sigma_0 is not positive definite, as there is
     no completion to whiten by.  Newton stops on its decrement and does not
-    read it.  No step length is a parameter: Newton tries 1 every
-    iteration, and GD takes its certified length (``_gd_step``).  An ``eta``
+    read it.  No step length is a parameter: both methods take the
+    certified length of their step (``_certified_length``), Newton's
+    capped at 1.  An ``eta``
     that breaks the tolerance rule (``blockcirc._tolerance``: a real number
     in [0, inf)), a ``max_iter`` that is not a count >= 0
     (``blockcirc._count``) and a ``trace`` with no ``write`` method raise
@@ -181,13 +182,12 @@ class SolverResult:
     norm at K under both methods (see ``SolverConfig.eta``), as is the
     trace's ``grad_norm``.  ``objective`` is the dual objective f at K; a
     ``SolverConfig.trace`` sink receives f at every iterate, and as ``step``
-    the length of the step that reached it, which for GD is its certified
-    length and can exceed 1.  ``line_search_backtracks_total`` counts the
-    halvings of a step: Newton's on its Armijo test, GD's only where a trial
-    fails the PD test, which its length rules out in exact arithmetic.  The
-    record is
-    frozen, and a solve's own result carries the Cholesky factors of K's
-    frequency blocks, which ``verify_solution`` reuses while ``K`` is
+    the length of the step that reached it: its certified length, which
+    for GD can exceed 1.  ``line_search_backtracks_total`` counts the
+    halvings of a step under either method after a trial fails the PD
+    test, which the certified length rules out in exact arithmetic.  The
+    record is frozen, and a solve's own result carries the Cholesky
+    factors of K's frequency blocks, which ``verify_solution`` reuses while ``K`` is
     read-only: not after ``copy.deepcopy`` or ``dataclasses.replace``.  A
     solve's ``K`` is over an immutable buffer, so ``K.setflags(write=True)``
     raises ValueError: the factors stay those of its entries.
@@ -311,29 +311,46 @@ def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
     return M.reshape(2 * n + 1, m, m, m, m).transpose(0, 1, 3, 2, 4).reshape(2 * n + 1, m * m, m * m)
 
 
-def _gd_metric(inv: np.ndarray, N: int) -> tuple:
+def _gd_metric(inv: np.ndarray, N: int) -> Optional[tuple]:
     """GD's metric at the point with inverse frequency blocks ``inv``: the
     lag-0 block V0 = sum_l conj(inv_l) (x) inv_l of the Hessian
     (``_hessian_lags``), the curvature of f along one lag, as the pair
     (P, s) with s = max|inv| and P = N (V0 / s^2)^-1, so that
     N V0^-1 vec(X) = P vec(X / s) / s and no entry of P under- or overflows
     at any scale of the data.  The blocks of ``inv`` are Hermitian PD, so s
-    lies on their diagonals."""
+    lies on their diagonals.  P = N Li^T Li with Li = L^-1, V0 / s^2 = L L^T
+    by the PD test, so vec(G) . P vec(G) >= 0 however ill-conditioned V0 is,
+    which a computed inverse of V0 does not ensure past condition 1/eps; V0
+    is symmetrized first, as near that condition the rounding of its
+    computed triangles decides the test.  None where V0 fails it."""
     s = float(inv.real.diagonal(axis1=1, axis2=2).max())
-    return N * np.linalg.inv(_hessian_lags(inv / s, 0, N)[0]), s
+    try:
+        Li = np.linalg.inv(_cholesky_blocks(_sym(_hessian_lags(inv / s, 0, N)[0]), "GD metric"))
+    except NotPositiveDefinite:
+        return None
+    return N * (Li.T @ Li), s
 
 
-def _gd_step(G: np.ndarray, inv: np.ndarray, metric: tuple, N: int) -> tuple:
-    """GD's step on the band at a point with band gradient G and inverse
-    frequency blocks ``inv``, with its slope and its certified length:
-    (S, slope, t).
+def _gd_step(G: np.ndarray, metric: tuple) -> np.ndarray:
+    """GD's step on the band at a point with band gradient G: S_d =
+    N V0^-1 vec(G_d) in the metric (P, s) of ``_gd_metric``, the Newton step
+    with the Hessian's lag-0 blocks alone, as the gradient of f is N G_0 on
+    K_0 and 2 N G_d on K_d, whose curvature is 2 V0 (block Jacobi), and a
+    Hessian frozen where GD starts to step."""
+    P, s = metric
+    step = _whiten(G / s, P) / s
+    step[0] = _sym(step[0])
+    return step
 
-    The step is S_d = N V0^-1 vec(G_d) in the metric (P, s) of
-    ``_gd_metric``: the Newton step with the Hessian's lag-0 blocks alone,
-    as the gradient of f is N G_0 on K_0 and 2 N G_d on K_d, whose
-    curvature is 2 V0 (block Jacobi), and a Hessian frozen where GD starts
-    to step.  slope = -N (<G_0, S_0> + 2 sum_{d>=1} <G_d, S_d>) is the derivative
-    of f(K - t S) at t = 0.  Along that line, exactly,
+
+def _certified_length(G: np.ndarray, step: np.ndarray, inv: np.ndarray, N: int, cap: float) -> tuple:
+    """The slope and the certified length (slope, t) of a descent step S on
+    the band, GD's or Newton's, at a point with band gradient G and inverse
+    frequency blocks ``inv``, with t at most ``cap``: 1 for Newton, inf for
+    GD.
+
+    slope = -N (<G_0, S_0> + 2 sum_{d>=1} <G_d, S_d>) is the derivative of
+    f(K - t S) at t = 0.  Along that line, exactly,
 
         f(K - t S) - f(K) = t slope + sum_l w_l sum_i psi(t mu_li),
 
@@ -347,17 +364,16 @@ def _gd_step(G: np.ndarray, inv: np.ndarray, metric: tuple, N: int) -> tuple:
     t = c / (q + c r), c = 2 (1 - _ALPHA) |slope|, passes the Armijo test
     f(K - t S) <= f(K) + _ALPHA t slope in exact arithmetic and keeps
     t max mu < 1, inside the domain.  No difference of f is read, so the
-    test holds at every scale of f.  One spectrum of S and one batched
-    product with ``inv``: O(m^3 N + m^2 n N)."""
-    P, s = metric
-    step = _whiten(G / s, P) / s
-    step[0] = _sym(step[0])
+    test holds at every scale of f, and so does any shorter length.  For
+    Newton's step q = lambda^2 = -slope and r <= lambda, so t >= 1 where
+    lambda <= 2/7.  One spectrum of S and one batched product with ``inv``:
+    O(m^3 N + m^2 n N)."""
     slope = -N * (2.0 * float(np.vdot(G, step)) - float(np.vdot(G[0], step[0])))
     X = inv @ _band_spectrum(step, N)
     tr = np.einsum("lij,lji->l", X, X).real  # tr(X_l^2) = sum_i mu_li^2 >= 0
     c = 2.0 * (1.0 - _ALPHA) * abs(slope)
     t = c / (float(_half_weights(N) @ tr) + c * math.sqrt(max(float(tr.max()), 0.0)))
-    return step, slope, t
+    return slope, min(t, cap)  # a NaN t stays NaN: min keeps its first argument
 
 
 @lru_cache(maxsize=64)
@@ -492,21 +508,21 @@ def solve(
     ``method="gd"`` steps along N V0^-1 vec(G_d), V0 the lag-0 block of
     the Hessian at the first point it steps from (``_gd_metric``, built only
     once the start has failed the stop test), by the length
-    ``_gd_step`` certifies to pass the Armijo test, and stops when the
+    ``_certified_length`` certifies to pass the Armijo test, and stops when the
     Sigma_0-whitened gradient's norm drops to ``eta`` (see SolverConfig);
     where Sigma_0 is not positive definite it stops on the plain gradient
-    norm, and the solve ends "infeasible" on its certificate.  A GD trial
-    that fails the PD test, which the certified length rules out in exact
-    arithmetic, halves the step, and a step that falls below 1e-18, or is
-    not finite, ends the solve "stalled".  ``method="newton"`` takes
-    the Newton step on the band and stops when half the squared Newton
+    norm, and the solve ends "infeasible" on its certificate.
+    ``method="newton"`` takes the Newton step on the band, by the same
+    certified length capped at 1, and stops when half the squared Newton
     decrement drops to 1e-20, or when the decrement stops falling in the
     full-step regime, where rounding sets its floor, or, before any
     Hessian is built, on the certificate: half of ``_decrement_bound``, an
     upper bound on the squared decrement, at most 1e-20.  It stops at the
     same K as the decrement would, with no Hessian; it does not read
-    ``eta``.  It backtracks on Armijo (the objective evaluates to +inf
-    outside the domain, so the line search also enforces feasibility).  The
+    ``eta``.  Under either method a trial that fails the PD test, which the
+    certified length rules out in exact arithmetic, halves the step, and a
+    step that falls below 1e-18, or is not finite, ends the solve
+    "stalled"; no trial faces another test.  The
     iterate is the band K, started from ``init``, "toeplitz" or "identity"
     (see ``_start``).  Returns the final band ``K`` and the
     completion ``sigma`` = inverse of the final band projection: its
@@ -529,8 +545,8 @@ def solve(
     toeplitz start cannot be formed (the band's block-Toeplitz matrix is
     not positive definite), lies outside the dual domain, or gives a
     singular Newton system (its frequency blocks can be too ill-conditioned
-    for the Hessian's Cholesky) or a GD step that is no descent (a metric
-    inverted past rounding), the solve starts from the identity, which
+    for the Hessian's Cholesky) or a GD metric that fails the PD test, the
+    solve starts from the identity, which
     always lies inside, and reports "identity (fallback from toeplitz)" as
     its ``init_mode``; a trace then starts again at iteration 0.
 
@@ -582,8 +598,8 @@ def solve(
     while True:
         if not math.isfinite(f):
             # only a toeplitz start gets here, outside the domain or with a
-            # singular Newton system or a GD step that is no descent: the
-            # identity is always inside
+            # singular Newton system or a GD metric that fails the PD test:
+            # the identity is always inside
             K = _start(band, N, "identity")
             init_mode = "identity (fallback from toeplitz)"
             f, psi, chol, lin = _objective(K, D, m, n, N, parts=True)
@@ -606,36 +622,36 @@ def solve(
             if _decrement_bound(G, inv, chol, N) / 2 <= _DECREMENT_TOL:
                 break
             step, lam2 = _newton_step(G, inv, N)
-            slope, t = -lam2, 1.0
             # The decrement is affine invariant, so its tolerances are
             # absolute.  In the full-step regime a decrement that stops
             # falling is at its rounding floor.
-            armijo = lam2 > _FULL_STEP
-            done = lam2 / 2 <= _DECREMENT_TOL or (not armijo and lam2 >= lam2_prev)
+            if lam2 / 2 <= _DECREMENT_TOL or lam2_prev <= lam2 <= _FULL_STEP:
+                break
             lam2_prev = lam2
-        else:
-            # the certified step passes Armijo by construction: the line
-            # search only tests that the trial stays in the domain
-            slope, armijo, done = 0.0, False, gnorm <= eta
-            if not done and iterations < cfg.max_iter:
-                if metric is None:
-                    metric = _gd_metric(inv, N)
-                step, slope, t = _gd_step(G, inv, metric, N)
-        # a GD metric inverted past rounding can point uphill
-        if not math.isfinite(slope) or slope > 0:
+        elif gnorm <= eta:
+            break
+        if iterations >= cfg.max_iter:
+            status = "max_iter"
+            break
+        if not newton:
+            if metric is None:
+                metric = _gd_metric(inv, N)
+            step = None if metric is None else _gd_step(G, metric)
+        # One step rule for both methods: the certified length passes the
+        # Armijo test in exact arithmetic, so a trial faces only the PD test.
+        # A singular Newton system, a GD metric that fails the PD test or a
+        # slope that is not finite or not downhill gives no descent step.
+        slope, t = (math.nan, 0.0) if step is None else _certified_length(
+            G, step, inv, N, 1.0 if newton else math.inf)
+        if not slope <= 0:
             if iterations == 0 and init_mode == "toeplitz":
                 f = math.inf  # restart from the identity
                 continue
             status = "stalled"
             break
-        if done:
-            break
-        if iterations >= cfg.max_iter:
-            status = "max_iter"
-            break
         trial = K - t * step
         f_new, psi, chol_new, lin = _objective(trial, D, m, n, N, parts=True)
-        while (f_new > f + _ALPHA * t * slope) if armijo else not math.isfinite(f_new):
+        while not math.isfinite(f_new):
             t *= _BETA
             backtracks += 1
             if not t >= 1e-18:  # NaN too
