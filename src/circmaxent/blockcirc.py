@@ -11,8 +11,8 @@ first row with a real FFT, or, for a matrix banded to distance n, straight
 from its n+1 band blocks.  Likewise the first row itself has only
 floor(N/2)+1 distinct blocks, row[N-d] = row[d]^T; ``_mirror`` owns that
 symmetry and makes every first row the package computes (an inverse FFT,
-an average) exactly mirrored, so that a writer can format each distinct
-block once.  Dense mN x mN matrices are only materialized by
+an average) exactly mirrored, so that every completion is symmetric to the
+last bit.  Dense mN x mN matrices are only materialized by
 ``to_dense`` (oracles and baselines), never on the solver path.  A full
 bordered dual matrix enters only through ``_dual_band``, which reduces it to
 its band.

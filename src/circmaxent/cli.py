@@ -4,15 +4,14 @@ Problem files are JSON: {"m", "n", "N", "blocks"} with n+1 blocks of m*m
 scalars row-major (Sigma_0 first).  Solution files carry the first block row
 of the completion plus diagnostics, and Newton and GD solutions the
 precision band K_0..K_n, the first-row blocks of the completion's banded
-inverse, as compact one-line JSON.  Floats are serialized with Python's
-shortest round-trip representation, which reparses bit-exactly.  Every
-completion's first row is mirrored exactly, row[N-d] = row[d]^T
-(``blockcirc._mirror``), so ``_emit_solution`` formats each of its
-floor(N/2)+1 distinct blocks once and writes block N-d as block d's strings
-in transposed order; the text is the one ``json.dumps`` writes.  ``solve``
-runs damped Newton on the precision band by default (``--method gd`` is the
-paper's gradient descent), and ``feas`` decides the generic case with the
-same Newton solve.  ``solve`` and ``bench`` take their methods from the one
+inverse, as compact one-line JSON.  Every JSON file is written by ``_emit``,
+which has orjson format the numpy arrays themselves: each float is the
+shortest text that ``json.loads`` reparses to the same bits, and a payload
+holding a float that is not finite is refused (ValueError) before anything
+is written, as orjson would write it as null.  ``solve`` runs damped
+Newton on the precision band by default (``--method gd`` is the paper's
+gradient descent), and ``feas`` decides the generic case with the same
+Newton solve.  ``solve`` and ``bench`` take their methods from the one
 list ``METHODS``, and ``compare`` runs the fixed rows ``_COMPARE_RUNS`` of
 it; all four run, time and verify every solve through ``_run_method``
 (a baseline's dense iterate projected onto circulants), so ``feas`` answers
@@ -35,6 +34,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import sys
 import time
 
@@ -79,58 +79,54 @@ def _load_problem(path):
     return BandData(m, n, blocks.reshape(n + 1, m, m)), N
 
 
-def _flat(blocks) -> list:
-    """A stack of blocks as lists of their entries, row-major."""
-    return [blk.reshape(-1).tolist() for blk in blocks]
+def _rows(blocks: np.ndarray) -> np.ndarray:
+    """A stack of blocks as one C-contiguous row of entries per block,
+    row-major: the shape the files carry, and the layout orjson writes."""
+    return np.ascontiguousarray(blocks).reshape(len(blocks), -1)
 
 
-def _sink(out: str):
-    return contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w")
+def _finite(value) -> bool:
+    """Whether every float in a payload of dicts, lists, arrays and scalars
+    is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _emit(payload: dict, out: str) -> None:
-    # compact: with an indent CPython falls back to its pure-Python encoder
-    with _sink(out) as fh:
-        fh.write(json.dumps(payload) + "\n")
+    """Write ``payload`` as one line of compact JSON to the file ``out``,
+    or to stdout for "-".
 
+    orjson formats the numpy arrays themselves: each float is its shortest
+    text that ``json.loads`` reparses to the same bits, -0.0 and subnormals
+    included.  The bytes go to the file as they are, and are decoded only
+    for stdout.  Raises ValueError, before it writes anything, if a float
+    in the payload is not finite: orjson would write it as null."""
+    import orjson  # at the first write, so that importing this module does not load it
 
-def _row_chunks(row: np.ndarray):
-    """The text ``json.dumps(_flat(row))`` of a mirrored first block row,
-    row[N-d] = row[d]^T, in pieces: each distinct block d = 0..floor(N/2)
-    is formatted once, and block N-d is its strings in transposed order."""
-    N, m = row.shape[0], row.shape[1]
-    h = N // 2
-    mirrored = []
-    for d in range(h + 1):
-        # json's own float format (NaN, Infinity included)
-        v = json.dumps(row[d].ravel().tolist())[1:-1].split(", ")
-        yield ("[[" if d == 0 else "], [") + ", ".join(v)
-        if 0 < d < N - h:
-            mirrored.append(", ".join(", ".join(v[i::m]) for i in range(m)))
-    for text in reversed(mirrored):
-        yield "], [" + text
-    yield "]]"
+    if not _finite(payload):
+        raise ValueError("payload holds a float that is not finite, which JSON cannot carry")
+    data = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    if out == "-":
+        sys.stdout.write(data.decode())
+    else:
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
 def _emit_solution(sigma: BlockCirculant, diagnostics: dict, out: str, K=None) -> None:
-    """Write a solution file: ``m``, ``N``, the completion's first block row,
-    streamed by ``_row_chunks``, ``diagnostics`` and, given K, its
-    ``precision_band``, as the one line ``_emit`` would write.
-
-    Raises ValueError, before it writes anything, if the row is not
-    mirrored to the bit: ``_row_chunks`` would write another matrix."""
-    bits = sigma.first_row.view(np.int64)
-    h = sigma.N // 2
-    if not (np.array_equal(bits[0], bits[0].T)
-            and np.array_equal(bits[sigma.N - h:], np.swapaxes(bits[h:0:-1], 1, 2))):
-        raise ValueError("first block row is not mirrored: row[N-d] != row[d]^T")
-    tail = {"diagnostics": diagnostics}
+    """Write a solution file: ``m``, ``N``, the completion's first block row
+    as N rows of m*m entries, ``diagnostics`` and, given K, its
+    ``precision_band`` as n+1 such rows (see ``_emit``)."""
+    payload = {"m": sigma.m, "N": sigma.N, "first_block_row": _rows(sigma.first_row),
+               "diagnostics": diagnostics}
     if K is not None:
-        tail["precision_band"] = _flat(K)
-    with _sink(out) as fh:
-        fh.write(json.dumps({"m": sigma.m, "N": sigma.N})[:-1] + ', "first_block_row": ')
-        fh.writelines(_row_chunks(sigma.first_row))
-        fh.write(", " + json.dumps(tail)[1:] + "\n")
+        payload["precision_band"] = _rows(K)
+    _emit(payload, out)
 
 
 _TOEPLITZ_NOT_PD = ("the band's block-Toeplitz matrix, a principal submatrix of every "
@@ -242,10 +238,10 @@ def cmd_feas(args) -> int:
         _, K, diagnostics, _ = _run_method(band, N, "newton", "toeplitz", tol=None,
                                            max_iter=args.budget, max_cycles=None)
         payload["feasible"] = _STATUS[diagnostics["status"]][1]
-        payload["evidence"] = {**diagnostics, "precision_band": _flat(K)}
+        payload["evidence"] = {**diagnostics, "precision_band": _rows(K)}
     if band.m == 1:
-        payload["forms"] = [{"k": f.k, "constant": f.constant, "distances": f.distances.tolist(),
-                             "coeffs": f.coeffs.tolist()} for f in eig_affine_forms(band, N)]
+        payload["forms"] = [{"k": f.k, "constant": f.constant, "distances": f.distances,
+                             "coeffs": f.coeffs} for f in eig_affine_forms(band, N)]
     _emit(payload, args.output)
     return EXIT_OK
 

@@ -433,8 +433,9 @@ def _newton_step(G: np.ndarray, inv: np.ndarray, N: int) -> tuple:
     frequency blocks ``inv`` (see ``_gradient``): the band H^{-1} g, with g
     and H the gradient and Hessian of the objective in the band unknowns,
     and the squared Newton decrement g . H^{-1} g.  The Hessian is
-    assembled in the lag domain (``_hessian_lags``) and factored by the PD
-    test ``_cholesky_blocks``; a system that fails it gives (None, nan).
+    assembled in the lag domain (``_hessian_lags``), symmetrized, as its
+    computed triangles differ by rounding, and factored by the PD test
+    ``_cholesky_blocks``; a system that fails it gives (None, nan).
     ``solve`` calls it only where ``_decrement_bound`` cannot certify the
     point optimal."""
     n, m = len(G) - 1, G.shape[1]
@@ -442,7 +443,7 @@ def _newton_step(G: np.ndarray, inv: np.ndarray, N: int) -> tuple:
     # solved for the scaled blocks inv / s: H / s^2 and g / s are O(1) at
     # any scale of the data
     s = float(np.abs(inv).max())
-    H = c[:, None] * _hessian_lags(inv / s, n, N).ravel()[hidx].sum(axis=0) * c
+    H = _sym(c[:, None] * _hessian_lags(inv / s, n, N).ravel()[hidx].sum(axis=0) * c)
     # the gradient in the two-sided lags is N G_d at lag d and N G_d^T at -d
     g2 = (N / s) * np.concatenate([np.swapaxes(G[:0:-1], 1, 2), G]).reshape(-1)
     g = c * (g2[i1] + g2[i2])

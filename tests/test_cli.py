@@ -11,7 +11,16 @@ import pytest
 
 from circmaxent import cli
 from circmaxent.cli import _emit_solution, main
-from circmaxent import BandData, BlockCirculant, project_band_gram, random_feasible_band, scalar_bw1_feasible, solve
+from circmaxent import (
+    BandData,
+    BlockCirculant,
+    circulant_approx,
+    eig_affine_forms,
+    project_band_gram,
+    random_feasible_band,
+    scalar_bw1_feasible,
+    solve,
+)
 from helpers import (
     certificate_holds,
     channel_band,
@@ -366,58 +375,75 @@ class TestSolveCommand:
         assert abs(row[2] - x_star) < 1e-6
 
 
-class TestSolutionWriter:
-    # the writer formats each distinct block of a mirrored row once; its
-    # text is the one json.dumps writes for the whole payload
-    @staticmethod
-    def old_text(sigma, diagnostics, K=None):
-        payload = {"m": sigma.m, "N": sigma.N,
-                   "first_block_row": [blk.reshape(-1).tolist() for blk in sigma.first_row],
-                   "diagnostics": diagnostics}
-        if K is not None:
-            payload["precision_band"] = [blk.reshape(-1).tolist() for blk in K]
-        return json.dumps(payload) + "\n"
+def bits(values) -> np.ndarray:
+    """The bit patterns of the floats in a nested list or an array."""
+    return np.asarray(values, dtype=float).view(np.int64)
 
+
+class TestSolutionWriter:
+    # orjson writes each float as its shortest text that json.loads reparses
+    # to the same bits; the file and stdout get the same text
     @pytest.mark.parametrize("m, N", [(1, 2), (2, 2), (1, 7), (3, 7), (2, 8)])
     def test_matches_json_dumps(self, m, N, tmp_path, capsys):
         rng = np.random.default_rng(10 * m + N)
         sigma = random_symmetric_circulant(m, N, rng)
         row = sigma.first_row
-        # awkward floats: signed zero, subnormal, huge, non-finite
+        # awkward floats: signed zero, subnormal, huge; the row need not
+        # stay mirrored
         row[N // 2, 0, 0] = -0.0
         if N > 2:
             row[1, -1, 0], row[1, 0, -1] = 5e-324, -1.7976931348623157e308
-            row[(N - 1) // 2, 0, 0] = float("inf")
-        for d in range(1, (N + 1) // 2):
-            row[N - d] = row[d].T
-        assert is_mirrored(row)
-        row[0, 0, 0] = float("nan")
-        diagnostics = {"iterations": 3, "status": "converged", "grad_norm": None, "entropy": 0.1}
+        diagnostics = {"iterations": 3, "status": "converged", "grad_norm": None, "entropy": 0.1,
+                       "jbar": -0.0, "band_residual": 5e-324}
         out = tmp_path / "sol.json"
         for K in (None, rng.standard_normal((2, m, m))):
-            expect = self.old_text(sigma, diagnostics, K)
             _emit_solution(sigma, diagnostics, str(out), K)
-            assert out.read_text() == expect
+            text = out.read_text()
             _emit_solution(sigma, diagnostics, "-", K)
-            assert capsys.readouterr().out == expect
+            assert capsys.readouterr().out == text
+            assert text.endswith("\n") and text.count("\n") == 1
+            payload = json.loads(text)
+            assert payload["m"] == m and payload["N"] == N
+            assert np.array_equal(bits(payload["first_block_row"]), bits(row.reshape(N, m * m)))
+            assert payload["diagnostics"] == diagnostics
+            assert bits([payload["diagnostics"][key] for key in ("entropy", "jbar", "band_residual")]).tolist() \
+                == bits([0.1, -0.0, 5e-324]).tolist()
+            if K is None:
+                assert "precision_band" not in payload
+            else:
+                assert np.array_equal(bits(payload["precision_band"]), bits(K.reshape(2, m * m)))
 
-    @pytest.mark.parametrize("N", [2, 7, 8])
-    def test_refuses_unmirrored_row(self, N, tmp_path):
-        # the writer would write block N-d as block d^T, another matrix
-        rng = np.random.default_rng(N)
-        for d in (0, N // 2, N - 1):
-            sigma = random_symmetric_circulant(2, N, rng)
-            sigma.first_row[d, 0, 1] = np.nextafter(sigma.first_row[d, 0, 1], 1.0)
-            out = tmp_path / f"sol{d}.json"
-            with pytest.raises(ValueError, match="not mirrored"):
-                _emit_solution(sigma, {}, str(out))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_floats(self, bad, tmp_path, capsys):
+        # JSON has no text for NaN or inf and orjson would write null, so
+        # the writer refuses the payload and writes nothing, file or stdout
+        rng = np.random.default_rng(3)
+        sigma = random_symmetric_circulant(2, 7, rng)
+        K = rng.standard_normal((2, 2, 2))
+        diagnostics = {"iterations": 3, "status": "converged", "grad_norm": None, "entropy": 0.1}
+        cases = []
+        for d in (0, 3, 6):
+            row = sigma.first_row.copy()
+            row[d, 1, 0] = bad
+            cases.append((BlockCirculant(2, 7, row), diagnostics, K))
+        bad_K = K.copy()
+        bad_K[1, 0, 1] = bad
+        cases += [(sigma, diagnostics, bad_K), (sigma, {**diagnostics, "entropy": bad}, K),
+                  (sigma, {**diagnostics, "grad_norm": np.float64(bad)}, None)]
+        for i, (sig, diag, k) in enumerate(cases):
+            out = tmp_path / f"sol{i}.json"
+            with pytest.raises(ValueError, match="not finite"):
+                _emit_solution(sig, diag, str(out), k)
             assert not out.exists()
-        if N > 2:
-            # -0.0 against 0.0 is another text
-            sigma = random_symmetric_circulant(1, N, rng)
-            sigma.first_row[1], sigma.first_row[N - 1] = -0.0, 0.0
-            with pytest.raises(ValueError, match="not mirrored"):
-                _emit_solution(sigma, {}, str(tmp_path / "zero.json"))
+            with pytest.raises(ValueError, match="not finite"):
+                _emit_solution(sig, diag, "-", k)
+            assert capsys.readouterr().out == ""
+        # feas's scalar forms carry arrays, too
+        form = {"k": 0, "constant": 1.0, "distances": np.arange(1, 4), "coeffs": np.array([2.0, bad, 2.0])}
+        out = tmp_path / "feas.json"
+        with pytest.raises(ValueError, match="not finite"):
+            cli._emit({"N": 7, "forms": [form]}, str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("m, n, N", [(1, 0, 2), (2, 1, 7), (2, 1, 8)])
     def test_solve_writes_json_dumps_text(self, m, n, N, tmp_path, capsys):
@@ -429,8 +455,7 @@ class TestSolutionWriter:
         assert main(["solve", prob]) == 0
         for text in (out.read_text(), capsys.readouterr().out):
             payload = json.loads(text)
-            assert json.dumps(payload) + "\n" == text
-            assert payload["first_block_row"] == [blk.reshape(-1).tolist() for blk in row]
+            assert np.array_equal(bits(payload["first_block_row"]), bits(row.reshape(N, m * m)))
 
 
 class TestExtendCommand:
@@ -443,6 +468,9 @@ class TestExtendCommand:
         expect = [1.0, 0.4, 0.16, 0.064, 0.0256, 0.0256, 0.064, 0.16, 0.4]
         assert np.abs(row - expect).max() < 1e-12
         assert payload["diagnostics"]["pd"] is True
+        # the file reparses to the approximant's bits
+        approx = circulant_approx(BandData(1, 1, np.array([[[1.0]], [[0.4]]])), 9).first_row
+        assert np.array_equal(bits(payload["first_block_row"]), bits(approx.reshape(9, 1)))
 
     def test_white_noise_identity(self, white_problem, tmp_path):
         out = tmp_path / "ext.json"
@@ -483,6 +511,12 @@ class TestFeasCommand:
         assert payload["feasible"] is False
         assert abs(payload["bounds"][0] - (-0.9010)) < 1e-4
         assert len(payload["forms"]) == 4
+        # the forms' arrays reparse to their bits
+        forms = eig_affine_forms(BandData(1, 1, np.array([[[1.0]], [[-0.91]]])), 7)
+        for written, form in zip(payload["forms"], forms):
+            assert written["k"] == form.k and bits(written["constant"]) == bits(form.constant)
+            assert written["distances"] == form.distances.tolist()
+            assert np.array_equal(bits(written["coeffs"]), bits(form.coeffs))
 
     def test_feasible_n9(self, tmp_path):
         prob = write_problem(tmp_path / "n9.json", 1, 1, 9, [[1.0], [-0.91]])
@@ -508,6 +542,10 @@ class TestFeasCommand:
         payload = json.loads(out.read_text())
         assert payload["feasible"] is True
         assert payload["evidence"]["status"] == "converged"
+        # the evidence reparses to the bits of the Newton solve's K
+        band = BandData(2, 1, np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.2, 0.0], [0.0, 0.2]]]))
+        K = solve(band, 8, init="toeplitz", method="newton").K
+        assert np.array_equal(bits(payload["evidence"]["precision_band"]), bits(K.reshape(2, 4)))
 
     def test_unverified_witness_exits_1(self, tmp_path, monkeypatch, capsys):
         # a converged solve whose completion fails verification is no

@@ -661,18 +661,25 @@ class TestNewton:
 
     def test_no_false_convergence_at_margin_1e8(self):
         # past completion condition 1e8 a solve may stop short of the
-        # answer (12 of these 40 end "stalled"), but a "converged" one is
+        # answer (5 of these 40 end "stalled"), but a "converged" one is
         # within the known-answer bound.  The damped step's slope is read
         # off the gradient and the step: taken as -lambda^2, it let the
-        # seed-3 (3, 2, 12) band report "converged" at 173 cond eps
+        # seed-3 (3, 2, 12) band report "converged" at 173 cond eps.  The
+        # Newton system is the symmetrized Hessian: factoring the lower
+        # triangle of its computed H, whose triangles differ by rounding,
+        # converged 28.  Statuses, not step counts, as the step counts
+        # depend on the BLAS thread count
         eps = np.finfo(float).eps
+        converged = 0
         for m, n, N in ((1, 1, 8), (2, 1, 9), (3, 2, 12), (5, 3, 15), (10, 2, 64)):
             for seed in range(8):
                 band, sigma, cond = known_answer_band(m, n, N, np.random.default_rng(seed), 1e-8)
                 res = solve(band, N, method="newton")
                 if res.converged:
+                    converged += 1
                     err = np.linalg.norm(res.sigma.first_row - sigma.first_row) / np.linalg.norm(sigma.first_row)
                     assert err <= 100 * cond * eps, (m, n, N, seed, err / (cond * eps))
+        assert converged >= 35
 
     @pytest.mark.parametrize("m, n, N", NEWTON_CASES)
     def test_hessian_lags_finite_differences(self, m, n, N):
