@@ -16,36 +16,35 @@ iterates on K, an (n+1, m, m) array, and returns the final band as ``K``.
 A full Lambda is read only by ``dual_gradient`` and built only by
 ``init_lambda``.
 
-One loop takes one of two steps, and one rule sets the length of both.
-f is self-concordant, so the length of a step is not searched for but
-certified: ``_certified_length`` bounds the change of f along the step from
-one spectrum of the step and takes a length that passes the Armijo test in
-exact arithmetic and stays inside the domain.  No difference of f is read,
-and the trial's Cholesky is the only test.  ``method="gd"``, the default,
-is the paper's algorithm, gradient descent on the band, steepest descent in
-a fixed metric (Boyd & Vandenberghe, *Convex Optimization*, 9.4.1): the
-lag-0 block V0 of the Hessian at the first point GD steps from, built once
-(``_gd_metric``), so the step on K_d is N V0^-1 vec(G_d).  The solve stops
+The data's scale has one owner: ``solve`` divides the band by c = 4^k,
+which puts its largest |entry| in [0.5, 2) (``_scale_exponent``), iterates
+on those O(1) numbers, and at exit maps K by 1/c, the completion by c, the
+Cholesky factors of K's frequency blocks by 2^-k and f by + 2k mN log 2.
+Products with powers of 2 are exact, and so is the square root of 4^k,
+so a band scaled by 4^j is solved in the same steps to K / 4^j and
+sigma 4^j to the bit.  No helper below rescales for the data's scale.
+
+One loop takes one of two steps, and one rule sets the length of both:
+f is self-concordant, so ``_certified_length`` bounds the change of f
+along a step from one spectrum of it and takes a length that passes the
+Armijo test in exact arithmetic and stays inside the domain.  No
+difference of f is read, and the trial's Cholesky is the only test.
+``method="gd"``, the default, is the paper's gradient descent, steepest
+descent in a fixed metric (Boyd & Vandenberghe, *Convex Optimization*,
+9.4.1): the lag-0 block V0 of the Hessian at the first point GD steps
+from (``_gd_metric``), so the step on K_d is N V0^-1 vec(G_d).  It stops
 when the Sigma_0-whitened gradient norm ||L^-1 G_d L^-T||, Sigma_0 = L L^T,
-reaches ``eta``.  So GD's steps and its stop do not change under a scale or
-block congruence of the data in exact arithmetic, and in floating point at
-every scale and under a general congruence of condition up to 1e4, where
-the mapped data's own rounding, about cond^2 eps, is what moves the
-completion.  A Sigma_0 that is not positive definite has no completion; GD
-then stops on the plain gradient norm (L = I), and its steps end on the
-certificate.  ``method="newton"`` is damped Newton on the
-p = m(m+1)/2 + n m^2 band entries: the Hessian is assembled in the lag
-domain from the same inverse frequency blocks as the gradient, in
-O(n m^4 N), and factored by Cholesky; the step takes the certified length
-capped at 1, which is 1 once the decrement lambda is at most 0.1.  The
-solve stops on the squared Newton decrement alone, which is affine
-invariant, so the stopping rule and the step count do not depend on the
-scale of the data.  Before it builds a
-Hessian, each Newton iterate reads an upper bound on that decrement off its
-gradient and the Cholesky factors it already has (``_decrement_bound``, in
-O(m^2 N)); where the bound is at the stop, the solve ends there with no
-Hessian, so a long-period toeplitz start, optimal to rounding, costs what
-GD's does.
+reaches ``eta``, so its steps and stop do not change under a block
+congruence of the data in exact arithmetic, nor in floating point up to
+condition 1e4, where the mapped data's own rounding, about cond^2 eps,
+moves the completion.  ``method="newton"`` is damped Newton on the
+p = m(m+1)/2 + n m^2 band entries, its Hessian assembled in the lag domain
+from the gradient's inverse frequency blocks in O(n m^4 N) and factored
+by Cholesky.  It takes the certified length capped at 1 and stops on its
+affine-invariant squared decrement, or, with no Hessian, on an upper
+bound of it read off the gradient and the factors the iterate has
+(``_decrement_bound``, O(m^2 N)), so a long-period toeplitz start,
+optimal to rounding, costs what GD's does.
 
 The completion is the inverse of the projection, so its own inverse is
 banded block-circulant by construction and the band constraint holds at the
@@ -58,16 +57,15 @@ Tr(K D).  At an accepted point the gradient inverts those same blocks and
 reads the n+1 inverse lags back through the conjugate table, and the
 Newton step and the certified length reuse the inverse blocks, the length
 with one more spectrum, of the step; a rejected trial costs one spectrum
-and one Cholesky.  That is O(m^3 N + m^2 n N) per gradient step with no FFT,
-and O(m^4 N + m^6) once for GD's metric; one real inverse
-FFT builds the completion at exit, and ``blockcirc._mirror`` makes its
-first row exactly that of a symmetric matrix, row[N-d] = row[d]^T to the
-bit.  ``verify_solution`` checks a result against the band it returns,
-with the Cholesky factors of K's frequency blocks that the solve's last
-evaluation computed: one real FFT of the completion and two batched block
-products, O(m^2 N log N + m^3 N) with no inverse; a result is frozen, so
-its factors serve while its K stays read-only, and any other costs one
-spectrum and one Cholesky of K more.  No mN x mN dense matrix is formed.
+and one Cholesky.  That is O(m^3 N + m^2 n N) per gradient step with no
+FFT, and O(m^4 N + m^6) once for GD's metric; one real inverse FFT builds
+the completion at exit, and ``blockcirc._mirror`` makes its first row
+exactly that of a symmetric matrix, row[N-d] = row[d]^T.
+``verify_solution`` checks a result against the band it returns, with the
+Cholesky factors of K's frequency blocks from the solve's last evaluation:
+one real FFT of the completion and two batched block products,
+O(m^2 N log N + m^3 N) with no inverse (any other result costs one
+spectrum and one Cholesky of K more).  No mN x mN dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -143,14 +141,12 @@ class SolverConfig:
     whitened gradient, ||L^-1 G_d L^-T|| in the weights of T_n, with
     Sigma_0 = L L^T (a cheap equivalent of the spectral norm up to
     dimension constants), and 1e-8 * ||L^-1 T_n L^-T||_F at solve time when
-    None, so the default is the same under any scale or block congruence
-    of the data.  L = I where Sigma_0 is not positive definite, as there is
-    no completion to whiten by.  Newton stops on its decrement and does not
-    read it.  No step length is a parameter: both methods take the
-    certified length of their step (``_certified_length``), Newton's
-    capped at 1.  An ``eta``
-    that breaks the tolerance rule (``blockcirc._tolerance``: a real number
-    in [0, inf)), a ``max_iter`` that is not a count >= 0
+    None: both read the same at any scale or block congruence of the data.
+    Where Sigma_0 is not PD there is no completion to whiten by, and L = I
+    on the band ``solve`` normalizes.  Newton does not read it.  No step
+    length is a parameter (see ``_certified_length``).  An ``eta`` that
+    breaks the tolerance rule (``blockcirc._tolerance``: a real number in
+    [0, inf)), a ``max_iter`` that is not a count >= 0
     (``blockcirc._count``) and a ``trace`` with no ``write`` method raise
     BadInput; ``eta = 0`` and ``max_iter = 0`` are legal.
     """
@@ -181,14 +177,15 @@ class SolverResult:
     block-circulant C(K).  ``final_grad_norm`` is the whitened gradient
     norm at K under both methods (see ``SolverConfig.eta``), as is the
     trace's ``grad_norm``.  ``objective`` is the dual objective f at K; a
-    ``SolverConfig.trace`` sink receives f at every iterate, and as ``step``
-    the length of the step that reached it: its certified length, which
-    for GD can exceed 1.  ``line_search_backtracks_total`` counts the
-    halvings of a step under either method after a trial fails the PD
-    test, which the certified length rules out in exact arithmetic.  The
-    record is frozen, and a solve's own result carries the Cholesky
-    factors of K's frequency blocks, which ``verify_solution`` reuses while ``K`` is
-    read-only: not after ``copy.deepcopy`` or ``dataclasses.replace``.  A
+    ``SolverConfig.trace`` sink receives f at every iterate, and as
+    ``step`` the length of the step that reached it: its certified length,
+    which for GD can exceed 1.  ``line_search_backtracks_total`` counts
+    the halvings of a step after a trial fails the PD test, which the
+    certified length rules out in exact arithmetic.  The record is frozen,
+    and a solve's own result carries the Cholesky factors of K's frequency
+    blocks, which ``verify_solution`` reuses while ``K`` is read-only: not
+    after ``copy.deepcopy`` or ``dataclasses.replace``.  K, sigma, f and the
+    factors are mapped back to the data's units (see the module docstring).  A
     solve's ``K`` is over an immutable buffer, so ``K.setflags(write=True)``
     raises ValueError: the factors stay those of its entries.
     """
@@ -282,13 +279,6 @@ def _gradient(psi: np.ndarray, data: np.ndarray, N: int):
     return G, inv
 
 
-def _whiten(B: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The band whose blocks have the row-major vecs vec(B_d) M, for a band
-    B (n+1, m, m) and an m^2 x m^2 M: one product for all n+1 blocks.  With
-    M = (X (x) X)^T the blocks are X B_d X^T."""
-    return (B.reshape(len(B), -1) @ M).reshape(B.shape)
-
-
 def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
     """Blocks V_0..V_2n (2n+1, m^2, m^2) of the Hessian of -log det C(K) in
     the two-sided band lags, from the inverse frequency blocks
@@ -311,34 +301,30 @@ def _hessian_lags(inv: np.ndarray, n: int, N: int) -> np.ndarray:
     return M.reshape(2 * n + 1, m, m, m, m).transpose(0, 1, 3, 2, 4).reshape(2 * n + 1, m * m, m * m)
 
 
-def _gd_metric(inv: np.ndarray, N: int) -> Optional[tuple]:
+def _gd_metric(inv: np.ndarray, N: int) -> Optional[np.ndarray]:
     """GD's metric at the point with inverse frequency blocks ``inv``: the
     lag-0 block V0 = sum_l conj(inv_l) (x) inv_l of the Hessian
-    (``_hessian_lags``), the curvature of f along one lag, as the pair
-    (P, s) with s = max|inv| and P = N (V0 / s^2)^-1, so that
-    N V0^-1 vec(X) = P vec(X / s) / s and no entry of P under- or overflows
-    at any scale of the data.  The blocks of ``inv`` are Hermitian PD, so s
-    lies on their diagonals.  P = N Li^T Li with Li = L^-1, V0 / s^2 = L L^T
-    by the PD test, so vec(G) . P vec(G) >= 0 however ill-conditioned V0 is,
-    which a computed inverse of V0 does not ensure past condition 1/eps; V0
-    is symmetrized first, as near that condition the rounding of its
-    computed triangles decides the test.  None where V0 fails it."""
-    s = float(inv.real.diagonal(axis1=1, axis2=2).max())
+    (``_hessian_lags``), the curvature of f along one lag, as the m^2 x m^2
+    P = N V0^-1.  P = N Li^T Li with Li = L^-1, V0 = L L^T by the PD test,
+    so vec(G) . P vec(G) >= 0 however ill-conditioned V0 is, which a
+    computed inverse of V0 does not ensure past condition 1/eps; V0 is
+    symmetrized first, as near that condition the rounding of its computed
+    triangles decides the test.  None where V0 fails it."""
     try:
-        Li = np.linalg.inv(_cholesky_blocks(_sym(_hessian_lags(inv / s, 0, N)[0]), "GD metric"))
+        Li = np.linalg.inv(_cholesky_blocks(_sym(_hessian_lags(inv, 0, N)[0]), "GD metric"))
     except NotPositiveDefinite:
         return None
-    return N * (Li.T @ Li), s
+    return N * (Li.T @ Li)
 
 
-def _gd_step(G: np.ndarray, metric: tuple) -> np.ndarray:
+def _gd_step(G: np.ndarray, P: np.ndarray) -> np.ndarray:
     """GD's step on the band at a point with band gradient G: S_d =
-    N V0^-1 vec(G_d) in the metric (P, s) of ``_gd_metric``, the Newton step
-    with the Hessian's lag-0 blocks alone, as the gradient of f is N G_0 on
-    K_0 and 2 N G_d on K_d, whose curvature is 2 V0 (block Jacobi), and a
-    Hessian frozen where GD starts to step."""
-    P, s = metric
-    step = _whiten(G / s, P) / s
+    N V0^-1 vec(G_d), one product of the n+1 row-major vecs with the metric
+    P of ``_gd_metric``.  It is the Newton step with the Hessian's lag-0
+    blocks alone, as the gradient of f is N G_0 on K_0 and 2 N G_d on K_d,
+    whose curvature is 2 V0 (block Jacobi), and a Hessian frozen where GD
+    starts to step."""
+    step = (G.reshape(len(G), -1) @ P).reshape(G.shape)
     step[0] = _sym(step[0])
     return step
 
@@ -415,16 +401,13 @@ def _decrement_bound(G: np.ndarray, inv: np.ndarray, chol: np.ndarray, N: int) -
     Newton unknowns x.  So lambda_min(H) >= N / max_l lambda_max(Psi_l)^2,
     and lambda_max(Psi_l) <= tr Psi_l = ||L_l||_F^2.  In the unknowns,
     |g|^2 = N^2 (4 sum_{d>0} ||G_d||^2 + 2 ||G_0||^2 - sum_a (G_0)_aa^2).
-    Both are taken on G / s and Psi * s, s = max|inv| as in ``_newton_step``,
-    so no square under- or overflows at any scale of the data: an unscaled
-    |G|^2 underflows to 0 at scale 1e-160 and would certify any point.  The
-    blocks of ``inv`` are Hermitian PD, so s lies on their diagonals."""
-    s = float(inv.real.diagonal(axis1=1, axis2=2).max())
-    G = G / s
+    ``solve`` calls it on its normalized band, where no square under- or
+    overflows: on raw data at scale 1e-150, |G|^2 near the optimum
+    underflows to 0 and would certify any point."""
     d0 = np.diagonal(G[0])
     g2 = 4.0 * float(np.vdot(G[1:], G[1:])) + 2.0 * float(np.vdot(G[0], G[0])) - float(d0 @ d0)
     r = chol.reshape(len(chol), -1).view(float)  # real and imaginary parts
-    top = s * float(np.einsum("lk,lk->l", r, r).max())  # s max_l tr Psi_l
+    top = float(np.einsum("lk,lk->l", r, r).max())  # max_l tr Psi_l
     return N * g2 * top * top
 
 
@@ -437,11 +420,15 @@ def _newton_step(G: np.ndarray, inv: np.ndarray, N: int) -> tuple:
     computed triangles differ by rounding, and factored by the PD test
     ``_cholesky_blocks``; a system that fails it gives (None, nan).
     ``solve`` calls it only where ``_decrement_bound`` cannot certify the
-    point optimal."""
+    point optimal.
+
+    The system is solved for inv / s, s = max|inv|, as H / s^2 and g / s.
+    In exact arithmetic that changes nothing on the band ``solve``
+    normalizes; it stays for its rounding, without which the boundary band
+    (I, diag(cos 6pi/7, 0.3)) at N = 7 ends "stalled" at delta 2.9e-8, not
+    "boundary"."""
     n, m = len(G) - 1, G.shape[1]
     i1, i2, c, hidx = _newton_coords(m, n)
-    # solved for the scaled blocks inv / s: H / s^2 and g / s are O(1) at
-    # any scale of the data
     s = float(np.abs(inv).max())
     H = _sym(c[:, None] * _hessian_lags(inv / s, n, N).ravel()[hidx].sum(axis=0) * c)
     # the gradient in the two-sided lags is N G_d at lag d and N G_d^T at -d
@@ -467,22 +454,32 @@ def _lift(K: np.ndarray, N: int) -> DualVariable:
     return DualVariable(K.shape[1], len(K) - 1, _block_toeplitz((N / w) * K))
 
 
+def _scale_exponent(x: np.ndarray) -> int:
+    """The k = e // 2, e the ``math.frexp`` exponent of max|x|, for which
+    x / 4^k has its largest |entry| in [0.5, 2); 0 there already.  Division
+    by a power of the radix is exact (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2.1)."""
+    return math.frexp(float(np.abs(x).max()))[1] // 2
+
+
 def _start(band: BandData, N: int, mode: str) -> np.ndarray:
     """Starting band K_0..K_n for ``solve``.
 
-    "identity" is ((n+1)/N) I, 0, ..., 0, the band of the identity Lambda
-    (always in the domain).  "toeplitz" is the Laurent coefficients of the
-    band extension's inverse spectral density, K_d = M_d^T, the limit the
-    optimal band approaches as N grows; it raises NotPositiveDefinite when
-    the band's block-Toeplitz matrix is not positive definite.  Membership
-    in the dual domain is not checked here; ``solve`` checks its start.
+    "identity" is ((n+1)/(N c)) I, 0, ..., 0, c = 4^k the band's scale
+    (``_scale_exponent``): the band of the identity Lambda of the band
+    divided by c, in the domain and at the data's unit.  "toeplitz" is the
+    Laurent coefficients of the band extension's inverse spectral density,
+    K_d = M_d^T, the limit the optimal band approaches as N grows; it
+    raises NotPositiveDefinite when the band's block-Toeplitz matrix is not
+    positive definite.  Membership in the dual domain is not checked here;
+    ``solve`` checks its start.
     """
     m, n = band.m, band.n
     _check_sizes(m, n, N)
     if _option(mode, ("identity", "toeplitz"), "init mode") == "toeplitz":
         return np.swapaxes(phi_inverse_coeffs(*solve_yule_walker(band)), 1, 2)
     K = np.zeros((n + 1, m, m))
-    K[0] = (n + 1) / N * np.eye(m)
+    K[0] = np.ldexp((n + 1) / N, -2 * _scale_exponent(band.blocks)) * np.eye(m)
     return K
 
 
@@ -490,7 +487,8 @@ def init_lambda(band: BandData, N: int, mode: str = "toeplitz") -> DualVariable:
     """Starting dual variable: the block-Toeplitz Lambda whose band
     projection is ``solve``'s start band for ``mode`` ("identity" or
     "toeplitz"); block (i, i+d) is (N / (n+1-d)) * K_d.  For "identity" that
-    is the identity matrix up to rounding.  Unlike ``solve``, it does not
+    is I / c up to rounding, c = 4^k the band's scale (see ``_start``), the
+    start from which ``solve`` also restarts.  Unlike ``solve``, it does not
     fall back: "toeplitz" raises NotPositiveDefinite when the band's
     block-Toeplitz matrix is not positive definite."""
     _check_type(band, BandData, "band")
@@ -504,32 +502,23 @@ def solve(
     init: str = "toeplitz",
     method: str = "gd",
 ) -> SolverResult:
-    """Minimize the dual objective by descent.
+    """Minimize the dual objective by descent from the band ``init``,
+    "toeplitz" or "identity" (see ``_start``).
 
-    ``method="gd"`` steps along N V0^-1 vec(G_d), V0 the lag-0 block of
-    the Hessian at the first point it steps from (``_gd_metric``, built only
-    once the start has failed the stop test), by the length
-    ``_certified_length`` certifies to pass the Armijo test, and stops when the
-    Sigma_0-whitened gradient's norm drops to ``eta`` (see SolverConfig);
-    where Sigma_0 is not positive definite it stops on the plain gradient
-    norm, and the solve ends "infeasible" on its certificate.
-    ``method="newton"`` takes the Newton step on the band, by the same
-    certified length capped at 1, and stops when half the squared Newton
-    decrement drops to 1e-20, or when the decrement stops falling in the
-    full-step regime, where rounding sets its floor, or, before any
-    Hessian is built, on the certificate: half of ``_decrement_bound``, an
-    upper bound on the squared decrement, at most 1e-20.  It stops at the
-    same K as the decrement would, with no Hessian; it does not read
-    ``eta``.  Under either method a trial that fails the PD test, which the
-    certified length rules out in exact arithmetic, halves the step, and a
-    step that falls below 1e-18, or is not finite, ends the solve
-    "stalled"; no trial faces another test.  The
-    iterate is the band K, started from ``init``, "toeplitz" or "identity"
-    (see ``_start``).  Returns the final band ``K`` and the
-    completion ``sigma`` = inverse of the final band projection: its
-    inverse is banded block-circulant by construction, its band matches
-    the data to a tolerance tied to the stop, and its first row is mirrored
-    exactly, row[N-d] = row[d]^T; ``K`` is immutable (see SolverResult).
+    ``method="gd"`` steps along N V0^-1 vec(G_d) (``_gd_metric``, built
+    once the start has failed the stop test) and stops when the
+    Sigma_0-whitened gradient norm drops to ``eta`` (see SolverConfig).
+    ``method="newton"`` takes the Newton step, capped at 1, and stops when
+    half the squared decrement drops to 1e-20, when the decrement stops
+    falling in the full-step regime, where rounding sets its floor, or,
+    before any Hessian is built, when half of ``_decrement_bound`` does;
+    it does not read ``eta``.  Both take ``_certified_length``.  A trial
+    that fails the PD test, which that length rules out in exact
+    arithmetic, halves the step, and a step below 1e-18 or not finite ends
+    the solve "stalled".  Returns the final band ``K``, immutable (see
+    SolverResult), and the completion ``sigma``, the inverse of C(K): its
+    inverse is banded by construction, its band matches the data to a
+    tolerance tied to the stop, and its first row is mirrored exactly.
 
     A result is always returned; non-convergence is flagged in ``status``
     (see SolverResult), and "converged" requires a finite stopping value.
@@ -538,18 +527,19 @@ def solve(
     by Sigma_0 (weak duality), at any scale or block congruence of the
     data.  At the start and each accepted iterate, delta < -1e-8 ends the
     solve "infeasible" and any other delta < 1e-8 "boundary", with K the
-    certificate; a singular Newton system ends it "stalled".  GD in practice
-    never gets there: delta falls too slowly along its steps, and on
-    (1, cos 6pi/7) at N = 7 and four other boundary bands it ends
-    "max_iter" after 20,000 steps with delta still 0.003-0.02, so use
-    newton where the data may lie on the boundary.  When the
-    toeplitz start cannot be formed (the band's block-Toeplitz matrix is
-    not positive definite), lies outside the dual domain, or gives a
-    singular Newton system (its frequency blocks can be too ill-conditioned
-    for the Hessian's Cholesky) or a GD metric that fails the PD test, the
-    solve starts from the identity, which
-    always lies inside, and reports "identity (fallback from toeplitz)" as
-    its ``init_mode``; a trace then starts again at iteration 0.
+    certificate.  GD in practice never gets there: on (1, cos 6pi/7) at
+    N = 7 and four other boundary bands it ends "max_iter" after 20,000
+    steps with delta still 0.003-0.02, so use newton where the data may
+    lie on the boundary.
+
+    When the toeplitz start cannot be formed (the band's block-Toeplitz
+    matrix is not PD) or lies outside the domain, or a toeplitz run at any
+    iterate finds no descent step (a singular Newton system, a GD metric
+    that fails the PD test, a slope not downhill), the solve restarts, once,
+    from the identity, which always lies inside, and reports "identity
+    (fallback from toeplitz)" as its ``init_mode``.  ``iterations`` and
+    ``max_iter`` count the whole solve, so the restart's trace row repeats
+    the iteration number at which it restarted.
 
     Raises BadInput if ``band`` is no BandData, ``config`` no SolverConfig,
     ``init`` or ``method`` not one of its strings (``blockcirc._option``),
@@ -561,23 +551,24 @@ def solve(
     newton = _option(method, ("gd", "newton"), "method") == "newton"
     m, n = band.m, band.n
     _check_sizes(m, n, N)
+    # the one owner of the data's scale (see the module docstring)
+    k = _scale_exponent(band.blocks)
+    band = BandData(m, n, np.ldexp(band.blocks, -2 * k))
+    shift = 2 * k * m * N * math.log(2.0)
     # Tr(Lambda T_n) = sum(K * D), since block d of T_n sits once on the
     # diagonal and twice off it.
     data = np.swapaxes(band.blocks, 1, 2)
     D = 2.0 * N * data
     D[0] *= 0.5
     # GD stops on the Sigma_0-whitened norm ||L^-1 G_d L^-T||, Sigma_0 =
-    # L L^T, so its stop and the reported gradient norm do not change with
-    # the scale of the data.  A Sigma_0 that is not PD has no completion;
-    # there L = I.
+    # L L^T, so its stop and the reported gradient norm do not change under
+    # a block congruence of the data.  A Sigma_0 that is not PD has no
+    # completion; there L = I.
     try:
         Li = np.linalg.inv(_cholesky_blocks(data[0], "Sigma_0"))
     except NotPositiveDefinite:
         Li = np.eye(m)
-    # row-major vec(L^-1 X L^-T) = (L^-1 (x) L^-1) vec(X); ``_whiten`` takes
-    # the transpose
-    Lw = np.einsum("ij,kl->jlik", Li, Li).reshape(m * m, m * m)
-    eta = cfg.eta if cfg.eta is not None else 1e-8 * _band_norm(_whiten(data, Lw))
+    eta = cfg.eta if cfg.eta is not None else 1e-8 * _band_norm(Li @ data @ Li.T)
 
     init_mode = init
     try:
@@ -598,19 +589,20 @@ def solve(
 
     while True:
         if not math.isfinite(f):
-            # only a toeplitz start gets here, outside the domain or with a
-            # singular Newton system or a GD metric that fails the PD test:
-            # the identity is always inside
+            # only a toeplitz run gets here, from a start outside the domain
+            # or from an iterate with no descent step: the identity is
+            # always inside
             K = _start(band, N, "identity")
             init_mode = "identity (fallback from toeplitz)"
             f, psi, chol, lin = _objective(K, D, m, n, N, parts=True)
             metric = None
+            lam2_prev = math.inf
         # K is accepted: keep its factors, drop its blocks once inverted
         G, inv = _gradient(psi, data, N)
         psi = None
-        gnorm = _band_norm(_whiten(G, Lw))
+        gnorm = _band_norm(Li @ G @ Li.T)
         if cfg.trace is not None:
-            cfg.trace.write(f"{iterations},{f!r},{gnorm!r},{t!r}\n")
+            cfg.trace.write(f"{iterations},{f + shift!r},{gnorm!r},{t!r}\n")
         bound = _DELTA_TOL * abs(float(np.vdot(K[0], D[0])))
         if lin < bound:
             status = "boundary"
@@ -645,7 +637,7 @@ def solve(
         slope, t = (math.nan, 0.0) if step is None else _certified_length(
             G, step, inv, N, 1.0 if newton else math.inf)
         if not slope <= 0:
-            if iterations == 0 and init_mode == "toeplitz":
+            if init_mode == "toeplitz":
                 f = math.inf  # restart from the identity
                 continue
             status = "stalled"
@@ -667,12 +659,17 @@ def solve(
     if status is None:
         status = "converged"
 
+    row = np.fft.irfft(inv, n=N, axis=0)
+    if k:  # back to the data's units: K / c, sigma c and the factors / 2^k
+        np.ldexp(K, -2 * k, out=K)
+        np.ldexp(row, 2 * k, out=row)
+        np.ldexp(chol.view(float), -k, out=chol.view(float))
     result = SolverResult(
         K=np.frombuffer(K.tobytes()).reshape(K.shape),
-        sigma=BlockCirculant(m, N, _mirror(np.fft.irfft(inv, n=N, axis=0))),
+        sigma=BlockCirculant(m, N, _mirror(row)),
         iterations=iterations,
         final_grad_norm=gnorm,
-        objective=f,
+        objective=f + shift,
         line_search_backtracks_total=backtracks,
         status=status,
         init_mode=init_mode,

@@ -150,7 +150,8 @@ def test_each_rule_has_one_module():
     owners = {"_count": "blockcirc", "_check_sizes": "blockcirc", "_array": "blockcirc", "_real": "blockcirc",
               "_tolerance": "blockcirc", "_check_type": "blockcirc", "_option": "blockcirc",
               "_cholesky_blocks": "blockcirc",
-              "_hessian_lags": "solver", "_newton_coords": "solver", "_newton_step": "solver"}
+              "_hessian_lags": "solver", "_newton_coords": "solver", "_newton_step": "solver",
+              "_scale_exponent": "solver"}
     defined = {}
     for path in modules():
         for stmt in parse(path).body:

@@ -41,6 +41,7 @@ from circmaxent.solver import (
     _lift,
     _newton_step,
     _objective,
+    _scale_exponent,
     _start,
 )
 from helpers import (
@@ -681,6 +682,22 @@ class TestNewton:
                     assert err <= 100 * cond * eps, (m, n, N, seed, err / (cond * eps))
         assert converged >= 35
 
+    def test_restarts_where_a_toeplitz_run_finds_no_descent_step(self):
+        # this band's Hessian factors at the toeplitz start and fails at
+        # iteration 1; a restart only at iteration 0 ended the solve
+        # "stalled" after 1 step, 2.6e13 cond eps from the answer.  The
+        # count covers the whole solve, so the restart's trace row repeats
+        # the iteration at which it restarted
+        eps = np.finfo(float).eps
+        band, sigma, cond = known_answer_band(3, 2, 12, np.random.default_rng(21), 1e-5)
+        sink = io.StringIO()
+        res = solve(band, 12, SolverConfig(trace=sink), method="newton")
+        err = np.linalg.norm(res.sigma.first_row - sigma.first_row) / np.linalg.norm(sigma.first_row)
+        assert res.converged and err <= 100 * cond * eps
+        assert res.init_mode == "identity (fallback from toeplitz)"
+        rows = [line.split(",")[0] for line in sink.getvalue().splitlines()[1:]]
+        assert rows[:3] == ["0", "1", "1"] and rows[3:] == [str(i) for i in range(2, res.iterations + 1)]
+
     @pytest.mark.parametrize("m, n, N", NEWTON_CASES)
     def test_hessian_lags_finite_differences(self, m, n, N):
         # the lag-domain Hessian applied to a band direction is N times the
@@ -923,6 +940,13 @@ def test_delta_bounds_whitened_eigenvalue(m, n, extra, seed):
     assert abs(lin / abs(lin0) - delta) <= 1e-12 * abs(delta)
 
 
+def _normalized(blocks, K):
+    """The band ``solve`` iterates on, the data divided by c = 4^k
+    (``_scale_exponent``), and the point K c on it."""
+    k = _scale_exponent(blocks)
+    return np.ldexp(blocks, -2 * k), np.ldexp(K, 2 * k)
+
+
 @seed(27)
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 16), st.sampled_from(["toeplitz", "identity"]),
@@ -931,17 +955,19 @@ def test_delta_bounds_whitened_eigenvalue(m, n, extra, seed):
 def test_decrement_bound(m, n, extra, init, method, steps, e, draw):
     # the bound that lets Newton stop without a Hessian is at least the
     # squared decrement _newton_step computes, at a start or after a few
-    # steps, and it is the same at every scale of the data: the band is
-    # scaled by s, the power of two nearest 10^e, so the scaled band and
-    # point are exact and any difference is the bound's own rounding.  Near
-    # the optimum an unscaled |G|^2 underflows at s = 1e-150 (the example)
-    # and certifies a point that is not optimal
+    # steps, on the band solve iterates on, the data divided by its power of
+    # 4, and it is the same at every scale of the data: the band is scaled
+    # by s, the power of two nearest 10^e, so the normalized band and point
+    # are exact up to a factor 2 and any difference is the bound's own
+    # rounding.  On raw data near the optimum |G|^2 underflows at
+    # s = 1e-150 (the example) and certifies a point that is not optimal;
+    # test_solve_is_exact_under_powers_of_4 covers that scale end to end
     N = min(2 * n + 2 + extra, 20)
     band = random_feasible_band(m, n, N, np.random.default_rng(draw))
     K = solve(band, N, SolverConfig(max_iter=steps), init=init, method=method).K
     s = 2.0 ** round(e * math.log2(10.0))
     bounds = []
-    for blocks, point in ((band.blocks, K), (s * band.blocks, K / s)):
+    for blocks, point in (_normalized(band.blocks, K), _normalized(s * band.blocks, K / s)):
         data = np.swapaxes(blocks, 1, 2)
         D = 2.0 * N * data
         D[0] *= 0.5
@@ -960,18 +986,20 @@ def test_decrement_bound(m, n, extra, init, method, steps, e, draw):
 def test_certified_step_passes_armijo(m, n, extra, steps, k, method, draw):
     # the certified length of either method's step passes the Armijo test
     # on the exact change of f along it, read by a dense eigenvalue oracle
-    # with no difference of f, at the start or after a few steps and at
-    # every scale 2^k of the data; Newton's is capped at 1; and the slope
+    # with no difference of f, at the start or after a few steps of a solve
+    # of the data at scale 2^k, on the band the solve iterates on, the data
+    # divided by its power of 4; Newton's is capped at 1; and the slope
     # the rule reads off the gradient is the oracle's.  The oracle's slope
     # is a difference of two terms, so near the optimum it carries its own
     # rounding, ``noise``: at a toeplitz start optimal to rounding its error
     # reached 1.4 times the slope, and at most 4.4 noise in 400 GD draws
     N = min(2 * n + 2 + extra, 20)
     blocks = 2.0 ** k * random_feasible_band(m, n, N, np.random.default_rng(draw)).blocks
+    res = solve(BandData(m, n, blocks), N, SolverConfig(max_iter=steps), method=method)
+    blocks, K = _normalized(blocks, res.K)
     band = BandData(m, n, blocks)
-    res = solve(band, N, SolverConfig(max_iter=steps), method=method)
     data = np.swapaxes(blocks, 1, 2)
-    G, inv = band_gradient(res.K, data, N)
+    G, inv = band_gradient(K, data, N)
     if method == "gd":
         start = _start(band, N, "toeplitz" if res.init_mode == "toeplitz" else "identity")
         step = _gd_step(G, _gd_metric(band_gradient(start, data, N)[1], N))
@@ -980,10 +1008,53 @@ def test_certified_step_passes_armijo(m, n, extra, steps, k, method, draw):
         step = _newton_step(G, inv, N)[0]
         slope, t = _certified_length(G, step, inv, N, 1.0)
         assert 0.0 < t <= 1.0
-    change, oracle_slope, noise = line_change(res.K, step, t, band, N)
+    change, oracle_slope, noise = line_change(K, step, t, band, N)
     assert math.isfinite(change)  # the trial is in the domain
     assert change <= _ALPHA * t * slope + 1e-12 * abs(t * slope) + 8 * t * noise
     assert abs(slope - oracle_slope) <= 1e-10 * abs(slope) + 8 * noise
+
+
+@seed(32)
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 8), st.sampled_from(["toeplitz", "identity"]),
+       st.sampled_from(["gd", "newton"]), st.integers(-120, 120), st.integers(0, 2**32 - 1))
+def test_solve_is_exact_under_powers_of_4(m, n, extra, init, method, j, draw):
+    # solve owns the data's scale: it divides the band by the power of 4
+    # that puts its largest |entry| in [0.5, 2) and maps the answer back
+    # exactly, so a band scaled by s = 4^j is solved from either start in
+    # the same steps to K / s and sigma s, to the bit.  The identity start
+    # was ((n+1)/N) I whatever the data's scale, so the step counts from it
+    # moved with the scale
+    N = 2 * n + 2 + extra
+    band = random_feasible_band(m, n, N, np.random.default_rng(draw))
+    budget = SolverConfig(max_iter=3000)
+    ref = solve(band, N, budget, init=init, method=method)
+    s = 4.0 ** j
+    res = solve(BandData(m, n, s * band.blocks), N, budget, init=init, method=method)
+    assert (res.status, res.iterations, res.init_mode) == (ref.status, ref.iterations, ref.init_mode)
+    assert res.K.tobytes() == (ref.K / s).tobytes()
+    assert res.sigma.first_row.tobytes() == (ref.sigma.first_row * s).tobytes()
+    assert res.final_grad_norm == ref.final_grad_norm
+    shift = m * N * math.log(s)  # f gains mN log s, up to the rounding of the sum
+    assert abs(res.objective - ref.objective - shift) <= 1e-13 * (abs(ref.objective) + abs(shift))
+
+
+@pytest.mark.parametrize("method", ["gd", "newton"])
+def test_identity_start_at_every_scale(method):
+    # the identity start is the identity of the band divided by its power
+    # of 4, so it sits at the data's own unit: GD and Newton from it
+    # converge at every scale to the rescaled completion.  From the unit
+    # identity GD raised ZeroDivisionError at 1e-150 and 1e-100 and ran out
+    # of a 20,000-step budget from 1e8 up, and so did Newton at 1e150.
+    # GD's completion is as close as its stop eta allows
+    band = random_feasible_band(2, 1, 8, np.random.default_rng(3))
+    ref = solve(band, 8, init="identity", method=method)
+    budget, tol = (250, 1e-7) if method == "gd" else (15, 1e-10)
+    for s in (1e-150, 1e-100, 1e-8, 1e8, 1e100, 1e150):
+        res = solve(BandData(2, 1, s * band.blocks), 8, SolverConfig(max_iter=budget), init="identity",
+                    method=method)
+        assert res.converged, (s, res.status)
+        assert np.abs(res.sigma.first_row / s - ref.sigma.first_row).max() <= tol * np.abs(ref.sigma.first_row).max()
 
 
 @settings(deadline=None, max_examples=20)
